@@ -35,6 +35,7 @@ from .geometry import (
     count_almost_unit_area,
     count_almost_unit_area_naive,
     count_sphere_intersections,
+    count_sphere_intersections_naive,
     count_unit_minors,
     count_unit_minors_naive,
     k1uu_config,
@@ -230,6 +231,12 @@ def _cluster_triangle_points(spec: ExperimentSpec, n: int) -> PointConfig:
     return PointConfig(2, tuple(sorted(pts)))
 
 
+def _triangle_points(spec: ExperimentSpec, n: int) -> PointConfig:
+    if spec.variant == "clusters":
+        return _cluster_triangle_points(spec, n)
+    return _random_triangle_points(spec, n)
+
+
 def _random_spheres(spec: ExperimentSpec, n: int) -> SphereConfig:
     """Centers spread in a box growing like n^(1/d): keeps intersections
     sparse enough for the asymptotic regime while staying nonzero."""
@@ -273,24 +280,23 @@ def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
             H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
             checked, free, note = _check_kfree(spec, H, spec.d)
         return SizeResult(size, cfg.n, count, checked, free, False, note)
-    if spec.kind == "triangles":
-        cfg = (_cluster_triangle_points(spec, size)
-               if spec.variant == "clusters"
-               else _random_triangle_points(spec, size))
-        count = count_almost_unit_area(cfg)
-        checked, free, note = False, None, ""
-        if size <= spec.kfree_max_size:
-            H = almost_unit_area_hypergraph(cfg)
-            checked, free, note = _check_kfree(spec, H, 3)
-        return SizeResult(size, cfg.n, count, checked, free, False, note)
-    if spec.kind == "spheres":
-        cfg = _random_spheres(spec, size)
-        count = count_sphere_intersections(cfg)
-        checked, free, note = False, None, ""
-        if size <= spec.kfree_max_size:
-            H, _ = sphere_intersection_hypergraph(cfg)
-            checked, free, note = _check_kfree(spec, H, min(spec.d, 3))
-        return SizeResult(size, cfg.n, count, checked, free, False, note)
+    if spec.kind in ("triangles", "spheres"):
+        # one sweep per size: the count is the number of hit tuples, read
+        # off the hypergraph when the pattern check needs it anyway
+        if spec.kind == "triangles":
+            cfg, k = _triangle_points(spec, size), 3
+            count_fn = count_almost_unit_area
+            build = almost_unit_area_hypergraph
+        else:
+            cfg, k = _random_spheres(spec, size), min(spec.d, 3)
+            count_fn = count_sphere_intersections
+            build = (lambda c: sphere_intersection_hypergraph(c)[0])
+        if size > spec.kfree_max_size:
+            return SizeResult(size, cfg.n, count_fn(cfg))
+        H = build(cfg)
+        checked, free, note = _check_kfree(spec, H, k)
+        return SizeResult(size, cfg.n, H.num_edges // math.factorial(k),
+                          checked, free, False, note)
     if spec.kind == "k1uu":
         cfg = k1uu_config(spec.d, size)
         count = count_unit_minors(cfg)
@@ -325,15 +331,9 @@ def _naive_recount(spec: ExperimentSpec, size: int) -> Optional[int]:
             return None
         return count_unit_minors_naive(cfg)
     if spec.kind == "triangles":
-        cfg = (_cluster_triangle_points(spec, size)
-               if spec.variant == "clusters"
-               else _random_triangle_points(spec, size))
-        return count_almost_unit_area_naive(cfg)
+        return count_almost_unit_area_naive(_triangle_points(spec, size))
     if spec.kind == "spheres":
-        cfg = _random_spheres(spec, size)
-        H, _ = sphere_intersection_hypergraph(cfg)
-        return H.num_edges // math.factorial(min(spec.d, 3)) if spec.d == 3 \
-            else H.num_edges // 2
+        return count_sphere_intersections_naive(_random_spheres(spec, size))
     return None
 
 

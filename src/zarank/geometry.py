@@ -165,15 +165,31 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _lcm_of_denominators(values: Iterable[Fraction]) -> int:
+    lcm = 1
+    for v in values:
+        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    return lcm
+
+
+def _int_array(values: list[int], fits: bool) -> np.ndarray:
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+def _all_orders(hits: np.ndarray) -> list[tuple[int, ...]]:
+    """Every ordering of every hit tuple, as tuples of python ints."""
+    k = hits.shape[1]
+    perms = list(itertools.permutations(range(k)))
+    return list(map(tuple, hits[:, perms].reshape(-1, k).tolist()))
+
+
 def clear_columns(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Scale each column to integers; returns (columns, scalars) with
     original_col = int_col / scalar."""
     cols = []
     scalars = []
     for p in points:
-        lcm = 1
-        for c in p:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        lcm = _lcm_of_denominators(p)
         cols.append(tuple(int(c * lcm) for c in p))
         scalars.append(lcm)
     return cols, scalars
@@ -226,21 +242,26 @@ def unit_minor_hypergraph(M: PointConfig,
     if len(set(M.points)) != M.n:
         raise ValueError("repeated columns are not allowed")
     cols, scalars = clear_columns(M.points)
+    perms = [(perm, _perm_sign(perm))
+             for perm in itertools.permutations(range(d))]
     edges = []
-    perms = list(itertools.permutations(range(d)))
-    for combo in itertools.combinations(range(M.n), d):
+    for combo, sign in _unit_minors(cols, scalars, d):
+        for perm, psign in perms:
+            if target is DetTarget.PLUS_MINUS_ONE or sign * psign == 1:
+                edges.append(tuple(combo[p] for p in perm))
+    return KPartiteHypergraph.build((M.n,) * d, edges)
+
+
+def _unit_minors(cols, scalars, d):
+    """Yield (combo, sign) for every increasing d-subset of the cleared
+    columns whose Bareiss determinant is sign * (product of its scalars),
+    i.e. whose rational determinant is sign = +-1."""
+    for combo in itertools.combinations(range(len(cols)), d):
         rows = [[cols[i][r] for i in combo] for r in range(d)]
         det = det_bareiss(rows)
         scale = math.prod(scalars[i] for i in combo)
-        if abs(det) != scale:
-            continue
-        base_sign = 1 if det == scale else -1
-        for perm in perms:
-            psign = _perm_sign(perm)
-            value = base_sign * psign
-            if target is DetTarget.PLUS_MINUS_ONE or value == 1:
-                edges.append(tuple(combo[p] for p in perm))
-    return KPartiteHypergraph.build((M.n,) * d, edges)
+        if abs(det) == scale:
+            yield combo, (1 if det == scale else -1)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -280,17 +301,7 @@ def count_unit_minors(M: PointConfig,
         if d == 2:
             return kernels.count_unit_pairs(arrs[0], arrs[1], s)
         return kernels.count_unit_triples(arrs[0], arrs[1], arrs[2], s)
-    return _count_unit_minors_bigint(cols, scalars, d)
-
-
-def _count_unit_minors_bigint(cols, scalars, d) -> int:
-    count = 0
-    for combo in itertools.combinations(range(len(cols)), d):
-        rows = [[cols[i][r] for i in combo] for r in range(d)]
-        scale = math.prod(scalars[i] for i in combo)
-        if abs(det_bareiss(rows)) == scale:
-            count += 1
-    return count
+    return sum(1 for _ in _unit_minors(cols, scalars, d))
 
 
 def count_unit_minors_naive(M: PointConfig) -> int:
@@ -339,55 +350,41 @@ def triangle_double_area(p, q, r) -> Fraction:
     return abs(cross)
 
 
-def almost_unit_area_hypergraph(P: PointConfig,
-                                lo: Fraction = Fraction(9, 10),
-                                hi: Fraction = Fraction(11, 10)) -> KPartiteHypergraph:
-    """3 parts, copies of P: ordered (i,j,l), indices distinct, is an edge
-    iff the triangle area lies in [lo, hi] (exact rational test)."""
+def _area_band_args(P: PointConfig, lo, hi) -> tuple:
+    """Arguments of the area-band kernels: coordinates over the common
+    denominator L and the band with scale L^2.  int64 when the bound on
+    |cross| * denominator and on the band's ends stays below 2^62, else
+    object arrays of python ints."""
     if P.dim != 2:
         raise ValueError("triangle areas live in the plane")
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("need lo <= hi")
-    edges = []
-    pts = P.points
-    for i, j, l in itertools.combinations(range(P.n), 3):
-        a2 = triangle_double_area(pts[i], pts[j], pts[l])
-        if 2 * lo <= a2 <= 2 * hi:
-            edges.extend(itertools.permutations((i, j, l)))
-    return KPartiteHypergraph.build((P.n,) * 3, edges)
+    lcm = _lcm_of_denominators(c for p in P.points for c in p)
+    xs = [int(p[0] * lcm) for p in P.points]
+    ys = [int(p[1] * lcm) for p in P.points]
+    scale2 = lcm * lcm
+    maxc = max([1] + [abs(v) for v in xs] + [abs(v) for v in ys])
+    bound = max(8 * maxc * maxc * max(lo.denominator, hi.denominator),
+                2 * scale2 * max(abs(lo.numerator), abs(hi.numerator)))
+    fits = bound < 2**62
+    return (_int_array(xs, fits), _int_array(ys, fits),
+            lo.numerator, lo.denominator, hi.numerator, hi.denominator, scale2)
+
+
+def almost_unit_area_hypergraph(P: PointConfig,
+                                lo: Fraction = Fraction(9, 10),
+                                hi: Fraction = Fraction(11, 10)) -> KPartiteHypergraph:
+    """3 parts, copies of P: ordered (i,j,l), indices distinct, is an edge
+    iff the triangle area lies in [lo, hi] (exact integer test)."""
+    hits = kernels.area_triple_hits(*_area_band_args(P, lo, hi))
+    return KPartiteHypergraph.build((P.n,) * 3, _all_orders(hits))
 
 
 def count_almost_unit_area(P: PointConfig, lo: Fraction = Fraction(9, 10),
                            hi: Fraction = Fraction(11, 10)) -> int:
     """Number of unordered triangles with area in [lo, hi]."""
-    if P.dim != 2:
-        raise ValueError("triangle areas live in the plane")
-    lo, hi = Fraction(lo), Fraction(hi)
-    cols, scalars = clear_columns(P.points)
-    lcm = 1
-    for s in scalars:
-        lcm = lcm * s // math.gcd(lcm, s)
-    xs = np.array([c[0] * (lcm // s) for c, s in zip(cols, scalars)],
-                  dtype=object)
-    ys = np.array([c[1] * (lcm // s) for c, s in zip(cols, scalars)],
-                  dtype=object)
-    scale2 = lcm * lcm
-    maxc = max([1] + [abs(int(v)) for v in xs] + [abs(int(v)) for v in ys])
-    bound = 8 * maxc * maxc * max(lo.denominator, hi.denominator)
-    bound = max(bound, 2 * scale2 * max(lo.numerator, hi.numerator))
-    if bound < 2**62:
-        return kernels.count_area_triples(
-            xs.astype(np.int64), ys.astype(np.int64),
-            lo.numerator, lo.denominator, hi.numerator, hi.denominator,
-            scale2)
-    count = 0
-    pts = P.points
-    for i, j, l in itertools.combinations(range(P.n), 3):
-        a2 = triangle_double_area(pts[i], pts[j], pts[l])
-        if 2 * lo <= a2 <= 2 * hi:
-            count += 1
-    return count
+    return kernels.count_area_triples(*_area_band_args(P, lo, hi))
 
 
 def count_almost_unit_area_naive(P: PointConfig, lo=Fraction(9, 10),
@@ -445,7 +442,7 @@ def spheres_triple_intersect(s1, s2, s3) -> tuple[bool, bool]:
     spheres = [s1, s2, s3]
     c1, a1 = spheres[0]
     planes = []
-    degenerate = False
+    degenerate = s2 == s3
     for idx in (1, 2):
         cj, aj = spheres[idx]
         normal = tuple(2 * (cj[t] - c1[t]) for t in range(3))
@@ -523,35 +520,45 @@ def _particular_solution(n1, r1, n2, r2):
     raise ValueError("planes are parallel; no line")
 
 
+def _sphere_hits(S: SphereConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The intersecting pairs (d=2) or triples (d=3) of S as increasing
+    index tuples, and their degenerate flags, from one integer sweep.
+
+    Centres are scaled by L, the lcm of every denominator, and squared
+    radii by L^2.  g bounds every |u|^2, |u.w| and |rho| of the sweep,
+    whose products stay below 8 g^3 (see kernels.sphere_triple_hits);
+    past the int64 guard the sweep runs on python ints."""
+    lcm = _lcm_of_denominators(
+        [r2 for _, r2 in S.spheres] + [c for center, _ in S.spheres for c in center])
+    cs = [int(c * lcm) for center, _ in S.spheres for c in center]
+    rs = [int(r2 * lcm * lcm) for _, r2 in S.spheres]
+    span = 2 * max([0] + [abs(v) for v in cs])
+    g = S.dim * span * span + max([0] + rs)
+    fits = 16 * g**3 < 2**62
+    c = _int_array(cs, fits).reshape(S.n, S.dim)
+    r2 = _int_array(rs, fits)
+    if S.dim == 2:
+        return kernels.circle_pair_hits(c, r2)
+    return kernels.sphere_triple_hits(c, r2)
+
+
 def sphere_intersection_hypergraph(S: SphereConfig) -> tuple[KPartiteHypergraph, frozenset]:
     """d parts, copies of S.  Returns (hypergraph, degenerate edge set);
     degenerate tuples (containing an identical pair) are present and
     flagged."""
-    edges = []
-    degenerate = set()
-    if S.dim == 2:
-        for i, j in itertools.combinations(range(S.n), 2):
-            meets, degen = circles_intersect(S.spheres[i][0], S.spheres[i][1],
-                                             S.spheres[j][0], S.spheres[j][1])
-            if meets:
-                edges.extend([(i, j), (j, i)])
-                if degen:
-                    degenerate.update([(i, j), (j, i)])
-        return (KPartiteHypergraph.build((S.n, S.n), edges),
-                frozenset(degenerate))
-    for i, j, l in itertools.combinations(range(S.n), 3):
-        meets, degen = spheres_triple_intersect(S.spheres[i], S.spheres[j],
-                                                S.spheres[l])
-        if meets:
-            perms = list(itertools.permutations((i, j, l)))
-            edges.extend(perms)
-            if degen:
-                degenerate.update(perms)
-    return (KPartiteHypergraph.build((S.n,) * 3, edges), frozenset(degenerate))
+    hits, degenerate = _sphere_hits(S)
+    return (KPartiteHypergraph.build((S.n,) * S.dim, _all_orders(hits)),
+            frozenset(_all_orders(hits[degenerate])))
 
 
 def count_sphere_intersections(S: SphereConfig) -> int:
     """Unordered intersecting pairs (d=2) or triples (d=3)."""
+    return len(_sphere_hits(S)[0])
+
+
+def count_sphere_intersections_naive(S: SphereConfig) -> int:
+    """Independent oracle: the rational predicates on every pair (d=2)
+    or triple (d=3)."""
     if S.dim == 2:
         return sum(
             1 for i, j in itertools.combinations(range(S.n), 2)

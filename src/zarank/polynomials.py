@@ -7,8 +7,6 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 
 class MultiPoly:
     """Immutable map from exponent vectors to nonzero rational coefficients."""
@@ -65,17 +63,6 @@ class MultiPoly:
     def sign_at(self, point: Sequence[Fraction]) -> int:
         v = self.evaluate(point)
         return (v > 0) - (v < 0)
-
-    def evaluate_float(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation on an (n, num_vars) array."""
-        out = np.zeros(pts.shape[0])
-        for expvec, coeff in self.terms.items():
-            mono = np.ones(pts.shape[0])
-            for axis, e in enumerate(expvec):
-                if e:
-                    mono *= pts[:, axis] ** e
-            out += float(coeff) * mono
-        return out
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         if self.num_vars != other.num_vars:

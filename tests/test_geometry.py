@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zarank import geometry
 from zarank.geometry import (
     DetTarget,
     PointConfig,
@@ -16,6 +18,7 @@ from zarank.geometry import (
     count_almost_unit_area,
     count_almost_unit_area_naive,
     count_sphere_intersections,
+    count_sphere_intersections_naive,
     count_unit_minors,
     count_unit_minors_naive,
     det_bareiss,
@@ -28,6 +31,7 @@ from zarank.geometry import (
     spheres_triple_intersect,
     st_incidence_count,
     st_lower_bound_minor_config,
+    triangle_double_area,
     unit_minor_hypergraph,
 )
 from zarank.hypergraph import ForbiddenPattern, contains_complete
@@ -210,6 +214,39 @@ class TestAlmostUnitArea:
         H = almost_unit_area_hypergraph(cfg)
         assert H.num_edges == 6 * count_almost_unit_area(cfg)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_hits_match_fraction_loop(self, data):
+        """Negative and fractional coordinates; the band's ends are the
+        areas of two of the triangles, so hits sit exactly at lo and hi;
+        a large offset or denominator pushes the coordinates past the
+        int64 guard onto the object path."""
+        big = data.draw(st.sampled_from([1, 2**40, Fraction(1, 2**40)]))
+        raw = data.draw(st.lists(
+            st.tuples(st.fractions(-5, 5, max_denominator=4),
+                      st.fractions(-5, 5, max_denominator=4)),
+            min_size=3, max_size=10, unique=True))
+        pts = tuple((x * big + 3 * big, y * big) for x, y in raw)
+        cfg = PointConfig(2, pts)
+        triples = list(itertools.combinations(range(cfg.n), 3))
+        areas = sorted({triangle_double_area(*(pts[i] for i in t)) / 2
+                        for t in triples})
+        lo = data.draw(st.sampled_from(areas))
+        hi = data.draw(st.sampled_from([a for a in areas if a >= lo]))
+        want = {t for t in triples
+                if lo <= triangle_double_area(*(pts[i] for i in t)) / 2 <= hi}
+        xs = geometry._area_band_args(cfg, lo, hi)[0]
+        assert (xs.dtype == object) == (big == 2**40 or (big != 1 and hi != 0))
+        H = almost_unit_area_hypergraph(cfg, lo, hi)
+        assert H.edges == {p for t in want for p in itertools.permutations(t)}
+        assert count_almost_unit_area(cfg, lo, hi) == len(want)
+        assert count_almost_unit_area_naive(cfg, lo, hi) == len(want)
+
+    def test_rejects_empty_band(self):
+        cfg = PointConfig(2, frac_points([(0, 0), (2, 0), (0, 1)]))
+        with pytest.raises(ValueError):
+            count_almost_unit_area(cfg, Fraction(2), Fraction(1))
+
     def test_distance_ratio_statistic(self):
         cfg = PointConfig(2, frac_points([(0, 0), (1, 0), (3, 0)]))
         assert distance_ratio_squared(cfg) == 9
@@ -310,6 +347,58 @@ class TestSpheres:
             assert got == (disc > 0), spheres
             checked += 1
         assert checked > 300
+
+    @staticmethod
+    def fraction_sweep(cfg):
+        """Edges and degenerate edges from the rational predicates."""
+        edges, degenerate = set(), set()
+        for combo in itertools.combinations(range(cfg.n), cfg.dim):
+            s = [cfg.spheres[i] for i in combo]
+            if cfg.dim == 2:
+                meets, degen = circles_intersect(s[0][0], s[0][1],
+                                                 s[1][0], s[1][1])
+            else:
+                meets, degen = spheres_triple_intersect(*s)
+            if meets:
+                orders = set(itertools.permutations(combo))
+                edges |= orders
+                if degen:
+                    degenerate |= orders
+        return edges, degenerate
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_integer_sweep_matches_fraction_predicates(self, data):
+        """Spheres from a few rational centres and radii, so identical
+        pairs, concentric spheres, parallel and coincident radical planes
+        and tangencies come up; a large scale forces the object path."""
+        d = data.draw(st.sampled_from([2, 3]))
+        scale = data.draw(st.sampled_from([1, 10**6, Fraction(1, 10**6)]))
+        coord = st.fractions(-2, 2, max_denominator=2)
+        centres = data.draw(st.lists(st.tuples(*[coord] * d),
+                                     min_size=1, max_size=3))
+        radii = data.draw(st.lists(st.fractions(1, 6, max_denominator=4),
+                                   min_size=1, max_size=3))
+        n = data.draw(st.integers(0, 8))
+        spheres = tuple(
+            (tuple(c * scale for c in data.draw(st.sampled_from(centres))),
+             data.draw(st.sampled_from(radii)) * scale * scale)
+            for _ in range(n))
+        cfg = SphereConfig(d, spheres)
+        H, degen = sphere_intersection_hypergraph(cfg)
+        edges, want_degen = self.fraction_sweep(cfg)
+        assert H.edges == edges
+        assert degen == want_degen
+        k = math.factorial(d)
+        assert count_sphere_intersections(cfg) == len(edges) // k
+        assert count_sphere_intersections_naive(cfg) == len(edges) // k
+
+    def test_identical_pair_in_last_two_places_flagged(self):
+        s1 = ((Fraction(1), Fraction(0), Fraction(0)), Fraction(4))
+        s2 = ((Fraction(0),) * 3, Fraction(4))
+        assert spheres_triple_intersect(s1, s2, s2) == (True, True)
+        H, degen = sphere_intersection_hypergraph(SphereConfig(3, (s1, s2, s2)))
+        assert H.num_edges == 6 and degen == H.edges
 
     def test_hypergraph_and_file_round_trip(self):
         cfg = SphereConfig(2, (
