@@ -264,22 +264,22 @@ def _check_kfree(spec: ExperimentSpec, H, k: int) -> tuple[bool, Optional[bool],
 
 
 def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
-    if spec.kind == "minors":
-        cfg = _random_matrix(spec, size)
-        count = count_unit_minors(cfg)
-        checked, free, note = False, None, ""
-        if size <= spec.kfree_max_size:
-            H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
-            checked, free, note = _check_kfree(spec, H, spec.d)
-        return SizeResult(size, cfg.n, count, checked, free, False, note)
-    if spec.kind == "st-config":
-        cfg = st_lower_bound_minor_config(spec.d, size)
-        count = count_unit_minors(cfg)
-        checked, free, note = False, None, "config too large for pattern check"
-        if cfg.n <= spec.kfree_max_size:
-            H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
-            checked, free, note = _check_kfree(spec, H, spec.d)
-        return SizeResult(size, cfg.n, count, checked, free, False, note)
+    if spec.kind in ("minors", "st-config"):
+        # one sweep per size, as for triangles and spheres below; the
+        # hypergraph holds the d!/2 orderings of each unit subset whose
+        # determinant is exactly 1
+        if spec.kind == "minors":
+            cfg, note = _random_matrix(spec, size), ""
+        else:
+            cfg = st_lower_bound_minor_config(spec.d, size)
+            note = "config too large for pattern check"
+        if cfg.n > spec.kfree_max_size:
+            return SizeResult(size, cfg.n, count_unit_minors(cfg), note=note)
+        H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
+        checked, free, note = _check_kfree(spec, H, spec.d)
+        return SizeResult(size, cfg.n,
+                          H.num_edges // (math.factorial(spec.d) // 2),
+                          checked, free, False, note)
     if spec.kind in ("triangles", "spheres"):
         # one sweep per size: the count is the number of hit tuples, read
         # off the hypergraph when the pattern check needs it anyway

@@ -212,11 +212,14 @@ def _int_matrix_stats(cols: list[tuple[int, ...]], scalars: list[int]):
 def fits_int64(config: PointConfig) -> bool:
     """Conservative check that the cleared-integer determinant sweep for
     d in {2,3} stays inside int64."""
-    cols, scalars = clear_columns(config.points)
+    return _cleared_fit(*clear_columns(config.points), config.dim)
+
+
+def _cleared_fit(cols: list[tuple[int, ...]], scalars: list[int], d: int) -> bool:
+    """`fits_int64` on columns already cleared by `clear_columns`."""
     if not cols:
         return True
     maxabs, smax = _int_matrix_stats(cols, scalars)
-    d = config.dim
     limit = 2**62
     if d == 2:
         return 2 * maxabs[0] * maxabs[1] < limit and smax * smax < limit
@@ -241,15 +244,33 @@ def unit_minor_hypergraph(M: PointConfig,
         raise ValueError("need ambient dimension >= 2")
     if len(set(M.points)) != M.n:
         raise ValueError("repeated columns are not allowed")
-    cols, scalars = clear_columns(M.points)
-    perms = [(perm, _perm_sign(perm))
-             for perm in itertools.permutations(range(d))]
-    edges = []
-    for combo, sign in _unit_minors(cols, scalars, d):
-        for perm, psign in perms:
-            if target is DetTarget.PLUS_MINUS_ONE or sign * psign == 1:
-                edges.append(tuple(combo[p] for p in perm))
-    return KPartiteHypergraph.build((M.n,) * d, edges)
+    hits, signs = _unit_hits(*clear_columns(M.points), d)
+    perms = list(itertools.permutations(range(d)))
+    orders = hits[:, perms]
+    if target is DetTarget.EXACTLY_ONE:
+        psign = np.array([_perm_sign(p) for p in perms])
+        orders = orders[np.multiply.outer(signs, psign) == 1]
+    return KPartiteHypergraph.build((M.n,) * d,
+                                    list(map(tuple, orders.reshape(-1, d).tolist())))
+
+
+def _unit_hits(cols, scalars, d) -> tuple[np.ndarray, np.ndarray]:
+    """The increasing d-subsets of the cleared columns with rational
+    determinant +-1, as an index array, and the sign of each: from the
+    int64 hit sweep for d in {2, 3} under the overflow guard, else from
+    the big-integer Bareiss loop."""
+    if d in (2, 3) and _cleared_fit(cols, scalars, d):
+        sweep = kernels.unit_pair_hits if d == 2 else kernels.unit_triple_hits
+        return sweep(*_int64_rows(cols, scalars, d))
+    found = list(_unit_minors(cols, scalars, d))
+    hits = np.array([combo for combo, _ in found], dtype=np.int64).reshape(-1, d)
+    return hits, np.array([sign for _, sign in found], dtype=np.int64)
+
+
+def _int64_rows(cols, scalars, d) -> list[np.ndarray]:
+    """The d coordinate rows and the scalars of cleared columns, as int64."""
+    return ([np.array([c[r] for c in cols], dtype=np.int64) for r in range(d)]
+            + [np.array(scalars, dtype=np.int64)])
 
 
 def _unit_minors(cols, scalars, d):
@@ -294,13 +315,9 @@ def count_unit_minors(M: PointConfig,
     if len(set(M.points)) != M.n:
         raise ValueError("repeated columns are not allowed")
     cols, scalars = clear_columns(M.points)
-    if d in (2, 3) and fits_int64(M):
-        arrs = [np.array([c[r] for c in cols], dtype=np.int64)
-                for r in range(d)]
-        s = np.array(scalars, dtype=np.int64)
-        if d == 2:
-            return kernels.count_unit_pairs(arrs[0], arrs[1], s)
-        return kernels.count_unit_triples(arrs[0], arrs[1], arrs[2], s)
+    if d in (2, 3) and _cleared_fit(cols, scalars, d):
+        count = kernels.count_unit_pairs if d == 2 else kernels.count_unit_triples
+        return count(*_int64_rows(cols, scalars, d))
     return sum(1 for _ in _unit_minors(cols, scalars, d))
 
 

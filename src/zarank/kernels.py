@@ -1,108 +1,52 @@
 """Hot kernels: exact integer sweeps over column tuples.
 
-The unit-minor sweeps (pair and triple determinants) only count.  They
-run on denominator-cleared int64 data, JIT-compiled with numba when
-available.  Set ZARANK_BACKEND=numpy to force the pure-numpy blocked
-fallback (ZARANK_BACKEND=numba insists on numba); ZARANK_THREADS caps
-the numba thread pool.  Callers are responsible for checking that the
-cleared integers cannot overflow int64 (see geometry.fits_int64) and for
-taking the big-integer Bareiss path when they might.
+Every kernel is numpy.  The unit-minor kernels take denominator-cleared
+int64 columns: column i is (x_i, y_i[, z_i]) / s_i.  Callers are
+responsible for checking that the cleared integers cannot overflow
+int64 (see geometry.fits_int64) and for taking the big-integer Bareiss
+path when they might.
 
-The area-band and circle/sphere sweeps return the hit index tuples, from
-which the caller takes both the count (their number) and the hypergraph
-(their orderings).  They are numpy only, on int64 data when the caller's
-overflow guard holds and otherwise on object arrays of python ints, with
-the same code.
+`count_unit_pairs` counts the unit 2x2 minors by direction classes: a
+sorted join per heavy class and lattice-line enumeration for the light
+columns, sub-quadratic on incidence-like data such as the
+Szemeredi-Trotter configuration; the quadratic block sweep
+`_unit_pairs_numpy` takes only the light columns whose partner lines
+hold too many lattice points, and is the tests' oracle.
 
-All kernels are exact; backend and dtype never change results.
+The hit sweeps return the hit index tuples, from which the caller takes
+both the count (their number) and the hypergraph (their orderings):
+`unit_pair_hits` and `unit_triple_hits` with the sign of each unit
+determinant, on int64; the area-band and circle/sphere sweeps on int64
+data when the caller's overflow guard holds and otherwise on object
+arrays of python ints, with the same code.
+
+All kernels are exact; dtype never changes results.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
+import math
 
 import numpy as np
 
-try:
-    import numba
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
+# Most candidate lattice points matched against the light columns at once.
+_CHUNK = 1 << 20
 
 
 def active_backend() -> str:
-    """Resolve the backend from ZARANK_BACKEND: auto | numba | numpy."""
-    choice = os.environ.get("ZARANK_BACKEND", "auto").lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            warnings.warn("ZARANK_BACKEND=numba but numba is unavailable; "
-                          "using numpy")
-            return "numpy"
-        return "numba"
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """The backend the kernels run on, for run records: always numpy."""
+    return "numpy"
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("ZARANK_THREADS")
-    if cap and _HAVE_NUMBA:
-        try:
-            n = max(1, int(cap))
-        except ValueError:
-            return
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _unit_pairs_numba(x, y, s):
-        n = x.shape[0]
-        total = 0
-        for i in prange(n):
-            c = 0
-            xi = x[i]
-            yi = y[i]
-            si = s[i]
-            for j in range(i + 1, n):
-                d = xi * y[j] - yi * x[j]
-                if d < 0:
-                    d = -d
-                if d == si * s[j]:
-                    c += 1
-            total += c
-        return total
-
-    @njit(cache=True, parallel=True)
-    def _unit_triples_numba(x, y, z, s):
-        n = x.shape[0]
-        total = 0
-        for i in prange(n):
-            c = 0
-            for j in range(i + 1, n):
-                cxy = x[i] * y[j] - y[i] * x[j]
-                cxz = x[i] * z[j] - z[i] * x[j]
-                cyz = y[i] * z[j] - z[i] * y[j]
-                sij = s[i] * s[j]
-                for l in range(j + 1, n):
-                    d = cxy * z[l] - cxz * y[l] + cyz * x[l]
-                    if d < 0:
-                        d = -d
-                    if d == sij * s[l]:
-                        c += 1
-            total += c
-        return total
-
-
-def _unit_pairs_numpy(x, y, s, block: int = 2048) -> int:
+def _unit_pairs_numpy(x, y, s, rows: int | None = None,
+                      block: int = 2048) -> int:
+    """Pairs i<j with i < rows (every pair by default) and
+    |x_i y_j - y_i x_j| == s_i s_j: the quadratic block sweep."""
     n = x.shape[0]
+    rows = n if rows is None else rows
     total = 0
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
+    for i0 in range(0, rows, block):
+        i1 = min(i0 + block, rows)
         xi = x[i0:i1, None]
         yi = y[i0:i1, None]
         si = s[i0:i1, None]
@@ -118,46 +62,179 @@ def _unit_pairs_numpy(x, y, s, block: int = 2048) -> int:
     return total
 
 
-def _unit_triples_numpy(x, y, z, s) -> int:
-    n = x.shape[0]
+def _labels(cols: list[np.ndarray]) -> np.ndarray:
+    """A label per tuple, equal for equal tuples; cols holds one int64
+    array per component, and tuples are sorted and compared component by
+    component."""
+    order = np.lexsort(cols[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for c in cols:
+        c = c[order]
+        new[1:] |= c[1:] != c[:-1]
+    label = np.empty(order.size, dtype=np.int64)
+    label[order] = np.cumsum(new) - 1
+    return label
+
+
+def _match_counts(keys: tuple, queries: tuple) -> np.ndarray:
+    """For each query tuple, the number of key tuples equal to it."""
+    label = _labels([np.concatenate((k, q)) for k, q in zip(keys, queries)])
+    nk = keys[0].size
+    return np.bincount(label[:nk], minlength=label.size)[label[nk:]]
+
+
+def _bezout(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) with a*u + b*v = gcd(a, b), elementwise, for int64 a, b >= 0.
+    Euclid's coefficients stay below max(a, b) in absolute value."""
+    r0, r1 = a.copy(), b.copy()
+    u0, u1 = np.ones_like(a), np.zeros_like(a)
+    v0, v1 = np.zeros_like(a), np.ones_like(a)
+    while True:
+        act = np.nonzero(r1)[0]
+        if not act.size:
+            return u0, v0
+        q = r0[act] // r1[act]
+        for p0, p1 in ((r0, r1), (u0, u1), (v0, v1)):
+            p0[act], p1[act] = p1[act], p0[act] - q * p1[act]
+
+
+def _k_range(base, step, lo, hi):
+    """Bounds of the integers k with lo <= base + k*step <= hi, on python
+    ints; meaningless where step is 0."""
+    safe = np.where(step == 0, 1, step)
+    a, b = lo - base, hi - base
+    neg = step < 0
+    a, b = np.where(neg, b, a), np.where(neg, a, b)
+    return -((-a) // safe), b // safe
+
+
+def _lattice_lines(px, py, u, v, t, box):
+    """The lattice points w of the lines det(p, w) = px*w_y - py*w_x = t
+    inside box = (xlo, xhi, ylo, yhi), one line per entry: the first point
+    (int64 x, y) and the number of points m.
+
+    p is primitive and sign-normalised, so px >= 0 and p = (0, 1) when
+    px = 0; u, v are its Bezout coefficients (px*u + py*v = 1), so
+    (-t*v, t*u) is on the line and the points are (-t*v, t*u) + k*p.
+    Products with t are taken on python ints, since t*v can pass 2^63
+    when the line misses the box."""
+    xlo, xhi, ylo, yhi = (int(b) for b in box)
+    px, py, t = (a.astype(object) for a in (px, py, t))
+    bx, by = -t * v.astype(object), t * u.astype(object)
+    kx_lo, kx_hi = _k_range(bx, px, xlo, xhi)
+    ky_lo, ky_hi = _k_range(by, py, ylo, yhi)
+    k_lo = np.where(px == 0, ky_lo, np.where(py == 0, kx_lo, np.maximum(kx_lo, ky_lo)))
+    k_hi = np.where(px == 0, ky_hi, np.where(py == 0, kx_hi, np.minimum(kx_hi, ky_hi)))
+    ok = (((px != 0) | ((xlo <= bx) & (bx <= xhi)))
+          & ((py != 0) | ((ylo <= by) & (by <= yhi))) & (k_lo <= k_hi))
+    k_lo = np.where(ok, k_lo, 0)
+    m = np.where(ok, k_hi - k_lo + 1, 0)
+    fx = np.where(ok, bx + k_lo * px, 0).astype(np.int64)
+    fy = np.where(ok, by + k_lo * py, 0).astype(np.int64)
+    return fx, fy, m
+
+
+def _light_pairs(x, y, s, g, px, py, n: int) -> int:
+    """Unit pairs among light columns (nonzero, in classes below the heavy
+    size), each counted once.
+
+    Column i's partners of scale sigma lie on the two lattice lines
+    det(p_i, w) = +-s_i*sigma/g_i (none unless g_i divides s_i*sigma),
+    stepped by p_i inside the bounding box of the light columns of scale
+    sigma.  A column with at most n such lattice points in all enumerates
+    them and looks each up among the other enumerated columns; every
+    pair of two enumerated columns is found from both ends, so their sum
+    is halved.  The other columns come first in the quadratic sweep, run
+    over their pairs with every light column."""
+    u, v = _bezout(px, np.abs(py))
+    v = np.where(py < 0, -v, v)
+    cand = np.zeros(x.size, dtype=np.int64)
+    lines = []
+    for sigma in np.unique(s):
+        of_scale = s == sigma
+        box = (x[of_scale].min(), x[of_scale].max(),
+               y[of_scale].min(), y[of_scale].max())
+        prod = s * sigma
+        src = np.nonzero(prod % g == 0)[0]
+        c = prod[src] // g[src]
+        for t in (c, -c):
+            fx, fy, m = _lattice_lines(px[src], py[src], u[src], v[src], t, box)
+            hit = np.nonzero(m > 0)[0]
+            m = np.minimum(m[hit], n + 1).astype(np.int64)
+            cand[src[hit]] += m
+            lines.append((src[hit], fx[hit], fy[hit], m,
+                          np.full(hit.size, sigma, dtype=np.int64)))
+    enum = cand <= n
     total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            cxy = x[i] * y[j] - y[i] * x[j]
-            cxz = x[i] * z[j] - z[i] * x[j]
-            cyz = y[i] * z[j] - z[i] * y[j]
-            if j + 1 >= n:
-                continue
-            tail = slice(j + 1, n)
-            d = np.abs(cxy * z[tail] - cxz * y[tail] + cyz * x[tail])
-            total += int(np.count_nonzero(d == s[i] * s[j] * s[tail]))
-    return total
+    if lines:
+        src, fx, fy, m, sig = (np.concatenate(a) for a in zip(*lines))
+        keep = enum[src]
+        src, fx, fy, m, sig = src[keep], fx[keep], fy[keep], m[keep], sig[keep]
+        keys = (x[enum], y[enum], s[enum])
+        ends = np.cumsum(m)
+        starts = ends - m
+        lo = 0
+        while lo < src.size:
+            hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _CHUNK,
+                                                 side="right")))
+            rep = np.repeat(np.arange(lo, hi), m[lo:hi])
+            step = np.arange(rep.size) - (starts[rep] - starts[lo])
+            qx = fx[rep] + step * px[src[rep]]
+            qy = fy[rep] + step * py[src[rep]]
+            total += int(_match_counts(keys, (qx, qy, sig[rep])).sum())
+            lo = hi
+    rest = ~enum
+    order = np.concatenate((np.nonzero(rest)[0], np.nonzero(enum)[0]))
+    return total // 2 + _unit_pairs_numpy(x[order], y[order], s[order],
+                                          rows=int(rest.sum()))
 
 
 def count_unit_pairs(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> int:
-    """Pairs i<j with |x_i y_j - y_i x_j| == s_i s_j, exact in int64."""
+    """Pairs i<j with |x_i y_j - y_i x_j| == s_i s_j, exact in int64.
+
+    With g_i = gcd(x_i, y_i) and p_i = (x_i, y_i) / g_i sign-normalised,
+    |det(w_i, w_j)| = g_i |det(p_i, w_j)|, so zero columns and pairs in
+    one direction class never hit.  A class with at least ceil(sqrt(n))
+    members is heavy; there are at most sqrt(n) of them.  Each heavy
+    class takes one int64 pass over every column j, joining
+    |det(p, w_j)| / s_j against its members' s_i / g_i as reduced
+    fractions: this finds every pair with a heavy end, those with two
+    heavy ends twice, so that part is halved.  Pairs of light columns go
+    to `_light_pairs`.
+    """
     x = np.ascontiguousarray(x, dtype=np.int64)
     y = np.ascontiguousarray(y, dtype=np.int64)
     s = np.ascontiguousarray(s, dtype=np.int64)
-    if active_backend() == "numba":
-        _apply_thread_cap()
-        return int(_unit_pairs_numba(x, y, s))
-    return _unit_pairs_numpy(x, y, s)
+    n = x.size
+    nz = np.nonzero((x != 0) | (y != 0))[0]
+    x, y, s = x[nz], y[nz], s[nz]
+    g = np.gcd(x, y)
+    flip = (x < 0) | ((x == 0) & (y < 0))
+    px = np.where(flip, -x, x) // g
+    py = np.where(flip, -y, y) // g
+    cls = _labels([px, py])
+    size = np.bincount(cls)
+    heavy = size[cls] >= math.isqrt(max(n - 1, 0)) + 1
+    one_heavy = two_heavy = 0
+    for c in np.unique(cls[heavy]):
+        mem = np.nonzero(cls == c)[0]
+        e = np.gcd(s[mem], g[mem])
+        a, b = s[mem] // e, g[mem] // e
+        d = np.abs(px[mem[0]] * y - py[mem[0]] * x)
+        h = np.gcd(d, s)
+        got = _match_counts((a, b), (d // h, s // h))
+        two_heavy += int(got[heavy].sum())
+        one_heavy += int(got[~heavy].sum())
+    light = ~heavy
+    return one_heavy + two_heavy // 2 + _light_pairs(
+        x[light], y[light], s[light], g[light], px[light], py[light], n)
 
 
 def count_unit_triples(x: np.ndarray, y: np.ndarray, z: np.ndarray,
                        s: np.ndarray) -> int:
-    """Triples i<j<l with |det(cols)| == s_i s_j s_l, exact in int64."""
-    x = np.ascontiguousarray(x, dtype=np.int64)
-    y = np.ascontiguousarray(y, dtype=np.int64)
-    z = np.ascontiguousarray(z, dtype=np.int64)
-    s = np.ascontiguousarray(s, dtype=np.int64)
-    if active_backend() == "numba":
-        _apply_thread_cap()
-        return int(_unit_triples_numba(x, y, z, s))
-    return _unit_triples_numpy(x, y, z, s)
-
-
+    """Number of triples that `unit_triple_hits` returns."""
+    return len(unit_triple_hits(x, y, z, s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +253,54 @@ def _stack(blocks: list[np.ndarray], k: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _flags(flags: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(flags) if flags else np.zeros(0, dtype=bool)
+def _flags(flags: list[np.ndarray], dtype=bool) -> np.ndarray:
+    return np.concatenate(flags) if flags else np.zeros(0, dtype=dtype)
 
 
 def _row_hits(i: int, *cols: np.ndarray) -> np.ndarray:
     """Hit tuples (i, i+1+c_1, i+1+c_2, ...) from tail-relative indices."""
     return np.column_stack((np.full(cols[0].size, i, dtype=np.int64),)
                            + tuple(c + (i + 1) for c in cols))
+
+
+def unit_pair_hits(x: np.ndarray, y: np.ndarray,
+                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i<j with |x_i y_j - y_i x_j| == s_i s_j as an (m, 2) index
+    array in lexicographic order, and the sign of each determinant
+    x_i y_j - y_i x_j.  int64 data under the caller's overflow guard."""
+    x, y, s = (np.asarray(a, dtype=np.int64) for a in (x, y, s))
+    blocks, signs = [], []
+    for i in range(x.shape[0] - 1):
+        d = x[i] * y[i + 1:] - y[i] * x[i + 1:]
+        jj = np.nonzero(np.abs(d) == s[i] * s[i + 1:])[0]
+        if jj.size:
+            blocks.append(_row_hits(i, jj))
+            signs.append(np.sign(d[jj]))
+    return _stack(blocks, 2), _flags(signs, np.int64)
+
+
+def unit_triple_hits(x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                     s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triples i<j<l whose determinant det(col_i, col_j, col_l) is
+    +-s_i s_j s_l, as an (m, 3) index array in lexicographic order, and
+    the sign of each.  One step per i decides its tail's (j, l) block
+    from the 2x2 minors of columns i and j.  int64 data under the
+    caller's overflow guard."""
+    x, y, z, s = (np.asarray(a, dtype=np.int64) for a in (x, y, z, s))
+    blocks, signs = [], []
+    for i in range(x.shape[0] - 2):
+        xt, yt, zt, st = x[i + 1:], y[i + 1:], z[i + 1:], s[i + 1:]
+        cxy = x[i] * yt - y[i] * xt
+        cxz = x[i] * zt - z[i] * xt
+        cyz = y[i] * zt - z[i] * yt
+        det = (np.multiply.outer(cxy, zt) - np.multiply.outer(cxz, yt)
+               + np.multiply.outer(cyz, xt))
+        ok = np.abs(det) == s[i] * np.multiply.outer(st, st)
+        jj, ll = np.nonzero(np.triu(ok, 1))
+        if jj.size:
+            blocks.append(_row_hits(i, jj, ll))
+            signs.append(np.sign(det[jj, ll]))
+    return _stack(blocks, 3), _flags(signs, np.int64)
 
 
 def area_triple_hits(x: np.ndarray, y: np.ndarray, lo_a: int, lo_b: int,

@@ -131,6 +131,40 @@ class TestUnitMinorHypergraph:
             assert not contains_complete(H, ForbiddenPattern((2,) * d)).found
 
 
+@st.composite
+def unit_minor_configs(draw):
+    """Distinct rational columns, d in {2, 3}; with `big`, one more column
+    with entries near 2^32, past the int64 guard, so the Bareiss path
+    runs."""
+    d = draw(st.integers(2, 3))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    pts = draw(st.lists(st.tuples(*[coord] * d), max_size=8, unique=True))
+    big = draw(st.booleans())
+    if big:
+        pts.append(tuple(Fraction(2**32 + 2 * r + 1, 3) for r in range(d)))
+    return PointConfig(d, tuple(pts), distinct=True), big
+
+
+class TestUnitMinorHits:
+    @settings(max_examples=80, deadline=None)
+    @given(unit_minor_configs())
+    def test_hypergraph_and_count_match_fraction_determinants(self, data):
+        cfg, big = data
+        d = cfg.dim
+        assert geometry.fits_int64(cfg) is not big
+        from zarank.geometry import _det_fraction_gauss
+        dets = {idx: _det_fraction_gauss([[cfg.points[i][r] for i in idx]
+                                          for r in range(d)])
+                for idx in itertools.permutations(range(cfg.n), d)}
+        one = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
+        both = unit_minor_hypergraph(cfg, DetTarget.PLUS_MINUS_ONE)
+        assert one.edges == frozenset(i for i, v in dets.items() if v == 1)
+        assert both.edges == frozenset(i for i, v in dets.items() if abs(v) == 1)
+        count = count_unit_minors(cfg)
+        assert count == count_unit_minors_naive(cfg)
+        assert count == one.num_edges // (math.factorial(d) // 2)
+
+
 class TestCountUnitMinors:
     def test_identity(self):
         cfg = PointConfig(2, frac_points([(1, 0), (0, 1)]))
