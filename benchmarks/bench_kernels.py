@@ -60,13 +60,13 @@ def report(rows):
         print(f"  {name:17s} count={count} time={secs:.3f}s")
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--scale", type=int, default=16,
                     help="extremal config scale for the pair count")
     ap.add_argument("--points", type=int, default=400,
                     help="point count for the area sweep")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     n, rows = bench_unit_pairs(args.scale)
     print(f"unit-minor pair count over {n} columns "

@@ -7,27 +7,23 @@ All comparisons are exponent comparisons with a tolerance (default
 0.15); the bounds hide constants, so absolute counts are never compared.
 
 Reports serialize deterministically: identical spec and seed produce
-byte-identical JSON on any machine and thread count (wall time is kept
-on the report object but excluded from the serialized form for exactly
-that reason).
+byte-identical JSON on any machine (wall time is kept on the report
+object but excluded from the serialized form for exactly that reason).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
 import random
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import geometry
-from .bounds import DimProfile, SizeProfile, exponents
+from .bounds import DimProfile, exponents
 from .geometry import (
     DetTarget,
     PointConfig,
@@ -231,12 +227,6 @@ def _cluster_triangle_points(spec: ExperimentSpec, n: int) -> PointConfig:
     return PointConfig(2, tuple(sorted(pts)))
 
 
-def _triangle_points(spec: ExperimentSpec, n: int) -> PointConfig:
-    if spec.variant == "clusters":
-        return _cluster_triangle_points(spec, n)
-    return _random_triangle_points(spec, n)
-
-
 def _random_spheres(spec: ExperimentSpec, n: int) -> SphereConfig:
     """Centers spread in a box growing like n^(1/d): keeps intersections
     sparse enough for the asymptotic regime while staying nonzero."""
@@ -263,44 +253,26 @@ def _check_kfree(spec: ExperimentSpec, H, k: int) -> tuple[bool, Optional[bool],
         return False, None, "pattern check budget exhausted"
 
 
-def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
-    if spec.kind in ("minors", "st-config"):
-        # one sweep per size, as for triangles and spheres below; the
-        # hypergraph holds the d!/2 orderings of each unit subset whose
-        # determinant is exactly 1
-        if spec.kind == "minors":
-            cfg, note = _random_matrix(spec, size), ""
-        else:
-            cfg = st_lower_bound_minor_config(spec.d, size)
-            note = "config too large for pattern check"
-        if cfg.n > spec.kfree_max_size:
-            return SizeResult(size, cfg.n, count_unit_minors(cfg), note=note)
-        H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
-        checked, free, note = _check_kfree(spec, H, spec.d)
-        return SizeResult(size, cfg.n,
-                          H.num_edges // (math.factorial(spec.d) // 2),
-                          checked, free, False, note)
-    if spec.kind in ("triangles", "spheres"):
-        # one sweep per size: the count is the number of hit tuples, read
-        # off the hypergraph when the pattern check needs it anyway
-        if spec.kind == "triangles":
-            cfg, k = _triangle_points(spec, size), 3
-            count_fn = count_almost_unit_area
-            build = almost_unit_area_hypergraph
-        else:
-            cfg, k = _random_spheres(spec, size), min(spec.d, 3)
-            count_fn = count_sphere_intersections
-            build = (lambda c: sphere_intersection_hypergraph(c)[0])
-        if size > spec.kfree_max_size:
-            return SizeResult(size, cfg.n, count_fn(cfg))
-        H = build(cfg)
-        checked, free, note = _check_kfree(spec, H, k)
-        return SizeResult(size, cfg.n, H.num_edges // math.factorial(k),
-                          checked, free, False, note)
+def _config(spec: ExperimentSpec,
+            size: int) -> tuple[PointConfig | SphereConfig, int]:
+    """The configuration a sweep builds at this size, and the arity k of
+    the tuples its hyperedges decide."""
+    if spec.kind == "minors":
+        return _random_matrix(spec, size), spec.d
+    if spec.kind == "st-config":
+        return st_lower_bound_minor_config(spec.d, size), spec.d
     if spec.kind == "k1uu":
-        cfg = k1uu_config(spec.d, size)
-        count = count_unit_minors(cfg)
-        return SizeResult(size, cfg.n, count)
+        return k1uu_config(spec.d, size), spec.d
+    if spec.kind == "triangles":
+        if spec.variant == "clusters":
+            return _cluster_triangle_points(spec, size), 3
+        return _random_triangle_points(spec, size), 3
+    if spec.kind == "spheres":
+        return _random_spheres(spec, size), min(spec.d, 3)
+    raise AssertionError(spec.kind)
+
+
+def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
     if spec.kind == "partition":
         rng = random.Random(_size_seed(spec, size))
         pts = set()
@@ -315,26 +287,47 @@ def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
                               note=f"degree={part.total_degree}")
         except PartitionSearchError as err:
             return SizeResult(size, size, 0, skipped=True, note=str(err))
-    raise AssertionError(spec.kind)
+    cfg, k = _config(spec, size)
+    if spec.kind == "k1uu" or cfg.n > spec.kfree_max_size:
+        if spec.kind == "triangles":
+            count = count_almost_unit_area(cfg)
+        elif spec.kind == "spheres":
+            count = count_sphere_intersections(cfg)
+        else:
+            count = count_unit_minors(cfg)
+        note = ("config too large for pattern check"
+                if spec.kind == "st-config" else "")
+        return SizeResult(size, cfg.n, count, note=note)
+    # one sweep per size: the hypergraph holds the orderings of each hit
+    # subset (for unit minors the d!/2 with determinant exactly 1), so the
+    # count is read off the hypergraph the pattern check needs anyway
+    if spec.kind == "triangles":
+        H, orderings = almost_unit_area_hypergraph(cfg), math.factorial(k)
+    elif spec.kind == "spheres":
+        H = sphere_intersection_hypergraph(cfg)[0]
+        orderings = math.factorial(k)
+    else:
+        H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
+        orderings = math.factorial(k) // 2
+    checked, free, note = _check_kfree(spec, H, k)
+    return SizeResult(size, cfg.n, H.num_edges // orderings,
+                      checked, free, False, note)
 
 
 def _naive_recount(spec: ExperimentSpec, size: int) -> Optional[int]:
-    """Independently coded counter for the oracle cross-check."""
-    if spec.kind in ("minors", "st-config", "k1uu"):
-        if spec.kind == "minors":
-            cfg = _random_matrix(spec, size)
-        elif spec.kind == "st-config":
-            cfg = st_lower_bound_minor_config(spec.d, size)
-        else:
-            cfg = k1uu_config(spec.d, size)
-        if math.comb(cfg.n, spec.d if spec.kind != "k1uu" else spec.d) > 200_000:
-            return None
-        return count_unit_minors_naive(cfg)
+    """Independently coded counter for the oracle cross-check; None for
+    partition sweeps and for configurations with more than 200,000
+    k-subsets."""
+    if spec.kind == "partition":
+        return None
+    cfg, k = _config(spec, size)
+    if math.comb(cfg.n, k) > 200_000:
+        return None
     if spec.kind == "triangles":
-        return count_almost_unit_area_naive(_triangle_points(spec, size))
+        return count_almost_unit_area_naive(cfg)
     if spec.kind == "spheres":
-        return count_sphere_intersections_naive(_random_spheres(spec, size))
-    return None
+        return count_sphere_intersections_naive(cfg)
+    return count_unit_minors_naive(cfg)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -347,11 +340,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     log-log fit is compared against the predicted exponent.
     """
     t0 = time.time()
-    workers = os.environ.get("ZARANK_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(lambda s: _run_size(spec, s), spec.sizes))
-    results.sort(key=lambda r: r.size)
+    results = [_run_size(spec, s) for s in spec.sizes]
 
     cross_checked = 0
     for res in results:

@@ -302,15 +302,13 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def count_unit_minors(M: PointConfig,
-                      target: DetTarget = DetTarget.PLUS_MINUS_ONE) -> int:
+def count_unit_minors(M: PointConfig) -> int:
     """Number of unordered d-subsets of columns with |det| = 1.
 
-    Both targets coincide on unordered subsets for d >= 2: a single
+    Both determinant targets count the same subsets for d >= 2: a single
     transposition flips the determinant's sign, so some ordering has
     det exactly 1 whenever |det| = 1.
     """
-    del target  # subset-level criterion is |det| = 1 for both modes
     d = M.dim
     if len(set(M.points)) != M.n:
         raise ValueError("repeated columns are not allowed")

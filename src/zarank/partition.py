@@ -171,6 +171,16 @@ def _rationalize_coeffs(coeffs: np.ndarray, shifts: Sequence[int],
     return ints, poly
 
 
+def _cleared_factor(poly: MultiPoly, dim: int) -> tuple:
+    """(integer coefficients, monomials, degree, poly) for an exact factor:
+    its coefficients over `monomials_upto(dim, degree)`, cleared by the lcm
+    of their denominators."""
+    monos = monomials_upto(dim, poly.degree)
+    lcm = math.lcm(*(cf.denominator for cf in poly.terms.values()))
+    ints = [int(poly.terms.get(e, Fraction(0)) * lcm) for e in monos]
+    return ints, monos, poly.degree, poly
+
+
 # ---------------------------------------------------------------------------
 # level search
 
@@ -406,24 +416,14 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
             shift = min(p[0] for p in P.points) - 1
             poly = MultiPoly.linear([Fraction(1)] + [Fraction(0)] * (d - 1),
                                     -shift)
-            monos = monomials_upto(d, 1)
-            lcm = 1
-            for cf in poly.terms.values():
-                lcm = lcm * cf.denominator // math.gcd(lcm, cf.denominator)
-            ints = [int(poly.terms.get(e, Fraction(0)) * lcm) for e in monos]
-            found = (ints, monos, 1, poly)
+            found = _cleared_factor(poly, d)
         elif d == 1:
             cuts = [_cut_1d([P.points[i][0] for i in part]) for part in parts]
             cuts = cuts or [P.points[0][0] - 1]
             poly = MultiPoly.constant(1, 1)
             for cval in cuts:
                 poly = poly * MultiPoly(1, {(1,): Fraction(1), (0,): -cval})
-            monos = monomials_upto(1, poly.degree)
-            lcm = 1
-            for cf in poly.terms.values():
-                lcm = lcm * cf.denominator // math.gcd(lcm, cf.denominator)
-            ints = [int(poly.terms.get(e, Fraction(0)) * lcm) for e in monos]
-            found = (ints, monos, poly.degree, poly)
+            found = _cleared_factor(poly, 1)
         else:
             if d == 2 and len(parts) <= 2:
                 try:

@@ -2,11 +2,13 @@
 
 import json
 import math
+import threading
 import warnings
 from fractions import Fraction
 
 import pytest
 
+from zarank import experiments
 from zarank.experiments import (
     ExperimentReport,
     ExperimentSpec,
@@ -131,12 +133,44 @@ class TestRunExperiment:
         rep = run_experiment(spec)
         assert rep.verdict == "pass"
 
-    def test_reports_reproducible(self, monkeypatch):
+    def test_reports_reproducible(self):
         spec = ExperimentSpec(kind="minors", d=2, sizes=(20, 40, 80), seed=9)
         first = report_json(run_experiment(spec))
-        monkeypatch.setenv("ZARANK_THREADS", "1")
         second = report_json(run_experiment(spec))
         assert first == second
+
+    def test_sizes_run_in_order_on_calling_thread(self, monkeypatch):
+        calls = []
+        run_size = experiments._run_size
+
+        def record(spec, size):
+            calls.append((size, threading.get_ident()))
+            return run_size(spec, size)
+
+        monkeypatch.setattr(experiments, "_run_size", record)
+        spec = ExperimentSpec(kind="minors", d=2, sizes=(20, 40, 80), seed=9)
+        run_experiment(spec)
+        assert calls == [(s, threading.get_ident()) for s in spec.sizes]
+
+
+class TestNaiveRecount:
+    def test_oracle_capped_for_triangles_and_spheres(self, monkeypatch):
+        # C(107, 3) = 198,485 triples are recounted, C(108, 3) = 204,156
+        # are past the 200,000 cap and must not reach the naive counter
+        ran = []
+
+        def record(cfg):
+            ran.append(cfg.n)
+            return -1
+
+        monkeypatch.setattr(experiments, "count_almost_unit_area_naive", record)
+        monkeypatch.setattr(experiments, "count_sphere_intersections_naive",
+                            record)
+        for kind, d in (("triangles", 2), ("spheres", 3)):
+            spec = ExperimentSpec(kind=kind, d=d, sizes=(20, 107, 108))
+            assert experiments._naive_recount(spec, 108) is None
+            assert experiments._naive_recount(spec, 107) == -1
+        assert ran == [107, 107]
 
 
 class TestEmission:

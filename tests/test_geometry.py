@@ -175,11 +175,16 @@ class TestCountUnitMinors:
         assert count_unit_minors(cfg) == 3
 
     def test_modes_agree_on_subsets(self):
+        # the count is the number of unit subsets under either target:
+        # d!/2 orderings of each have det exactly 1, all d! have |det| = 1
         rng = random.Random(44)
         for _ in range(20):
             cfg = random_rational_config(rng, 2, 8)
-            assert (count_unit_minors(cfg, DetTarget.EXACTLY_ONE)
-                    == count_unit_minors(cfg, DetTarget.PLUS_MINUS_ONE))
+            one = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
+            both = unit_minor_hypergraph(cfg, DetTarget.PLUS_MINUS_ONE)
+            count = count_unit_minors(cfg)
+            assert count == one.num_edges // (math.factorial(2) // 2)
+            assert count == both.num_edges // math.factorial(2)
 
     def test_kernel_vs_naive_oracle(self):
         rng = random.Random(50)

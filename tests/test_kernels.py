@@ -5,7 +5,9 @@ python-int object data."""
 import itertools
 import math
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,3 +371,12 @@ def test_sphere_hits_special_cases(c, r2, meets):
     hits, _ = kernels.sphere_triple_hits(np.array(c), np.array(r2))
     assert (len(hits) == 1) is meets
     check_sphere_sweep(c, r2, kernels.sphere_triple_hits)
+
+
+def test_bench_kernels_smoke(capsys):
+    # the script asserts that both pair counts (and the area rows) agree
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    runpy.run_path(str(script))["main"](["--scale", "4", "--points", "30"])
+    out = capsys.readouterr().out
+    assert "direction classes" in out and "block sweep" in out
+    assert "area-band hit sweep over 30 points" in out
