@@ -3,7 +3,9 @@
 Subcommands: bounds, build, detect, shatter, partition, experiment,
 verify.  JSON goes to stdout; exact rationals are rendered as "p/q"
 strings next to float approximations.  Exit codes: 0 all verdicts pass,
-2 a verdict failed, 3 a search budget was exhausted.
+2 a verdict failed, 3 a search budget was exhausted, 4 malformed input
+(an unreadable or ill-formed input file, or arguments the bound calculus
+rejects), reported as one line of JSON with an "error" key.
 """
 
 from __future__ import annotations
@@ -59,6 +61,20 @@ from .partition import PartitionSearchError, stone_tukey_partition, verify_parti
 EXIT_OK = 0
 EXIT_VERDICT = 2
 EXIT_BUDGET = 3
+EXIT_INPUT = 4
+
+
+class InputError(Exception):
+    """Malformed input: the command exits with EXIT_INPUT."""
+
+
+def _load(path, parse, **kwargs):
+    """Read and parse an input file; any failure is an InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read(), **kwargs)
+    except (OSError, ValueError, ZeroDivisionError) as err:
+        raise InputError(f"{path}: {err}") from None
 
 
 def _frs(x) -> str:
@@ -81,18 +97,22 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_bounds(args) -> int:
-    dims = _parse_int_list(args.dims)
-    d = DimProfile(dims)
-    sizes = _parse_int_list(args.sizes) if args.sizes else (100,) * d.k
-    n = SizeProfile(sizes)
-    eps = parse_rational(args.eps)
+    try:
+        dims = _parse_int_list(args.dims)
+        d = DimProfile(dims)
+        alphas = exponents(d).alphas
+        sizes = _parse_int_list(args.sizes) if args.sizes else (100,) * d.k
+        n = SizeProfile(sizes)
+        eps = parse_rational(args.eps)
+    except (ValueError, ZeroDivisionError) as err:
+        raise InputError(str(err)) from None
     checks = [c.strip() for c in args.check.split(",") if c.strip()] \
         if args.check else []
     out = {
         "dims": list(dims),
         "sizes": list(sizes),
         "eps": _frs(eps),
-        "alphas": [_frs(a) for a in exponents(d).alphas],
+        "alphas": [_frs(a) for a in alphas],
         "E": _bound_json(eval_E(d, n)),
         "F": _bound_json(eval_F(d, n, eps)),
         "erdos": _bound_json(erdos_bound(d.k, (args.u,) * d.k, n)),
@@ -158,21 +178,18 @@ def cmd_build(args) -> int:
     kind = args.kind
     target = DetTarget(args.target)
     if kind == "minors":
-        with open(args.points, encoding="utf-8") as fh:
-            cfg = PointConfig.from_text(fh.read(), distinct=True)
+        cfg = _load(args.points, PointConfig.from_text, distinct=True)
         H = unit_minor_hypergraph(cfg, target)
         _write_out(H.to_text(), args.out)
         return EXIT_OK
     if kind == "triangles":
-        with open(args.points, encoding="utf-8") as fh:
-            cfg = PointConfig.from_text(fh.read())
+        cfg = _load(args.points, PointConfig.from_text)
         H = almost_unit_area_hypergraph(cfg, parse_rational(args.lo),
                                         parse_rational(args.hi))
         _write_out(H.to_text(), args.out)
         return EXIT_OK
     if kind == "spheres":
-        with open(args.spheres, encoding="utf-8") as fh:
-            cfg = SphereConfig.from_text(fh.read())
+        cfg = _load(args.spheres, SphereConfig.from_text)
         H, degenerate = sphere_intersection_hypergraph(cfg)
         _write_out(H.to_text(), args.out)
         if degenerate:
@@ -197,8 +214,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    with open(args.hypergraph, encoding="utf-8") as fh:
-        H = KPartiteHypergraph.from_text(fh.read())
+    H = _load(args.hypergraph, KPartiteHypergraph.from_text)
     pat = ForbiddenPattern(_parse_int_list(args.pattern))
     try:
         res = contains_complete(H, pat, budget=args.budget)
@@ -214,8 +230,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_shatter(args) -> int:
-    with open(args.hypergraph, encoding="utf-8") as fh:
-        H = KPartiteHypergraph.from_text(fh.read())
+    H = _load(args.hypergraph, KPartiteHypergraph.from_text)
     F = neighborhood_system(H, args.ground_part)
     try:
         value = primal_shatter(F, args.z, mode=args.mode, seed=args.seed,
@@ -233,8 +248,7 @@ def cmd_shatter(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    with open(args.points, encoding="utf-8") as fh:
-        cfg = PointConfig.from_text(fh.read())
+    cfg = _load(args.points, PointConfig.from_text)
     try:
         part = stone_tukey_partition(cfg, args.r, seed=args.seed,
                                      slack=args.slack)
@@ -478,7 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as err:
+        print(json.dumps({"error": str(err)}))
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -72,6 +72,8 @@ class PointConfig:
     @classmethod
     def from_text(cls, text: str, distinct: bool = False) -> "PointConfig":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty input")
         d, n = (int(x) for x in lines[0].split())
         pts = [tuple(parse_rational(t) for t in ln.split()) for ln in lines[1:]]
         if len(pts) != n:
@@ -118,6 +120,8 @@ class SphereConfig:
     @classmethod
     def from_text(cls, text: str, distinct: bool = False) -> "SphereConfig":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty input")
         d, n = (int(x) for x in lines[0].split())
         spheres = []
         for ln in lines[1:]:

@@ -91,6 +91,8 @@ class KPartiteHypergraph:
     @classmethod
     def from_text(cls, text: str) -> "KPartiteHypergraph":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty input")
         head = lines[0].split()
         k = int(head[0])
         sizes = tuple(int(x) for x in head[1:])

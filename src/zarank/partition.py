@@ -9,16 +9,22 @@ sign-vector realization refines the connected-component cells of the
 underlying theorem and preserves its per-cell counting guarantee, while
 staying exactly computable.
 
-Candidates for each factor come from cheap numerics (point-pair lines,
-then a soft-sign Gauss-Newton fit in the monomial basis, seeded from
-lifted-point subsets); acceptance is gated by exact rational sign
-verification, so a returned partition is correct regardless of how the
-search behaved.  The search is sequential and consumes candidates in a
-seeded canonical order, so results are reproducible.
+At d = 2, while there are at most two parts, the search tries the lines
+through two points, scored exactly by a rotational sweep around each
+point on cleared integers (O(n^2 log n)).  Otherwise, or when no such
+line is acceptable, it fits a polynomial by soft-sign Gauss-Newton in
+the monomial basis, seeded from lifted-point subsets.  Acceptance is
+gated by exact rational sign verification, so a returned partition is
+correct regardless of how the search behaved, and `verify_partition`
+re-checks it by its own integer evaluation.  The search is sequential and consumes candidates in a
+seeded canonical order, so results are reproducible.  Linear-time
+ham-sandwich cuts (Lo, Matousek and Steiger, DCG 1994) would serve
+larger n at the two line levels.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -113,7 +119,8 @@ class _ExactEvaluator:
             for c in p:
                 L = L * c.denominator // math.gcd(L, c.denominator)
         self.L = L
-        self.X = [tuple(int(c * L) for c in p) for p in points]
+        self.X = [tuple(c.numerator * (L // c.denominator) for c in p)
+                  for p in points]
         self._tables: dict[tuple[int, tuple], list[list[int]]] = {}
 
     def table(self, monos: Sequence[tuple[int, ...]], degree: int) -> list[list[int]]:
@@ -198,76 +205,162 @@ def _accept(signs_by_part, limits) -> bool:
     return True
 
 
-def _line_pairs(parts) -> list[tuple[int, int]]:
-    """Candidate point pairs: cross-part pairs first, then within-part."""
+def _line_pairs(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate point pairs as index arrays (first points, second points):
+    cross-part pairs first, then within-part; each block in the order
+    itertools.product / itertools.combinations list it."""
+    def within(idx):
+        return (np.repeat(idx, np.arange(len(idx) - 1, -1, -1)),
+                np.concatenate([idx[:0]] + [idx[u + 1:]
+                                            for u in range(len(idx))]))
+
     if len(parts) == 2:
-        return (list(itertools.product(sorted(parts[0]), sorted(parts[1])))
-                + list(itertools.combinations(sorted(parts[0]), 2))
-                + list(itertools.combinations(sorted(parts[1]), 2)))
-    active = sorted(set().union(*parts)) if parts else []
-    return list(itertools.combinations(active, 2))
+        a, b = (np.array(sorted(p), dtype=np.int32) for p in parts)
+        blocks = [(np.repeat(a, len(b)), np.tile(b, len(a))),
+                  within(a), within(b)]
+        return (np.concatenate([bl[0] for bl in blocks]),
+                np.concatenate([bl[1] for bl in blocks]))
+    return within(np.array(sorted(set().union(*parts)), dtype=np.int32))
 
 
-def _search_line(points: Sequence[Sequence[Fraction]], points_f, parts,
-                 limits, evaluator, budget, counter) -> Optional[tuple]:
-    """Exhaustive exact search over point-pair lines.
+# direction components below this keep 2x2 cross products inside int64
+_INT64_SPAN = 2 ** 31
+# anchors swept at once: about this many directions per block
+_SWEEP_BLOCK = 2 ** 18
 
-    All candidates are scored in float first (worst side count over the
-    parts) and then exact-verified in order of increasing imbalance, pair
-    index breaking ties, so the accepted cut is the most balanced one the
-    floats can see that survives the exact gate.  Deterministic for a
-    fixed input."""
+
+def _angular_ranks(fx: np.ndarray, fy: np.ndarray,
+                   shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, dense ranks of directions folded into the angles [0, pi),
+    and the mask of zero vectors, which rank after all the others.
+
+    A float angle key orders each row first; the order is then certified
+    exactly by the cross product of every adjacent pair (int64 or python
+    ints, as the arrays hold), and a row with a pair out of order is
+    re-sorted with an exact cross-product comparator.  Equal ranks mean
+    exactly parallel directions.  `shift` drops low bits from the float
+    key only, so that huge python ints still convert to floats."""
+    zero = (fx == 0) & (fy == 0)
+    key = np.arctan2((fy >> shift).astype(float), (fx >> shift).astype(float))
+    key[zero] = 4.0  # past pi
+    order = np.argsort(key, axis=1)
+
+    def steps(fx, fy, order):
+        sx = np.take_along_axis(fx, order, axis=-1)
+        sy = np.take_along_axis(fy, order, axis=-1)
+        return sx[..., :-1] * sy[..., 1:] - sy[..., :-1] * sx[..., 1:]
+
+    step = steps(fx, fy, order)
+    for row in np.flatnonzero((step < 0).any(axis=1)):
+        xs, ys = fx[row].tolist(), fy[row].tolist()
+        live = [t for t in range(len(xs)) if xs[t] or ys[t]]
+        live.sort(key=functools.cmp_to_key(
+            lambda a, b: ys[a] * xs[b] - xs[a] * ys[b]))
+        order[row] = live + [t for t in range(len(xs)) if not (xs[t] or ys[t])]
+        step[row] = steps(fx[row], fy[row], order[row])
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.concatenate(
+        (np.zeros((len(order), 1), dtype=order.dtype),
+         np.cumsum(step > 0, axis=1)), axis=1), axis=1)
+    return rank, zero
+
+
+def _anchor_sides(X: Sequence[Sequence[int]], parts):
+    """Rotational sweep around every active point, on integer points X.
+
+    Active points are numbered 0..m-1 in increasing index order.  Yields
+    (anchors, on_anchor, left, right) per block of anchors: left[b, p, t] /
+    right[b, p, t] count the points of part p strictly left / right of the
+    directed line from anchor anchors[b] through active point t; points
+    on the line count on neither side.  on_anchor[b, t] marks the points
+    equal to the anchor, which span no line (their counts mean nothing).
+
+    The directions from an anchor are folded into one half-plane and
+    ranked by angle (`_angular_ranks`); a point of rank r, folded or not,
+    lies on a side of the line of rank R fixed by the sign of r - R, so
+    prefix sums of a per-part, per-half rank histogram give every line's
+    counts.  O(m log m) per anchor."""
+    act = sorted(set().union(*parts))
+    m = len(act)
+    label = {i: p for p, part in enumerate(parts) for i in part}
+    labels = np.array([label[i] for i in act], dtype=np.intp)
+    cols = [[X[i][c] for i in act] for c in (0, 1)]
+    lows = [min(col) for col in cols]
+    span = max(max(col) - lo for col, lo in zip(cols, lows))
+    dtype = np.int64 if span < _INT64_SPAN else object
+    ax, ay = (np.array([v - lo for v in col], dtype=dtype)
+              for col, lo in zip(cols, lows))
+    shift = max(0, int(span).bit_length() - 1000)
+    groups = 2 * len(parts)  # (part, folded); copies of the anchor go past
+    block = max(1, _SWEEP_BLOCK // m)
+    for lo in range(0, m, block):
+        anchors = np.arange(lo, min(lo + block, m))
+        dx = ax[None, :] - ax[anchors, None]
+        dy = ay[None, :] - ay[anchors, None]
+        flip = (dy < 0) | ((dy == 0) & (dx < 0))
+        fx, fy = np.where(flip, -dx, dx), np.where(flip, -dy, dy)
+        rank, on_anchor = _angular_ranks(fx, fy, shift)
+        group = np.where(on_anchor, groups, 2 * labels + flip)
+        rows = np.arange(len(anchors))[:, None]
+        hist = np.bincount(((rows * (groups + 1) + group) * m + rank).ravel(),
+                           minlength=len(anchors) * (groups + 1) * m)
+        hist = hist.reshape(len(anchors), groups + 1, m)[:, :groups]
+        below = np.cumsum(hist, axis=2) - hist
+        above = hist.sum(axis=2, keepdims=True) - below - hist
+        # left of a folded direction: unfolded points above it and folded
+        # points below it; a folded partner reverses the line
+        at = (rows[:, None] * len(parts) + np.arange(len(parts))[:, None]) * m \
+            + rank[:, None, :]
+        ccw = np.take(above[:, 0::2] + below[:, 1::2], at)
+        cw = np.take(below[:, 0::2] + above[:, 1::2], at)
+        folded = flip[:, None, :]
+        yield anchors, on_anchor, np.where(folded, cw, ccw), \
+            np.where(folded, ccw, cw)
+
+
+def _search_line(points: Sequence[Sequence[Fraction]], parts, limits,
+                 evaluator, budget, counter) -> Optional[tuple]:
+    """Exact search over the lines through two points of `_line_pairs`.
+
+    Each line's score is its worst side count over the parts, counted
+    exactly by the rotational sweep of `_anchor_sides` on the evaluator's
+    cleared integers (O(n^2 log n)).  Candidates whose score is within the
+    largest side limit are tried in order of increasing score, pair index
+    breaking ties; each counts against the budget and passes the exact
+    sign gate before it is accepted, so the accepted cut is the most
+    balanced acceptable one.  A pair of coincident points spans no line:
+    it scores 0 and is skipped.  Deterministic for a fixed input."""
     monos = monomials_upto(2, 1)  # (0,0), (1,0), (0,1) in graded order
     active = sorted(set().union(*parts)) if parts else []
     if len(active) < 2:
         return None
-    pairs = _line_pairs(parts)
-    if not pairs:
-        return None
-    part_masks = [np.isin(np.arange(points_f.shape[0]), sorted(p))
-                  for p in parts]
-    pi = np.array([p[0] for p in pairs])
-    pj = np.array([p[1] for p in pairs])
-    a_f = points_f[pi, 1] - points_f[pj, 1]
-    b_f = points_f[pj, 0] - points_f[pi, 0]
-    c_f = a_f * points_f[pi, 0] + b_f * points_f[pi, 1]
-    scores = np.empty(len(pairs))
-    block = 8192
-    for lo in range(0, len(pairs), block):
-        hi = min(lo + block, len(pairs))
-        vals = (points_f[:, 0][None, :] * a_f[lo:hi, None]
-                + points_f[:, 1][None, :] * b_f[lo:hi, None]
-                - c_f[lo:hi, None])
-        tol = 1e-7 * (np.max(np.abs(vals), axis=1, keepdims=True) + 1e-30)
-        worst = np.zeros(hi - lo)
-        for mask in part_masks:
-            plus = np.count_nonzero(vals[:, mask] > tol, axis=1)
-            minus = np.count_nonzero(vals[:, mask] < -tol, axis=1)
-            worst = np.maximum(worst, np.maximum(plus, minus))
-        scores[lo:hi] = worst
-    order = np.lexsort((np.arange(len(pairs)), scores))
-    for cand in order:
-        counter[0] += 1
-        if counter[0] > budget:
-            raise PartitionSearchError("candidate budget exhausted")
-        i, j = pairs[cand]
-        p, q = points[i], points[j]
-        a = p[1] - q[1]
-        b = q[0] - p[0]
-        c = a * p[0] + b * p[1]
-        if a == 0 and b == 0:
-            continue
-        lcm = math.lcm(a.denominator, b.denominator, c.denominator)
-        ints = [int(-c * lcm), int(a * lcm), int(b * lcm)]
-        signs_by_part = [evaluator.signs(ints, monos, 1, sorted(pp))
-                         for pp in parts]
-        if _accept(signs_by_part, limits):
-            poly = MultiPoly(2, {(0, 0): -c, (1, 0): a, (0, 1): b})
-            return ints, monos, 1, poly
-        if scores[cand] > max(limits, default=0) + 8:
-            # sorted by float score with a generous fence allowance:
-            # everything later is more lopsided than exact signs can fix
-            return None
+    pos = np.full(len(points), -1, dtype=np.int32)
+    pos[active] = np.arange(len(active))
+    score = np.empty((len(active), len(active)), dtype=np.int32)
+    for anchors, on_anchor, left, right in _anchor_sides(evaluator.X, parts):
+        score[anchors] = np.where(on_anchor, 0,
+                                  np.maximum(left, right).max(axis=1))
+    pi, pj = _line_pairs(parts)
+    scores = score[pos[pi], pos[pj]]
+    del score
+    for value in np.unique(scores[scores <= max(limits)]):
+        for cand in np.flatnonzero(scores == value):
+            counter[0] += 1
+            if counter[0] > budget:
+                raise PartitionSearchError("candidate budget exhausted")
+            p, q = points[pi[cand]], points[pj[cand]]
+            a = p[1] - q[1]
+            b = q[0] - p[0]
+            c = a * p[0] + b * p[1]
+            if a == 0 and b == 0:
+                continue
+            lcm = math.lcm(a.denominator, b.denominator, c.denominator)
+            ints = [int(-c * lcm), int(a * lcm), int(b * lcm)]
+            signs_by_part = [evaluator.signs(ints, monos, 1, sorted(pp))
+                             for pp in parts]
+            if _accept(signs_by_part, limits):
+                poly = MultiPoly(2, {(0, 0): -c, (1, 0): a, (0, 1): b})
+                return ints, monos, 1, poly
     return None
 
 
@@ -385,9 +478,10 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
     sign-vector cell holds at most ceil(|P|/r) * (1+slack)^levels points
     (verified on the result, along with the per-level side bounds).
 
-    d = 1 uses exact quantile cuts (slack 0 suffices); d >= 2 searches
-    point-pair lines and then soft-sign fits under the level degree cap,
-    with exact verification gating every acceptance.  Raises
+    d = 1 uses exact quantile cuts (slack 0 suffices); d >= 2 fits
+    soft-sign polynomials under the level degree cap, after, at d = 2 with
+    at most two parts, the exact line search (`_search_line`); exact
+    verification gates every acceptance.  Raises
     PartitionSearchError (carrying partial factors) on failure.
     """
     if r < 2:
@@ -427,8 +521,8 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
         else:
             if d == 2 and len(parts) <= 2:
                 try:
-                    found = _search_line(P.points, points_f, parts, limits,
-                                         evaluator, candidate_budget, counter)
+                    found = _search_line(P.points, parts, limits, evaluator,
+                                         candidate_budget, counter)
                 except PartitionSearchError as err:
                     raise PartitionSearchError(str(err), factors) from None
             if found is None:
@@ -477,13 +571,48 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
     return part_obj
 
 
+def _sign_oracle(polys: Sequence[MultiPoly],
+                 coords) -> Callable[[Sequence[Fraction]], tuple[int, ...]]:
+    """Exact sign vectors of `polys` by integer evaluation, independent of
+    the search's evaluator.
+
+    Points may use any coordinates from `coords`; L is the lcm of their
+    denominators.  A factor f of degree D with coefficients cleared by the
+    lcm k of their denominators satisfies
+        sign f(x) = sign sum_e (k c_e) L^(D - |e|) (L x)^e."""
+    L = math.lcm(*(c.denominator for c in coords))
+    cleared = []
+    for f in polys:
+        k = math.lcm(*(c.denominator for c in f.terms.values()))
+        cleared.append([(c.numerator * (k // c.denominator)
+                         * L ** (f.degree - sum(e)), e)
+                        for e, c in f.terms.items()])
+
+    def signs(point):
+        X = [x.numerator * (L // x.denominator) for x in point]
+        out = []
+        for terms in cleared:
+            v = 0
+            for c, e in terms:
+                for x, p in zip(X, e):
+                    if p:
+                        c *= x ** p
+                v += c
+            out.append((v > 0) - (v < 0))
+        return tuple(out)
+    return signs
+
+
 def verify_partition(P: PointConfig, part: Partition) -> bool:
-    """Independent pass: recompute every sign with plain rational
-    polynomial evaluation and rebuild the census; everything must match."""
+    """Independent pass: recompute every sign by integer evaluation over
+    this pass's own common denominator and rebuild the census; everything
+    must match."""
+    signs_at = _sign_oracle(part.factors,
+                            (c for p in P.points for c in p))
     census: dict[tuple[int, ...], int] = {}
     boundary = 0
     for idx, p in enumerate(P.points):
-        sv = tuple(f.sign_at(p) for f in part.factors)
+        sv = signs_at(p)
         if sv != part.signs[idx]:
             raise AssertionError(f"sign mismatch at point {idx}")
         if 0 in sv:
@@ -594,10 +723,12 @@ def verify_product_partition(blocks: Sequence[tuple[PointConfig, int]],
         census: dict[tuple, int] = {}
         boundary = 0
         block_assigns = [b.cell_assignment() for b in pp.blocks]
+        signs_at = _sign_oracle(pp.factors, (c for cfg, _ in blocks
+                                             for p in cfg.points for c in p))
         for combo in itertools.product(*(range(cfg.n) for cfg, _ in blocks)):
             point = tuple(itertools.chain.from_iterable(
                 blocks[b][0].points[i] for b, i in enumerate(combo)))
-            signs = tuple(f.sign_at(point) for f in pp.factors)
+            signs = signs_at(point)
             if 0 in signs:
                 boundary += 1
                 continue

@@ -185,3 +185,40 @@ class TestVerifyCmd:
                            "--count", "15")
         assert code == 0
         assert "PASS" in out
+
+
+class TestInputErrors:
+    """Malformed input exits with code 4 and one line of JSON, no traceback."""
+
+    def check(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out.count("\n") == 1
+        assert "error" in json.loads(out)
+        assert "Traceback" not in err
+        return json.loads(out)["error"]
+
+    def test_empty_hypergraph_file(self, tmp_path, capsys):
+        hg = tmp_path / "h.txt"
+        hg.write_text("")
+        msg = self.check(capsys, "detect", "--hypergraph", str(hg),
+                         "--pattern", "1,1")
+        assert "empty" in msg
+
+    def test_points_file_with_too_few_lines(self, tmp_path, capsys):
+        pts = tmp_path / "p.txt"
+        pts.write_text("2 3\n0 0\n1 1\n")
+        msg = self.check(capsys, "partition", "--points", str(pts),
+                         "--r", "2")
+        assert "expected 3 points" in msg
+
+    def test_out_of_range_edge(self, tmp_path, capsys):
+        hg = tmp_path / "h.txt"
+        hg.write_text("2 3 3\n0 1\n1 5\n")
+        msg = self.check(capsys, "shatter", "--hypergraph", str(hg),
+                         "--z", "1")
+        assert "out of part" in msg
+
+    def test_bounds_two_unit_dimensions(self, capsys):
+        msg = self.check(capsys, "bounds", "--dims", "1,1")
+        assert "more than one d_i equals 1" in msg

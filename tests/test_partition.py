@@ -1,17 +1,27 @@
 """Polynomial partitioning: quantile cuts, simultaneous bisections,
 product grids, sign patterns, incidence classes."""
 
+import dataclasses
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from zarank import partition
 from zarank.geometry import PointConfig
 from zarank.partition import (
     IncidenceTriple,
     PartitionSearchError,
+    _angular_ranks,
+    _anchor_sides,
+    _ExactEvaluator,
+    _sign_oracle,
     classify_incidences,
     level_degree,
     product_partition,
@@ -134,6 +144,231 @@ class TestTwoDimensional:
         pts = PointConfig(2, tuple(sorted(raw)))
         part = stone_tukey_partition(pts, 4, seed=3)
         verify_partition(pts, part)
+
+
+def cross_sides(points, parts, i, j):
+    """Per part, (left, right) point counts of the directed line from
+    points[i] through points[j], by Fraction cross products."""
+    (px, py), (qx, qy) = points[i], points[j]
+    out = []
+    for part in parts:
+        vals = [(qx - px) * (points[k][1] - py) - (qy - py) * (points[k][0] - px)
+                for k in part]
+        out.append((sum(v > 0 for v in vals), sum(v < 0 for v in vals)))
+    return out
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Points (duplicates allowed) with one or two parts that may leave
+    points out: small grids (collinear triples, repeated directions),
+    rationals, and offsets at large scales, which put the sweep on python
+    ints and make float angle keys collide (the exact re-sort)."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["grid", "rational", "large"]))
+    if kind == "grid":
+        coord = st.integers(0, 3).map(Fraction)
+    elif kind == "rational":
+        coord = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+    else:
+        # spans just under and past the int64 guard of 2^31
+        scale = draw(st.sampled_from([2 ** 29 - 2, 2 ** 29, 3 * 2 ** 30,
+                                      2 ** 31, 2 ** 62 + 1, 2 ** 1100]))
+        coord = st.builds(lambda a, e: Fraction(a * scale + e),
+                          st.integers(-2, 2), st.integers(-3, 3))
+    points = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    nparts = draw(st.integers(1, 2))
+    where = draw(st.lists(st.integers(-1, nparts - 1), min_size=n,
+                          max_size=n))
+    parts = [[i for i in range(n) if where[i] == p] for p in range(nparts)]
+    assume(all(parts))
+    return points, parts, draw(st.sampled_from([1, 20, 2 ** 18]))
+
+
+def assert_sides_match(points, parts, block=2 ** 18):
+    """Every directed line's per-part side counts from the sweep equal the
+    Fraction cross-product counts, and every active point is an anchor."""
+    act = sorted(set().union(*parts))
+    swept = []
+    with mock.patch.object(partition, "_SWEEP_BLOCK", block):
+        blocks = list(_anchor_sides(_ExactEvaluator(points).X, parts))
+    for anchors, on_anchor, left, right in blocks:
+        for b, a in enumerate(anchors):
+            swept.append(a)
+            i = act[a]
+            for t, j in enumerate(act):
+                assert on_anchor[b, t] == (points[i] == points[j])
+                if not on_anchor[b, t]:
+                    got = [(left[b, p, t], right[b, p, t])
+                           for p in range(len(parts))]
+                    assert got == cross_sides(points, parts, i, j)
+    assert swept == list(range(len(act)))
+
+
+class TestLineSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_inputs())
+    def test_side_counts_match_fraction_cross_products(self, data):
+        assert_sides_match(*data)
+
+    @pytest.mark.parametrize("side", [2 ** 31 - 1, 2 ** 31, 3037000500,
+                                      2 ** 32 - 1])
+    def test_side_counts_at_int64_guard(self, side):
+        # adjacent directions from a corner of the box have cross product
+        # side^2, which passes 2^63 from side = 3037000500 on
+        corners = [(0, 0), (side, 0), (0, side)]
+        more = corners + [(side // 2, 0), (side, side), (side // 3, side),
+                          (side, side // 2)]
+        for pts, parts in ((corners, [[0, 1, 2]]),
+                           (more, [[0, 1, 2, 3], [4, 5, 6]])):
+            assert_sides_match([(Fraction(x), Fraction(y)) for x, y in pts],
+                               parts)
+
+    def test_exact_resort_when_float_keys_collide(self):
+        # (B, B + e) turns counterclockwise as e grows, but every float
+        # angle key is the same
+        B = 2 ** 80
+        es = [5, 0, 3, 1, 4, 2, 3]
+        fx = np.array([[B] * len(es)], dtype=object)
+        fy = np.array([[B + e for e in es]], dtype=object)
+        with mock.patch.object(functools, "cmp_to_key",
+                               wraps=functools.cmp_to_key) as resort:
+            rank, zero = _angular_ranks(fx, fy)
+        assert resort.called
+        assert rank[0].tolist() == [sorted(set(es)).index(e) for e in es]
+        assert not zero.any()
+
+
+def brute_line(points, parts, slack):
+    """The line-search selection rule by brute force: candidate pairs in
+    `_line_pairs` order, scored by exact worst side counts, tried by
+    (score, pair index) while the score is within the largest limit; a
+    coincident pair scores 0 and is skipped.  Returns (pair, tried)."""
+    limits = [-(-len(p) // 2) + slack for p in parts]
+    if len(parts) == 2:
+        pairs = (list(itertools.product(sorted(parts[0]), sorted(parts[1])))
+                 + list(itertools.combinations(sorted(parts[0]), 2))
+                 + list(itertools.combinations(sorted(parts[1]), 2)))
+    else:
+        pairs = list(itertools.combinations(sorted(set().union(*parts)), 2))
+    scored = []
+    for idx, (i, j) in enumerate(pairs):
+        sides = cross_sides(points, parts, i, j)
+        scored.append((max(max(s) for s in sides), idx, sides))
+    tried = 0
+    for score, idx, sides in sorted(scored):
+        if score > max(limits):
+            break
+        tried += 1
+        i, j = pairs[idx]
+        if points[i] == points[j]:
+            continue
+        if all(max(s) <= lim for s, lim in zip(sides, limits)):
+            return pairs[idx], tried
+    return None, tried
+
+
+def line_through(p, q):
+    a, b = p[1] - q[1], q[0] - p[0]
+    return MultiPoly(2, {(0, 0): -(a * p[0] + b * p[1]), (1, 0): a,
+                         (0, 1): b})
+
+
+def selection_inputs():
+    rng = random.Random(17)
+    generic = grid_free_points(rng, 40)
+    grid = PointConfig(2, tuple((Fraction(x), Fraction(y))
+                                for x in range(6) for y in range(6)))
+    raw = set()
+    while len(raw) < 30:
+        raw.add((Fraction(rng.randint(-9, 9), 2),
+                 Fraction(rng.randint(-9, 9), 3)))
+    rational = PointConfig(2, tuple(sorted(raw)))
+    three_lines = PointConfig(2, tuple(
+        (Fraction(x), Fraction(s * x + c))
+        for s, c in ((0, 0), (1, 3), (-2, 1)) for x in range(-5, 5)))
+    doubled = PointConfig(2, tuple((Fraction(x), Fraction(y))
+                                   for x in range(4) for y in range(4)
+                                   for _ in range(2)))
+    return {"generic": generic, "grid": grid, "rational": rational,
+            "three_lines": three_lines, "doubled": doubled}
+
+
+class TestLineSelectionRule:
+    @pytest.mark.parametrize("name", ["generic", "grid", "rational",
+                                      "three_lines", "doubled"])
+    def test_matches_brute_force_scorer(self, name):
+        pts = selection_inputs()[name]
+        part = stone_tukey_partition(pts, 4, seed=0, slack=1)
+        parts = [list(range(pts.n))]
+        tried = 0
+        for level, factor in zip(part.levels, part.factors):
+            pair, t = brute_line(pts.points, parts, 1)
+            tried += t
+            assert pair is not None
+            assert factor == line_through(pts.points[pair[0]],
+                                          pts.points[pair[1]])
+            assert level.candidates_tried == tried
+            col = level.level - 1
+            parts = [side for p in parts
+                     for side in ([k for k in p if part.signs[k][col] > 0],
+                                  [k for k in p if part.signs[k][col] < 0])
+                     if side]
+
+
+class TestVerification:
+    def partition(self):
+        pts = grid_free_points(random.Random(31), 40)
+        return pts, stone_tukey_partition(pts, 4, seed=1)
+
+    def test_flipped_sign_raises(self):
+        pts, part = self.partition()
+        k = next(k for k, sv in enumerate(part.signs) if sv[0] != 0)
+        signs = list(part.signs)
+        signs[k] = (-signs[k][0],) + signs[k][1:]
+        bad = dataclasses.replace(part, signs=tuple(signs))
+        with pytest.raises(AssertionError, match="sign mismatch"):
+            verify_partition(pts, bad)
+
+    def test_edited_census_raises(self):
+        pts, part = self.partition()
+        census = dict(part.cell_census)
+        census[next(iter(census))] += 1
+        with pytest.raises(AssertionError, match="census mismatch"):
+            verify_partition(pts, dataclasses.replace(part,
+                                                      cell_census=census))
+
+    def test_wrong_boundary_count_raises(self):
+        pts, part = self.partition()
+        bad = dataclasses.replace(part,
+                                  boundary_count=part.boundary_count + 1)
+        with pytest.raises(AssertionError, match="census mismatch"):
+            verify_partition(pts, bad)
+
+    def test_edited_grid_census_raises(self):
+        a = grid_free_points(random.Random(32), 12)
+        b = PointConfig(1, tuple((Fraction(i, 3),) for i in range(7)))
+        blocks = [(a, 4), (b, 2)]
+        pp = product_partition(blocks, seed=2)
+        verify_product_partition(blocks, pp)
+        census = dict(pp.grid_census)
+        census[next(iter(census))] += 1
+        with pytest.raises(AssertionError, match="grid census mismatch"):
+            verify_product_partition(
+                blocks, dataclasses.replace(pp, grid_census=census))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_integer_signs_match_rational_evaluation(self, nv, data):
+        frac = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * nv), frac, max_size=6))
+        polys = [MultiPoly(nv, terms), MultiPoly.constant(0, nv)]
+        points = data.draw(st.lists(st.tuples(*[frac] * nv), min_size=1,
+                                    max_size=8))
+        signs_at = _sign_oracle(polys, [c for p in points for c in p])
+        for p in points:
+            assert signs_at(p) == tuple(f.sign_at(p) for f in polys)
 
 
 class TestProductPartition:
