@@ -17,13 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactnum import (
     ComparisonUndecided,
     PowerProduct,
     PowerSum,
     Rational,
+    product_from_pairs,
 )
 
 
@@ -107,21 +108,12 @@ class BoundValue:
     @staticmethod
     def build(terms: Sequence[Sequence[tuple[Rational, Rational]]],
               epsilon: Rational = 0) -> "BoundValue":
-        total = PowerSum.zero()
-        pairs = []
-        for term in terms:
-            prod = PowerProduct.one()
-            canon = []
-            for base, exp in term:
-                base = Fraction(base)
-                exp = Fraction(exp)
-                canon.append((base, exp))
-                prod = prod * PowerProduct.from_base_exp(base, exp)
-            total = total + PowerSum.from_product(prod)
-            pairs.append(tuple(canon))
+        pairs = tuple(tuple((Fraction(b), Fraction(e)) for b, e in term)
+                      for term in terms)
+        total = _sum_of(product_from_pairs(term) for term in pairs)
         return BoundValue(
             value=total,
-            pairs=tuple(pairs),
+            pairs=pairs,
             epsilon=Fraction(epsilon),
             approx=float(total),
         )
@@ -213,6 +205,19 @@ def eval_F(d: DimProfile, n: SizeProfile, eps: Rational = 0) -> BoundValue:
     return BoundValue.build(_f_terms(d, n, eps), eps)
 
 
+def _f_products(d: DimProfile, n: SizeProfile,
+                eps: Fraction) -> list[PowerProduct]:
+    """The terms of `_f_terms` as power products, in the same order."""
+    return [product_from_pairs(term) for term in _f_terms(d, n, eps)]
+
+
+def _sum_of(products: Iterable[PowerProduct]) -> PowerSum:
+    total = PowerSum.zero()
+    for prod in products:
+        total = total + PowerSum.from_product(prod)
+    return total
+
+
 def _f_value_literal(d: DimProfile, n: SizeProfile, eps: Fraction) -> PowerSum:
     """Literal sum including the degenerate k = 1 case (value 1).
 
@@ -220,13 +225,7 @@ def _f_value_literal(d: DimProfile, n: SizeProfile, eps: Fraction) -> PowerSum:
     k = 2 the literal trailing term (1/n)*n = 1 is what makes that
     hypothesis reduce to the paper-side condition n_j >= n_i^{1/d_i}.
     """
-    total = PowerSum.zero()
-    for term in _f_terms(d, n, eps):
-        prod = PowerProduct.one()
-        for base, exp in term:
-            prod = prod * PowerProduct.from_base_exp(base, exp)
-        total = total + PowerSum.from_product(prod)
-    return total
+    return _sum_of(_f_products(d, n, eps))
 
 
 @dataclass(frozen=True)
@@ -291,14 +290,11 @@ def check_scaling_identity(d: DimProfile, n: SizeProfile, r: Rational,
         scale_pow = Fraction(1) if j == i else Fraction(d.dims[j])
         r_exp -= scale_pow * alphas[j]
 
-    lhs = PowerProduct.from_base_exp(r, lead)
-    for j in range(d.k):
-        scale_pow = 1 if j == i else d.dims[j]
-        base = Fraction(n.sizes[j]) / r**scale_pow
-        lhs = lhs * PowerProduct.from_base_exp(base, alphas[j])
-    rhs = PowerProduct.one()
-    for j in range(d.k):
-        rhs = rhs * PowerProduct.from_base_exp(n.sizes[j], alphas[j])
+    lhs = product_from_pairs(
+        [(r, lead)]
+        + [(Fraction(n.sizes[j]) / r**(1 if j == i else d.dims[j]), alphas[j])
+           for j in range(d.k)])
+    rhs = product_from_pairs(zip(n.sizes, alphas))
     return ScalingReport(i, r, r_exp, alphas, lhs, rhs)
 
 
@@ -333,22 +329,11 @@ def check_monotonicity(d: DimProfile, n: SizeProfile, i: int,
     if failed:
         return MonotonicityReport(i, False, failed, None, None, None)
 
-    lower_d = d.decrement(i)
-    lo_terms = _f_terms(lower_d, n, eps)
-    hi_terms = _f_terms(d, n, eps)
-    termwise = True
-    for lo, hi in zip(lo_terms, hi_terms):
-        lo_prod = PowerProduct.one()
-        for base, exp in lo:
-            lo_prod = lo_prod * PowerProduct.from_base_exp(base, exp)
-        hi_prod = PowerProduct.one()
-        for base, exp in hi:
-            hi_prod = hi_prod * PowerProduct.from_base_exp(base, exp)
-        if lo_prod.compare(hi_prod) > 0:
-            termwise = False
-            break
-    lo_sum = _f_value_literal(lower_d, n, eps)
-    hi_sum = _f_value_literal(d, n, eps)
+    lo_prods = _f_products(d.decrement(i), n, eps)
+    hi_prods = _f_products(d, n, eps)
+    termwise = all(lo.compare(hi) <= 0 for lo, hi in zip(lo_prods, hi_prods))
+    lo_sum = _sum_of(lo_prods)
+    hi_sum = _sum_of(hi_prods)
     if termwise:
         holds = True
     else:
@@ -386,11 +371,10 @@ def check_dominance(d: DimProfile, n: SizeProfile,
     k = d.k
     failed = []
     for i in range(k):
-        lhs = PowerProduct.from_base_exp(n.sizes[i], Fraction(-1, d.dims[i]))
-        for j in range(k):
-            lhs = lhs * PowerProduct.from_base_exp(n.sizes[j], 1)
+        lhs = product_from_pairs([(n.sizes[i], Fraction(-1, d.dims[i]))]
+                                 + [(size, 1) for size in n.sizes])
         sub = _f_value_literal(d.drop(i), n.drop(i), eps)
-        rhs = sub.times_product(PowerProduct.from_base_exp(n.sizes[i], 1))
+        rhs = sub.times_product(PowerProduct.from_rational(n.sizes[i]))
         try:
             if PowerSum.from_product(lhs).compare(rhs) < 0:
                 failed.append(i)
@@ -401,21 +385,13 @@ def check_dominance(d: DimProfile, n: SizeProfile,
         return DominanceReport(False, tuple(failed), constant, None, None)
 
     alphas = exponents(d).alphas
-    dominant = PowerProduct.one()
-    for i in range(k):
-        dominant = dominant * PowerProduct.from_base_exp(n.sizes[i],
-                                                         alphas[i] + eps)
-    full = _f_value_literal(d, n, eps)
+    dominant = product_from_pairs((size, alpha + eps)
+                                  for size, alpha in zip(n.sizes, alphas))
+    prods = _f_products(d, n, eps)
+    full = _sum_of(prods)
     # Termwise: every term of F is at most the dominant term, hence
     # F <= (2^k - 1) * dominant <= dominant / constant.
-    termwise = True
-    for term in _f_terms(d, n, eps):
-        prod = PowerProduct.one()
-        for base, exp in term:
-            prod = prod * PowerProduct.from_base_exp(base, exp)
-        if prod.compare(dominant) > 0:
-            termwise = False
-            break
+    termwise = all(prod.compare(dominant) <= 0 for prod in prods)
     if termwise:
         holds = True
     else:

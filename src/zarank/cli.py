@@ -4,8 +4,8 @@ Subcommands: bounds, build, detect, shatter, partition, experiment,
 verify.  JSON goes to stdout; exact rationals are rendered as "p/q"
 strings next to float approximations.  Exit codes: 0 all verdicts pass,
 2 a verdict failed, 3 a search budget was exhausted, 4 malformed input
-(an unreadable or ill-formed input file, or arguments the bound calculus
-rejects), reported as one line of JSON with an "error" key.
+(an unreadable or ill-formed input file or experiment spec, or arguments
+the bound calculus rejects), reported as one line of JSON with an "error" key.
 """
 
 from __future__ import annotations
@@ -282,9 +282,18 @@ def cmd_partition(args) -> int:
 # experiment
 
 
+def _parse_spec(text: str) -> ExperimentSpec:
+    """An ExperimentSpec from JSON text; every defect is a ValueError."""
+    try:
+        return ExperimentSpec.from_dict(json.loads(text))
+    except KeyError as err:
+        raise ValueError(f"spec has no {err} field") from None
+    except TypeError as err:
+        raise ValueError(f"invalid spec: {err}") from None
+
+
 def cmd_experiment(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = ExperimentSpec.from_dict(json.load(fh))
+    spec = _load(args.spec, _parse_spec)
     report = run_experiment(spec)
     if args.out:
         emit_report(report, "json", args.out)

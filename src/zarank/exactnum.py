@@ -6,10 +6,13 @@ values reliably, so every value is kept in a canonical prime-factored
 form: a PowerProduct is a map prime -> rational exponent, and a PowerSum
 is a rational-coefficient combination of PowerProducts.
 
-Single power products compare exactly: p^(a) <= q^(b) is decided by
-clearing exponent denominators and comparing big integers.  Sums compare
-exactly when they share the same irrational parts (termwise), and
-otherwise through interval arithmetic with escalating precision.
+Single power products compare exactly by a filtered test: a float sum of
+e_p * log p with a forward error bound decides the sign whenever the sum
+clears the bound, and otherwise the exponent denominators are cleared and
+big integers compared.  Sums compare exactly when they share the same
+irrational parts (termwise), and otherwise through enclosures in mpmath's
+interval arithmetic (the routines behind mpmath.iv) at escalating
+precision.
 """
 
 from __future__ import annotations
@@ -19,6 +22,17 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 import mpmath
+from mpmath.libmp import (
+    from_int,
+    from_rational,
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    round_ceiling,
+    round_floor,
+)
 
 Rational = Union[int, Fraction]
 
@@ -45,8 +59,27 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _prime_exponents(q: Rational) -> dict[int, int]:
+    """Prime -> integer exponent map of a positive rational."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError(f"PowerProduct values are positive, got {q}")
+    exps = factorize(q.numerator)
+    # Numerator and denominator are coprime, so their primes differ.
+    for p, m in factorize(q.denominator).items():
+        exps[p] = -m
+    return exps
+
+
 class ComparisonUndecided(Exception):
     """Raised when interval refinement cannot separate two sums."""
+
+
+# Forward error bound of the float filter in PowerProduct.compare, per
+# term and relative to the sum of the terms' magnitudes; _FILTER_TINY
+# covers exponents or products that underflow.
+_FILTER_EPS = 2.0 ** -48
+_FILTER_TINY = 2.0 ** -960
 
 
 class PowerProduct:
@@ -54,7 +87,7 @@ class PowerProduct:
 
     __slots__ = ("exps",)
 
-    def __init__(self, exps: Mapping[int, Fraction] | None = None):
+    def __init__(self, exps: Mapping[int, Rational] | None = None):
         cleaned = {}
         if exps:
             for p, e in exps.items():
@@ -64,41 +97,49 @@ class PowerProduct:
         self.exps: dict[int, Fraction] = cleaned
 
     @classmethod
+    def _of(cls, exps: dict[int, Fraction]) -> "PowerProduct":
+        """Wrap a prime -> nonzero Fraction map as is, without copying."""
+        out = object.__new__(cls)
+        out.exps = exps
+        return out
+
+    @classmethod
     def one(cls) -> "PowerProduct":
         return cls()
 
     @classmethod
     def from_rational(cls, q: Rational) -> "PowerProduct":
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError(f"PowerProduct values are positive, got {q}")
-        exps: dict[int, Fraction] = {}
-        for p, m in factorize(q.numerator).items():
-            exps[p] = exps.get(p, Fraction(0)) + m
-        for p, m in factorize(q.denominator).items():
-            exps[p] = exps.get(p, Fraction(0)) - m
-        return cls(exps)
+        return cls._of({p: Fraction(m)
+                        for p, m in _prime_exponents(q).items()})
 
     @classmethod
     def from_base_exp(cls, base: Rational, exp: Rational) -> "PowerProduct":
         """base**exp for a positive rational base and rational exponent."""
-        return cls.from_rational(base) ** Fraction(exp)
+        primes = _prime_exponents(base)
+        exp = Fraction(exp)
+        if not exp:
+            return cls()
+        return cls._of({p: exp * m for p, m in primes.items()})
 
     def __mul__(self, other: "PowerProduct") -> "PowerProduct":
         exps = dict(self.exps)
         for p, e in other.exps.items():
-            exps[p] = exps.get(p, Fraction(0)) + e
-        return PowerProduct(exps)
+            _add_exponent(exps, p, e)
+        return PowerProduct._of(exps)
 
     def __truediv__(self, other: "PowerProduct") -> "PowerProduct":
         exps = dict(self.exps)
         for p, e in other.exps.items():
-            exps[p] = exps.get(p, Fraction(0)) - e
-        return PowerProduct(exps)
+            _add_exponent(exps, p, -e)
+        return PowerProduct._of(exps)
 
     def __pow__(self, q: Rational) -> "PowerProduct":
+        if q == 1:
+            return self
+        if q == 0:
+            return PowerProduct()
         q = Fraction(q)
-        return PowerProduct({p: e * q for p, e in self.exps.items()})
+        return PowerProduct._of({p: e * q for p, e in self.exps.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PowerProduct) and self.exps == other.exps
@@ -122,34 +163,50 @@ class PowerProduct:
 
     def split_rational(self) -> tuple[Fraction, "PowerProduct"]:
         """Factor into (rational part, residue with exponents in [0,1))."""
-        coeff = Fraction(1)
+        num = den = 1
         residue: dict[int, Fraction] = {}
         for p, e in self.exps.items():
-            whole = math.floor(e)
-            frac = e - whole
-            if whole:
-                coeff *= Fraction(p) ** whole
-            if frac:
-                residue[p] = frac
-        return coeff, PowerProduct(residue)
+            whole, rem = divmod(e.numerator, e.denominator)
+            if whole > 0:
+                num *= p**whole
+            elif whole < 0:
+                den *= p**-whole
+            if rem:
+                residue[p] = e if whole == 0 else Fraction(rem, e.denominator)
+        return Fraction(num, den), PowerProduct._of(residue)
 
     def compare(self, other: "PowerProduct") -> int:
-        """Exact three-way comparison: -1, 0 or +1."""
+        """Exact three-way comparison: -1, 0 or +1.
+
+        The sign of log(self / other) = sum_p e_p log p is first read off
+        the float sum S = sum_p fl(e_p) * fl(log p).  float(Fraction) is
+        correctly rounded; the bound assumes math.log(p) is within 4 ulps
+        (relative error 2^-50) of log p.  glibc's log is within 1 ulp,
+        and CPython's reduction of integers past the float range stays
+        within 4.  Each term is then within 2^-49 of its true value, and
+        summing n terms adds at most (n - 1) * 2^-53 of the sum of their
+        magnitudes, so |S - log(self / other)| is below
+        (n + 4) * (2^-48 * sum_p |term_p| + 2^-960).  When |S| exceeds
+        that bound its sign is the answer; otherwise, or when an exponent
+        does not fit a float, the big-integer test decides.
+        """
         diff = self / other
         if diff.is_one():
             return 0
-        lcm = 1
-        for e in diff.exps.values():
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-        hi = 1
-        lo = 1
-        for p, e in diff.exps.items():
-            m = int(e * lcm)
-            if m > 0:
-                hi *= p**m
-            else:
-                lo *= p**(-m)
-        return (hi > lo) - (hi < lo)
+        total = 0.0
+        size = 0.0
+        try:
+            for p, e in diff.exps.items():
+                term = float(e) * math.log(p)
+                total += term
+                size += abs(term)
+        except OverflowError:
+            return _compare_exact(diff)
+        bound = (len(diff.exps) + 4) * (_FILTER_EPS * size + _FILTER_TINY)
+        # False for an infinite bound or a NaN sum, which fall through.
+        if abs(total) > bound:
+            return 1 if total > 0 else -1
+        return _compare_exact(diff)
 
     def __le__(self, other: "PowerProduct") -> bool:
         return self.compare(other) <= 0
@@ -178,6 +235,36 @@ class PowerProduct:
         if self.is_one():
             return "1"
         return "*".join(f"{p}^({e})" for p, e in self.base_exp_pairs())
+
+
+def _add_exponent(exps: dict[int, Fraction], p: int, e: Fraction) -> None:
+    """exps[p] += e, dropping p when its exponent cancels to zero."""
+    old = exps.get(p)
+    if old is None:
+        exps[p] = e
+        return
+    new = old + e
+    if new:
+        exps[p] = new
+    else:
+        del exps[p]
+
+
+def _compare_exact(diff: PowerProduct) -> int:
+    """Sign of log(diff) by big integers: clear the exponent denominators
+    and compare the products of the positive and negative powers."""
+    lcm = 1
+    for e in diff.exps.values():
+        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
+    hi = 1
+    lo = 1
+    for p, e in diff.exps.items():
+        m = int(e * lcm)
+        if m > 0:
+            hi *= p**m
+        else:
+            lo *= p**(-m)
+    return (hi > lo) - (hi < lo)
 
 
 class PowerSum:
@@ -259,21 +346,28 @@ class PowerSum:
         )
 
     def bounds(self, prec: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-        """Rigorous-enough enclosure at `prec` bits of working precision.
+        """Rigorous enclosure [lo, hi] of the sum by `prec`-bit intervals.
 
-        mpmath's exp/log are accurate to ~1 ulp; the padding below is a
-        generous cover for the handful of operations per term.
+        The intervals are mpmath's (the libmpi routines behind mpmath.iv,
+        which round every endpoint outward): an interval log per prime,
+        integer exponent numerators over one denominator per term, an
+        interval exp per term and each rational coefficient as the
+        interval of its two directed roundings.
         """
-        with mpmath.workprec(prec):
-            pad = mpmath.mpf(2) ** (16 - prec)
-            lo = mpmath.mpf(0)
-            hi = mpmath.mpf(0)
-            for residue, coeff in self.terms.items():
-                c = mpmath.mpf(coeff.numerator) / coeff.denominator
-                v = c * residue.mpf()
-                lo += v * (1 - pad)
-                hi += v * (1 + pad)
-            return lo, hi
+        logs = {}
+        total = _point(0)
+        for residue, coeff in self.terms.items():
+            den = math.lcm(*(e.denominator for e in residue.exps.values()))
+            log = _point(0)
+            for p, e in residue.exps.items():
+                if p not in logs:
+                    logs[p] = mpi_log(_point(p), prec)
+                m = _point(e.numerator * (den // e.denominator))
+                log = mpi_add(log, mpi_mul(m, logs[p], prec), prec)
+            value = mpi_exp(mpi_div(log, _point(den), prec), prec)
+            total = mpi_add(total, mpi_mul(_interval(coeff, prec), value,
+                                           prec), prec)
+        return mpmath.mp.make_mpf(total[0]), mpmath.mp.make_mpf(total[1])
 
     def compare(self, other: "PowerSum", max_prec: int = 4096) -> int:
         """Exact three-way comparison, escalating precision as needed."""
@@ -323,9 +417,22 @@ def _cancel(a: PowerSum, b: PowerSum) -> tuple[PowerSum, PowerSum]:
     return ra, rb
 
 
+def _point(n: int) -> tuple:
+    """The exact interval [n, n] of an integer."""
+    x = from_int(n)
+    return x, x
+
+
+def _interval(q: Fraction, prec: int) -> tuple:
+    """`q` rounded down and up to `prec` bits."""
+    return (from_rational(q.numerator, q.denominator, prec, round_floor),
+            from_rational(q.numerator, q.denominator, prec, round_ceiling))
+
+
 def product_from_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> PowerProduct:
     """Build prod base^exp from (base, exp) pairs with positive rational bases."""
-    out = PowerProduct.one()
+    exps: dict[int, Fraction] = {}
     for base, exp in pairs:
-        out = out * PowerProduct.from_base_exp(base, exp)
-    return out
+        for p, e in PowerProduct.from_base_exp(base, exp).exps.items():
+            _add_exponent(exps, p, e)
+    return PowerProduct._of(exps)

@@ -222,3 +222,27 @@ class TestInputErrors:
     def test_bounds_two_unit_dimensions(self, capsys):
         msg = self.check(capsys, "bounds", "--dims", "1,1")
         assert "more than one d_i equals 1" in msg
+
+    def test_experiment_missing_spec(self, tmp_path, capsys):
+        msg = self.check(capsys, "experiment", "--spec",
+                         str(tmp_path / "absent.json"))
+        assert "absent.json" in msg
+
+    def test_experiment_malformed_json(self, tmp_path, capsys):
+        sf = tmp_path / "spec.json"
+        sf.write_text('{"kind": "minors", "d": 2, "sizes": [20, 40')
+        self.check(capsys, "experiment", "--spec", str(sf))
+
+    @pytest.mark.parametrize("spec, fragment", [
+        ({"kind": "minors", "d": 2, "sizes": [40, 20, 80]},
+         "strictly increasing"),
+        ({"kind": "minors", "d": 2, "sizes": [20, 40]}, "need >= 3 sizes"),
+        ({"kind": "minors", "d": 2}, "no 'sizes' field"),
+        ({"kind": "minors", "d": 2, "sizes": [20, 40, 80], "colour": 1},
+         "colour"),
+    ])
+    def test_experiment_invalid_spec(self, tmp_path, capsys, spec, fragment):
+        sf = tmp_path / "spec.json"
+        sf.write_text(json.dumps(spec))
+        msg = self.check(capsys, "experiment", "--spec", str(sf))
+        assert fragment in msg

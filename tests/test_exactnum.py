@@ -4,8 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zarank import exactnum
 from zarank.exactnum import (
     PowerProduct,
     PowerSum,
@@ -89,3 +92,145 @@ def test_random_product_comparisons_against_floats():
         if abs(fa - fb) > 1e-9 * max(abs(fa), abs(fb)):
             want = -1 if fa < fb else 1
             assert a.compare(b) == want
+
+
+# ---------------------------------------------------------------------------
+# filtered comparison against the big-integer test
+
+PRIMES = (2, 3, 5, 7, 11, 13, 101, 1_000_003)
+
+exponents = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+products = st.dictionaries(st.sampled_from(PRIMES), exponents,
+                           max_size=5).map(PowerProduct)
+
+
+def _convergents(a: int, b: int, limit: int) -> list[tuple[int, int]]:
+    """Continued-fraction convergents p/q of log_a(b), so a^p ~ b^q,
+    with q up to `limit`."""
+    out = []
+    with mpmath.workdps(100):
+        x = mpmath.log(b) / mpmath.log(a)
+        h0, h1, k0, k1 = 0, 1, 1, 0
+        while True:
+            c = int(mpmath.floor(x))
+            h0, h1 = h1, c * h1 + h0
+            k0, k1 = k1, c * k1 + k0
+            if k1 > limit:
+                return out
+            out.append((h1, k1))
+            x = 1 / (x - c)
+
+
+# (p, b, q) with 2^p close to b^q.
+NEAR_TIES = [(p, b, q) for b in (3, 5) for p, q in _convergents(2, b, 10**5)]
+
+
+def _agrees_with_big_integers(a: PowerProduct, b: PowerProduct) -> int:
+    want = exactnum._compare_exact(a / b)
+    assert a.compare(b) == want
+    assert b.compare(a) == -want
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(products, products)
+def test_filtered_compare_matches_big_integers(a, b):
+    _agrees_with_big_integers(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(products, products, st.integers(1, 6))
+def test_formally_equal_products_compare_equal(a, c, k):
+    # a written two ways: a * c / c, and with every base raised to k and
+    # its exponent divided by k.
+    assert _agrees_with_big_integers(a * c / c, a) == 0
+    b = product_from_pairs((p**k, e / k) for p, e in a.exps.items())
+    assert _agrees_with_big_integers(a, b) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NEAR_TIES), st.integers(1, 9), st.booleans(),
+       products)
+def test_near_ties_match_big_integers(tie, m, swap, common):
+    # 2^(p/m) against 3^(q/m) or 5^(q/m), both times a common factor.
+    # The last convergents leave gaps of 4e-7 and 4e-6 between logs
+    # near 2e5 and 3e5, 50 and 1000 times the filter's bound.
+    p, base, q = tie
+    a = product_from_pairs([(2, Fraction(p, m))]) * common
+    b = product_from_pairs([(base, Fraction(q, m))]) * common
+    if swap:
+        a, b = b, a
+    want = _agrees_with_big_integers(a, b)
+    with mpmath.workdps(60):
+        gap = mpmath.fsum(mpmath.mpf(e.numerator) / e.denominator
+                          * mpmath.log(prime)
+                          for prime, e in (a / b).exps.items())
+    assert want == (gap > 0) - (gap < 0)
+
+
+def test_filter_decides_without_big_integers(monkeypatch):
+    calls = []
+    real = exactnum._compare_exact
+    monkeypatch.setattr(exactnum, "_compare_exact",
+                        lambda diff: calls.append(diff) or real(diff))
+    a = product_from_pairs([(2, Fraction(1, 2))])
+    b = product_from_pairs([(3, Fraction(1, 3))])
+    assert a.compare(b) == -1
+    assert calls == []
+
+
+def test_inconclusive_filter_falls_back_to_big_integers(monkeypatch):
+    calls = []
+    real = exactnum._compare_exact
+    monkeypatch.setattr(exactnum, "_compare_exact",
+                        lambda diff: calls.append(diff) or real(diff))
+    monkeypatch.setattr(exactnum, "_FILTER_EPS", 1.0)
+    a = product_from_pairs([(2, Fraction(1, 2))])
+    b = product_from_pairs([(3, Fraction(1, 3))])
+    assert a.compare(b) == -1
+    assert b.compare(a) == 1
+    assert calls == [a / b, b / a]
+
+
+def test_construction_shortcuts():
+    x = PowerProduct({2: 1, 3: Fraction(-1, 2), 5: 0})
+    assert x.exps == {2: 1, 3: Fraction(-1, 2)}
+    assert all(type(e) is Fraction for e in x.exps.values())
+    assert x ** 1 is x
+    assert (x ** 0).is_one()
+    assert PowerProduct.from_base_exp(Fraction(4, 9), Fraction(3, 2)) == \
+        PowerProduct.from_rational(Fraction(8, 27))
+    with pytest.raises(ValueError):
+        PowerProduct.from_base_exp(-3, 0)
+
+
+# ---------------------------------------------------------------------------
+# interval enclosures of sums
+
+sum_terms = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(1, 10**6),
+                        st.integers(1, 10**3)),
+              st.dictionaries(st.sampled_from(PRIMES[:6]), exponents,
+                              max_size=4)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sum_terms, st.sampled_from((24, 53, 64, 80, 200)))
+def test_sum_bounds_enclose_a_tenfold_precise_value(terms, prec):
+    s = PowerSum.zero()
+    for coeff, exps in terms:
+        s = s + PowerSum.from_product(PowerProduct(exps), coeff)
+    lo, hi = s.bounds(prec)
+    assert lo <= hi
+    with mpmath.workprec(10 * prec):
+        value = mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.exp(mpmath.fsum(
+                mpmath.mpf(e.numerator) / e.denominator * mpmath.log(p)
+                for p, e in exps.items()))
+            for c, exps in terms)
+        # The reference itself is off by far less than `slack`, which
+        # only matters where the enclosure is exact (rational sums).
+        slack = value * mpmath.mpf(2) ** (-9 * prec)
+        assert lo <= value + slack and value - slack <= hi
+        assert hi - lo <= value * mpmath.mpf(2) ** (24 - prec)
