@@ -4,11 +4,11 @@ classes against the quadratic block sweep, and the area-band hit sweep.
 
 Usage: python benchmarks/bench_kernels.py [--scale 16] [--points 400]
 
-The pair count runs on the cleared columns of the extremal configuration
-at --scale, once through `kernels.count_unit_pairs` and once through
-`kernels._unit_pairs_numpy`, the O(n^2) block sweep it replaced; the two
-counts are asserted equal.  Timings are the best of three wall-clock
-calls.
+The pair count runs on the stored integer columns (numerators over
+denominators) of the extremal configuration at --scale, once through
+`kernels.count_unit_pairs` and once through `kernels._unit_pairs_numpy`,
+the O(n^2) block sweep it replaced; the two counts are asserted equal.
+Timings are the best of three wall-clock calls.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from zarank import kernels
-from zarank.geometry import clear_columns, st_lower_bound_minor_config
+from zarank.geometry import st_lower_bound_minor_config
 
 
 def time_call(fn, *args, repeat=3):
@@ -32,10 +32,7 @@ def time_call(fn, *args, repeat=3):
 
 def bench_unit_pairs(scale: int):
     cfg = st_lower_bound_minor_config(2, scale)
-    cols, scalars = clear_columns(cfg.points)
-    x = np.array([c[0] for c in cols], dtype=np.int64)
-    y = np.array([c[1] for c in cols], dtype=np.int64)
-    s = np.array(scalars, dtype=np.int64)
+    (x, y), s = cfg.numerators.T, cfg.denominators
     rows = []
     for name, fn in (("direction classes", kernels.count_unit_pairs),
                      ("block sweep", kernels._unit_pairs_numpy)):

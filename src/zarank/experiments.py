@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 import time
 import warnings
@@ -44,6 +45,21 @@ from .hypergraph import BudgetExceededError, ForbiddenPattern, contains_complete
 from .partition import PartitionSearchError, stone_tukey_partition, verify_partition
 
 KINDS = ("minors", "st-config", "triangles", "spheres", "k1uu", "partition")
+VARIANTS = ("random", "clusters")
+
+# The generators' ranges, which also bound the sizes a spec may ask for:
+# partition coordinates are integers in [-bound, bound], and each triangle
+# cluster offsets its corner by integers in [-radius, radius] over 10^4.
+_PARTITION_BOUND = 10**4
+_CLUSTER_RADIUS = 100
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_whole(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and v.is_integer())
 
 
 def fit_exponent(pairs: Sequence[tuple[int, int]]) -> tuple[float, float]:
@@ -88,14 +104,54 @@ class ExperimentSpec:
     kfree_max_size: int = 400
 
     def __post_init__(self):
+        """Reject every spec the sweep cannot run as asked, so that it
+        fails here and not by a crash or an endless generator loop."""
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name in ("d", "seed", "u", "r", "kfree_budget", "kfree_max_size"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        if not all(_is_whole(s) for s in self.sizes):
+            raise ValueError("sizes must be whole numbers")
         if len(self.sizes) < 3 and self.kind != "partition":
             raise ValueError("need >= 3 sizes for an exponent fit")
         if list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be strictly increasing")
+        if (isinstance(self.tolerance, bool)
+                or not isinstance(self.tolerance, (int, float))):
+            raise ValueError("tolerance must be a number")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.det_target not in [t.value for t in DetTarget]:
+            raise ValueError(f"unknown det_target {self.det_target!r}")
+        if self.u < 1:
+            raise ValueError("u must be >= 1")
+        self._check_shape()
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "eps", Fraction(self.eps))
+
+    def _check_shape(self):
+        """The dimension and the size range each kind's generator needs."""
+        kind, d = self.kind, self.d
+        if kind in ("minors", "st-config", "k1uu") and d < 2:
+            raise ValueError(f"{kind} sweeps need d >= 2")
+        if kind == "triangles" and d != 2:
+            raise ValueError("triangles sweeps need d = 2")
+        if kind == "spheres" and d not in (2, 3):
+            raise ValueError("spheres sweeps need d = 2 or 3")
+        if kind == "partition" and (d < 1 or self.r < 2):
+            raise ValueError("partition sweeps need d >= 1 and r >= 2")
+        least = {"st-config": 2, "partition": self.r}.get(kind, 1)
+        most = None
+        if kind == "partition":
+            # four dimensions already hold more points than a sweep can run
+            most = (2 * _PARTITION_BOUND + 1) ** min(d, 4)
+        elif kind == "triangles" and self.variant == "clusters":
+            most = 3 * (2 * _CLUSTER_RADIUS + 1) ** 2
+        if self.sizes and self.sizes[0] < least:
+            raise ValueError(f"{kind} sizes must be >= {least}")
+        if most is not None and self.sizes and self.sizes[-1] > most:
+            raise ValueError(f"{kind} sizes must be <= {most}")
 
     def to_dict(self) -> dict:
         return {
@@ -194,9 +250,8 @@ def _random_matrix(spec: ExperimentSpec, n: int) -> PointConfig:
     top = max(2, math.isqrt(n - 1) + 1)
     cols = set()
     while len(cols) < n:
-        cols.add(tuple(Fraction(rng.randint(1, top))
-                       for _ in range(spec.d)))
-    return PointConfig(spec.d, tuple(sorted(cols)), distinct=True)
+        cols.add(tuple(rng.randint(1, top) for _ in range(spec.d)))
+    return PointConfig.from_integers(spec.d, sorted(cols), distinct=True)
 
 
 def _random_triangle_points(spec: ExperimentSpec, n: int) -> PointConfig:
@@ -207,9 +262,8 @@ def _random_triangle_points(spec: ExperimentSpec, n: int) -> PointConfig:
     top = max(3, round(n ** 0.65))
     pts = set()
     while len(pts) < n:
-        pts.add((Fraction(rng.randint(0, 4 * top), 4),
-                 Fraction(rng.randint(0, 4 * top), 4)))
-    return PointConfig(2, tuple(sorted(pts)))
+        pts.add((rng.randint(0, 4 * top), rng.randint(0, 4 * top)))
+    return PointConfig.from_integers(2, sorted(pts), [4] * n)
 
 
 def _cluster_triangle_points(spec: ExperimentSpec, n: int) -> PointConfig:
@@ -217,14 +271,13 @@ def _cluster_triangle_points(spec: ExperimentSpec, n: int) -> PointConfig:
     transversal triple has area near 1, so the pattern precondition fails
     by design."""
     rng = random.Random(_size_seed(spec, n))
-    corners = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)),
-               (Fraction(0), Fraction(1))]
+    corners = [(0, 0), (2 * 10**4, 0), (0, 10**4)]  # over 10^4
     pts = set()
     while len(pts) < n:
         cx, cy = corners[len(pts) % 3]
-        pts.add((cx + Fraction(rng.randint(-100, 100), 10**4),
-                 cy + Fraction(rng.randint(-100, 100), 10**4)))
-    return PointConfig(2, tuple(sorted(pts)))
+        pts.add((cx + rng.randint(-_CLUSTER_RADIUS, _CLUSTER_RADIUS),
+                 cy + rng.randint(-_CLUSTER_RADIUS, _CLUSTER_RADIUS)))
+    return PointConfig.from_integers(2, sorted(pts), [10**4] * n)
 
 
 def _random_spheres(spec: ExperimentSpec, n: int) -> SphereConfig:
@@ -237,11 +290,21 @@ def _random_spheres(spec: ExperimentSpec, n: int) -> SphereConfig:
         boxq = max(8, round(4 * 1.2 * math.sqrt(n)))
     spheres = set()
     while len(spheres) < n:
-        center = tuple(Fraction(rng.randint(0, boxq), 4)
-                       for _ in range(spec.d))
-        r2 = Fraction(rng.randint(2, 10), 4)
-        spheres.add((center, r2))
-    return SphereConfig(spec.d, tuple(sorted(spheres)), distinct=True)
+        center = tuple(rng.randint(0, boxq) for _ in range(spec.d))
+        spheres.add(center + (rng.randint(2, 10),))
+    # (center, r2) pairs and (center..., r2) rows sort alike
+    return SphereConfig.from_integers(spec.d, sorted(spheres), [4] * n,
+                                      distinct=True)
+
+
+def _partition_points(spec: ExperimentSpec, n: int) -> PointConfig:
+    """Distinct integer points in [-10^4, 10^4]^d."""
+    rng = random.Random(_size_seed(spec, n))
+    b = _PARTITION_BOUND
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(-b, b) for _ in range(spec.d)))
+    return PointConfig.from_integers(spec.d, sorted(pts))
 
 
 def _check_kfree(spec: ExperimentSpec, H, k: int) -> tuple[bool, Optional[bool], str]:
@@ -274,12 +337,7 @@ def _config(spec: ExperimentSpec,
 
 def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
     if spec.kind == "partition":
-        rng = random.Random(_size_seed(spec, size))
-        pts = set()
-        while len(pts) < size:
-            pts.add(tuple(Fraction(rng.randint(-10**4, 10**4))
-                          for _ in range(spec.d)))
-        cfg = PointConfig(spec.d, tuple(sorted(pts)))
+        cfg = _partition_points(spec, size)
         try:
             part = stone_tukey_partition(cfg, spec.r, seed=spec.seed)
             verify_partition(cfg, part)

@@ -1,9 +1,15 @@
 """Exact geometric constructions over the rationals.
 
-Builders produce k-partite hypergraphs from point/sphere data using only
-exact predicates: fraction-free integer determinants after clearing each
-column's denominators, and polynomial sign tests in squared radii for
-spheres.  No floating point is consulted for any edge decision.
+`PointConfig` and `SphereConfig` store each point or sphere once, as
+integer numerators over one positive denominator in lowest terms; the
+rational constructor clears denominators once, and generators hand their
+integers to `from_integers`.  Builders produce k-partite hypergraphs from
+those integers using only exact predicates: fraction-free determinants of
+the stored columns, and, over the common-denominator form, the area band
+and polynomial sign tests in squared radii for spheres.  No floating
+point is consulted for any edge decision.  The `Fraction` views
+(`points`, `spheres`) are built on first use, for the independent
+`*_naive` oracles and text output.
 
 Point (matrix-column) file format: first line `d n`, then n lines of d
 rationals (`p/q` or integer).  Sphere file: `d n`, then `c1 .. cd r2`.
@@ -14,9 +20,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,32 +41,180 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
-class PointConfig:
-    """Labeled points with exact rational coordinates; doubles as the
-    column storage of a d x n matrix (points are the columns)."""
+def _int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as an object array of python ints
+    when some entry has |v| >= 2^63 (so that abs never wraps)."""
+    try:
+        a = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    if a.size and a.min() == np.iinfo(np.int64).min:
+        return a.astype(object)
+    return a
 
-    dim: int
-    points: tuple[tuple[Fraction, ...], ...]
-    labels: Optional[tuple[str, ...]] = None
-    distinct: bool = False
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        pts = tuple(tuple(Fraction(c) for c in p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        for p in pts:
-            if len(p) != self.dim:
-                raise ValueError(f"point {p} does not have {self.dim} coordinates")
-        if self.labels is not None and len(self.labels) != len(pts):
-            raise ValueError("one label per point")
-        if self.distinct and len(set(pts)) != len(pts):
-            raise ValueError("repeated columns are not allowed here")
+def _distinct_rows(a: np.ndarray) -> int:
+    """Number of distinct rows of an (n, k) integer array, by one
+    lexicographic sort and a compare of neighbouring rows."""
+    if not len(a):
+        return 0
+    a = a[np.lexsort(a.T)]
+    return 1 + int(np.count_nonzero((a[1:] != a[:-1]).any(axis=1)))
+
+
+def _cleared(rows) -> tuple[list[list[int]], list[int]]:
+    """Rows of `Fraction`s as integer numerators over the lcm of each
+    row's denominators, which is already in lowest terms."""
+    dens = [math.lcm(*(c.denominator for c in row)) for row in rows]
+    return ([[c.numerator * (q // c.denominator) for c in row]
+             for row, q in zip(rows, dens)], dens)
+
+
+class _RationalRows:
+    """n rows of k rationals, stored as integer numerators over one
+    positive denominator per row, in lowest terms: row i is
+    numerators[i] / denominators[i], and the gcd of numerators[i] and
+    denominators[i] is 1.  Both arrays are int64 when every entry fits,
+    else object arrays of python ints, and read-only.  Equal rationals
+    give equal integers, so equality, hashing and the repeat check work on
+    the integers; the `Fraction` rows are built on first use and kept."""
+
+    __slots__ = ("dim", "distinct", "numerators", "denominators", "_cache")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _store(self, dim, numerators, denominators, distinct, k, rows):
+        nums = _int_array(numerators)
+        if nums.ndim == 1 and not nums.size:
+            nums = nums.reshape(0, k)
+        if nums.ndim != 2 or nums.shape[1] != k:
+            raise ValueError(f"every row needs {k} integers")
+        n = len(nums)
+        dens = (np.ones(n, dtype=np.int64) if denominators is None
+                else _int_array(denominators).reshape(-1))
+        if len(dens) != n:
+            raise ValueError("one denominator per row")
+        if n and not (dens > 0).all():
+            raise ValueError("denominators must be positive")
+        g = np.gcd(np.gcd.reduce(nums, axis=1), dens) if n else dens
+        if (g != 1).any():
+            nums, dens = nums // g[:, None], dens // g
+        if nums.dtype == object or dens.dtype == object:
+            nums, dens = _int_array(nums), _int_array(dens)
+        for a in (nums, dens):
+            a.flags.writeable = False
+        cache = {} if rows is None else {"rows": rows}
+        for name, value in (("dim", dim), ("distinct", bool(distinct)),
+                            ("numerators", nums), ("denominators", dens),
+                            ("_cache", cache)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.denominators)
+
+    def _rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as `Fraction` tuples, built once."""
+        if "rows" not in self._cache:
+            self._cache["rows"] = tuple(
+                tuple(Fraction(a, q) for a in row)
+                for row, q in zip(self.numerators.tolist(),
+                                  self.denominators.tolist()))
+        return self._cache["rows"]
+
+    def has_repeats(self) -> bool:
+        """Whether two rows are equal (never, when built with distinct)."""
+        if "repeats" not in self._cache:
+            both = np.column_stack((self.numerators, self.denominators))
+            self._cache["repeats"] = _distinct_rows(both) != self.n
+        return self._cache["repeats"]
+
+    def common_denominator(self) -> tuple[int, np.ndarray]:
+        """(L, X): L the lcm of the row denominators and X the (n, k)
+        integer array of the rows times L, int64 when it fits, and
+        read-only."""
+        if "common" not in self._cache:
+            dens = self.denominators
+            L = math.lcm(*np.unique(dens).tolist())
+            scale = (L // dens.astype(object))[:, None]
+            X = _int_array(self.numerators.astype(object) * scale)
+            X.flags.writeable = False
+            self._cache["common"] = (L, X)
+        return self._cache["common"]
+
+    def _key(self) -> tuple:
+        if "key" not in self._cache:
+            self._cache["key"] = (self.dim, self.distinct,
+                                  getattr(self, "labels", None),
+                                  tuple(map(tuple, self.numerators.tolist())),
+                                  tuple(self.denominators.tolist()))
+        return self._cache["key"]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(dim={self.dim}, n={self.n}, "
+                f"distinct={self.distinct})")
+
+
+class PointConfig(_RationalRows):
+    """Labeled points with exact rational coordinates; doubles as the
+    column storage of a d x n matrix (points are the columns).
+
+    Point i is numerators[i] / denominators[i], the column cleared of its
+    denominators, which is what the exact predicates read.  `points` is
+    the `Fraction` view, for the independent oracles and text output.
+    """
+
+    __slots__ = ("labels",)
+
+    def __init__(self, dim: int, points,
+                 labels: Optional[Sequence[str]] = None,
+                 distinct: bool = False):
+        rows = tuple(tuple(Fraction(c) for c in p) for p in points)
+        self._setup(dim, *_cleared(rows), labels, distinct, rows)
+
+    @classmethod
+    def from_integers(cls, dim: int, numerators, denominators=None,
+                      labels: Optional[Sequence[str]] = None,
+                      distinct: bool = False) -> "PointConfig":
+        """Points numerators[i] / denominators[i]; denominators default to
+        1, must be positive, and are reduced against the numerators."""
+        cfg = cls.__new__(cls)
+        cfg._setup(dim, numerators, denominators, labels, distinct)
+        return cfg
+
+    def __reduce__(self):
+        """Copy and pickle through the stored integers."""
+        return (type(self).from_integers,
+                (self.dim, self.numerators, self.denominators, self.labels,
+                 self.distinct))
+
+    def _setup(self, dim, numerators, denominators, labels, distinct,
+               rows=None):
+        if dim < 1:
+            raise ValueError("dimension must be positive")
+        for p in rows or ():
+            if len(p) != dim:
+                raise ValueError(f"point {p} does not have {dim} coordinates")
+        self._store(dim, numerators, denominators, distinct, dim, rows)
+        labels = None if labels is None else tuple(labels)
+        if labels is not None and len(labels) != self.n:
+            raise ValueError("one label per point")
+        object.__setattr__(self, "labels", labels)
+        if self.distinct and self.has_repeats():
+            raise ValueError("repeated columns are not allowed here")
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._rows()
 
     def to_text(self) -> str:
         lines = [f"{self.dim} {self.n}"]
@@ -81,34 +234,54 @@ class PointConfig:
         return cls(d, tuple(pts), distinct=distinct)
 
 
-@dataclass(frozen=True)
-class SphereConfig:
+class SphereConfig(_RationalRows):
     """Spheres stored as (center, radius_squared); radii themselves may be
-    irrational, so all predicates are polynomial in radius_squared."""
+    irrational, so all predicates are polynomial in radius_squared.
 
-    dim: int
-    spheres: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    distinct: bool = False
+    Row i of numerators holds the center's numerators and then the squared
+    radius's, all over denominators[i].  `spheres` is the `Fraction` view
+    of the (center, radius_squared) pairs.
+    """
 
-    def __post_init__(self):
-        if self.dim not in (2, 3):
+    __slots__ = ()
+
+    def __init__(self, dim: int, spheres, distinct: bool = False):
+        rows = tuple(tuple(Fraction(c) for c in center) + (Fraction(r2),)
+                     for center, r2 in spheres)
+        self._setup(dim, *_cleared(rows), distinct, rows)
+
+    @classmethod
+    def from_integers(cls, dim: int, numerators, denominators=None,
+                      distinct: bool = False) -> "SphereConfig":
+        """Spheres whose row numerators[i] = (center numerators..., squared
+        radius numerator) is over denominators[i] (default 1, positive)."""
+        cfg = cls.__new__(cls)
+        cfg._setup(dim, numerators, denominators, distinct)
+        return cfg
+
+    def __reduce__(self):
+        """Copy and pickle through the stored integers."""
+        return (type(self).from_integers,
+                (self.dim, self.numerators, self.denominators, self.distinct))
+
+    def _setup(self, dim, numerators, denominators, distinct, rows=None):
+        if dim not in (2, 3):
             raise ValueError("sphere predicates are implemented for d in {2,3}")
-        clean = []
-        for center, r2 in self.spheres:
-            center = tuple(Fraction(c) for c in center)
-            r2 = Fraction(r2)
-            if len(center) != self.dim:
+        for row in rows or ():
+            if len(row) != dim + 1:
                 raise ValueError("center dimension mismatch")
-            if r2 <= 0:
-                raise ValueError("radius_squared must be positive")
-            clean.append((center, r2))
-        object.__setattr__(self, "spheres", tuple(clean))
-        if self.distinct and len(set(clean)) != len(clean):
+        self._store(dim, numerators, denominators, distinct, dim + 1, rows)
+        if self.n and not (self.numerators[:, dim] > 0).all():
+            raise ValueError("radius_squared must be positive")
+        if self.distinct and self.has_repeats():
             raise ValueError("coincident spheres are not allowed here")
 
     @property
-    def n(self) -> int:
-        return len(self.spheres)
+    def spheres(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        if "spheres" not in self._cache:
+            self._cache["spheres"] = tuple((row[:-1], row[-1])
+                                           for row in self._rows())
+        return self._cache["spheres"]
 
     def to_text(self) -> str:
         lines = [f"{self.dim} {self.n}"]
@@ -169,17 +342,6 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _lcm_of_denominators(values: Iterable[Fraction]) -> int:
-    lcm = 1
-    for v in values:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    return lcm
-
-
-def _int_array(values: list[int], fits: bool) -> np.ndarray:
-    return np.array(values, dtype=np.int64 if fits else object)
-
-
 def _all_orders(hits: np.ndarray) -> list[tuple[int, ...]]:
     """Every ordering of every hit tuple, as tuples of python ints."""
     k = hits.shape[1]
@@ -187,47 +349,26 @@ def _all_orders(hits: np.ndarray) -> list[tuple[int, ...]]:
     return list(map(tuple, hits[:, perms].reshape(-1, k).tolist()))
 
 
-def clear_columns(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Scale each column to integers; returns (columns, scalars) with
-    original_col = int_col / scalar."""
-    cols = []
-    scalars = []
-    for p in points:
-        lcm = _lcm_of_denominators(p)
-        cols.append(tuple(int(c * lcm) for c in p))
-        scalars.append(lcm)
-    return cols, scalars
-
-
 def det_of_columns(config: PointConfig, idx: Sequence[int]) -> Fraction:
     """Exact determinant of the chosen columns, in the given order."""
-    cols, scalars = clear_columns([config.points[i] for i in idx])
-    rows = [[cols[c][r] for c in range(len(idx))] for r in range(config.dim)]
-    scale = math.prod(scalars)
+    idx = list(idx)
+    cols = config.numerators[idx].tolist()
+    rows = [[col[r] for col in cols] for r in range(config.dim)]
+    scale = math.prod(config.denominators[idx].tolist())
     return Fraction(det_bareiss(rows), scale)
 
 
-def _int_matrix_stats(cols: list[tuple[int, ...]], scalars: list[int]):
-    maxabs = [max((abs(c[r]) for c in cols), default=0)
-              for r in range(len(cols[0]))] if cols else []
-    return maxabs, max(scalars, default=1)
-
-
 def fits_int64(config: PointConfig) -> bool:
-    """Conservative check that the cleared-integer determinant sweep for
-    d in {2,3} stays inside int64."""
-    return _cleared_fit(*clear_columns(config.points), config.dim)
-
-
-def _cleared_fit(cols: list[tuple[int, ...]], scalars: list[int], d: int) -> bool:
-    """`fits_int64` on columns already cleared by `clear_columns`."""
-    if not cols:
+    """Conservative check that the determinant sweep for d in {2,3} over
+    the stored integers stays inside int64."""
+    if not config.n:
         return True
-    maxabs, smax = _int_matrix_stats(cols, scalars)
+    maxabs = [int(m) for m in np.abs(config.numerators).max(axis=0)]
+    smax = int(config.denominators.max())
     limit = 2**62
-    if d == 2:
+    if config.dim == 2:
         return 2 * maxabs[0] * maxabs[1] < limit and smax * smax < limit
-    if d == 3:
+    if config.dim == 3:
         m = max(maxabs)
         return 6 * m**3 < limit and smax**3 < limit
     return False
@@ -246,9 +387,9 @@ def unit_minor_hypergraph(M: PointConfig,
     d = M.dim
     if d < 2:
         raise ValueError("need ambient dimension >= 2")
-    if len(set(M.points)) != M.n:
+    if M.has_repeats():
         raise ValueError("repeated columns are not allowed")
-    hits, signs = _unit_hits(*clear_columns(M.points), d)
+    hits, signs = _unit_hits(M)
     perms = list(itertools.permutations(range(d)))
     orders = hits[:, perms]
     if target is DetTarget.EXACTLY_ONE:
@@ -258,23 +399,25 @@ def unit_minor_hypergraph(M: PointConfig,
                                     list(map(tuple, orders.reshape(-1, d).tolist())))
 
 
-def _unit_hits(cols, scalars, d) -> tuple[np.ndarray, np.ndarray]:
-    """The increasing d-subsets of the cleared columns with rational
-    determinant +-1, as an index array, and the sign of each: from the
-    int64 hit sweep for d in {2, 3} under the overflow guard, else from
-    the big-integer Bareiss loop."""
-    if d in (2, 3) and _cleared_fit(cols, scalars, d):
+def _unit_hits(M: PointConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The increasing d-subsets of the columns with rational determinant
+    +-1, as an index array, and the sign of each: from the int64 hit sweep
+    for d in {2, 3} under the overflow guard, else from the big-integer
+    Bareiss loop."""
+    d = M.dim
+    if d in (2, 3) and fits_int64(M):
         sweep = kernels.unit_pair_hits if d == 2 else kernels.unit_triple_hits
-        return sweep(*_int64_rows(cols, scalars, d))
-    found = list(_unit_minors(cols, scalars, d))
+        return sweep(*_int64_rows(M))
+    found = list(_unit_minors(M.numerators.tolist(),
+                              M.denominators.tolist(), d))
     hits = np.array([combo for combo, _ in found], dtype=np.int64).reshape(-1, d)
     return hits, np.array([sign for _, sign in found], dtype=np.int64)
 
 
-def _int64_rows(cols, scalars, d) -> list[np.ndarray]:
-    """The d coordinate rows and the scalars of cleared columns, as int64."""
-    return ([np.array([c[r] for c in cols], dtype=np.int64) for r in range(d)]
-            + [np.array(scalars, dtype=np.int64)])
+def _int64_rows(M: PointConfig) -> list[np.ndarray]:
+    """The coordinate rows of the stored numerators, then the denominators:
+    the arguments of the unit-minor kernels."""
+    return [M.numerators[:, r] for r in range(M.dim)] + [M.denominators]
 
 
 def _unit_minors(cols, scalars, d):
@@ -314,22 +457,21 @@ def count_unit_minors(M: PointConfig) -> int:
     det exactly 1 whenever |det| = 1.
     """
     d = M.dim
-    if len(set(M.points)) != M.n:
+    if M.has_repeats():
         raise ValueError("repeated columns are not allowed")
-    cols, scalars = clear_columns(M.points)
-    if d in (2, 3) and _cleared_fit(cols, scalars, d):
+    if d in (2, 3) and fits_int64(M):
         count = kernels.count_unit_pairs if d == 2 else kernels.count_unit_triples
-        return count(*_int64_rows(cols, scalars, d))
-    return sum(1 for _ in _unit_minors(cols, scalars, d))
+        return count(*_int64_rows(M))
+    return sum(1 for _ in _unit_minors(M.numerators.tolist(),
+                                       M.denominators.tolist(), d))
 
 
 def count_unit_minors_naive(M: PointConfig) -> int:
     """Independent oracle: plain rational Gaussian elimination per subset."""
     d = M.dim
     count = 0
-    for combo in itertools.combinations(range(M.n), d):
-        m = [[M.points[i][r] for i in combo] for r in range(d)]
-        det = _det_fraction_gauss(m)
+    for cols in itertools.combinations(M.points, d):
+        det = _det_fraction_gauss([[c[r] for c in cols] for r in range(d)])
         if det == 1 or det == -1:
             count += 1
     return count
@@ -376,18 +518,16 @@ def _area_band_args(P: PointConfig, lo, hi) -> tuple:
     object arrays of python ints."""
     if P.dim != 2:
         raise ValueError("triangle areas live in the plane")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = (q if isinstance(q, Fraction) else Fraction(q) for q in (lo, hi))
     if lo > hi:
         raise ValueError("need lo <= hi")
-    lcm = _lcm_of_denominators(c for p in P.points for c in p)
-    xs = [int(p[0] * lcm) for p in P.points]
-    ys = [int(p[1] * lcm) for p in P.points]
-    scale2 = lcm * lcm
-    maxc = max([1] + [abs(v) for v in xs] + [abs(v) for v in ys])
+    L, X = P.common_denominator()
+    scale2 = L * L
+    maxc = max(1, int(np.abs(X).max(initial=0)))
     bound = max(8 * maxc * maxc * max(lo.denominator, hi.denominator),
                 2 * scale2 * max(abs(lo.numerator), abs(hi.numerator)))
-    fits = bound < 2**62
-    return (_int_array(xs, fits), _int_array(ys, fits),
+    X = X.astype(np.int64 if bound < 2**62 else object)
+    return (X[:, 0], X[:, 1],
             lo.numerator, lo.denominator, hi.numerator, hi.denominator, scale2)
 
 
@@ -411,8 +551,8 @@ def count_almost_unit_area_naive(P: PointConfig, lo=Fraction(9, 10),
     """Independent oracle: direct rational triple loop."""
     lo, hi = Fraction(lo), Fraction(hi)
     count = 0
-    for i, j, l in itertools.combinations(range(P.n), 3):
-        a2 = triangle_double_area(P.points[i], P.points[j], P.points[l])
+    for p, q, r in itertools.combinations(P.points, 3):
+        a2 = triangle_double_area(p, q, r)
         if 2 * lo <= a2 <= 2 * hi:
             count += 1
     return count
@@ -543,19 +683,16 @@ def _sphere_hits(S: SphereConfig) -> tuple[np.ndarray, np.ndarray]:
     """The intersecting pairs (d=2) or triples (d=3) of S as increasing
     index tuples, and their degenerate flags, from one integer sweep.
 
-    Centres are scaled by L, the lcm of every denominator, and squared
-    radii by L^2.  g bounds every |u|^2, |u.w| and |rho| of the sweep,
-    whose products stay below 8 g^3 (see kernels.sphere_triple_hits);
-    past the int64 guard the sweep runs on python ints."""
-    lcm = _lcm_of_denominators(
-        [r2 for _, r2 in S.spheres] + [c for center, _ in S.spheres for c in center])
-    cs = [int(c * lcm) for center, _ in S.spheres for c in center]
-    rs = [int(r2 * lcm * lcm) for _, r2 in S.spheres]
-    span = 2 * max([0] + [abs(v) for v in cs])
-    g = S.dim * span * span + max([0] + rs)
-    fits = 16 * g**3 < 2**62
-    c = _int_array(cs, fits).reshape(S.n, S.dim)
-    r2 = _int_array(rs, fits)
+    Centres are scaled by L, the common denominator, and squared radii
+    by L^2.  g bounds every |u|^2, |u.w| and |rho| of the sweep, whose
+    products stay below 8 g^3 (see kernels.sphere_triple_hits); past the
+    int64 guard the sweep runs on python ints."""
+    L, X = S.common_denominator()
+    c, r2 = X[:, :S.dim], X[:, S.dim].astype(object) * L
+    span = 2 * int(np.abs(c).max(initial=0))
+    g = S.dim * span * span + int(r2.max(initial=0))
+    dtype = np.int64 if 16 * g**3 < 2**62 else object
+    c, r2 = c.astype(dtype), r2.astype(dtype)
     if S.dim == 2:
         return kernels.circle_pair_hits(c, r2)
     return kernels.sphere_triple_hits(c, r2)
@@ -579,14 +716,11 @@ def count_sphere_intersections_naive(S: SphereConfig) -> int:
     """Independent oracle: the rational predicates on every pair (d=2)
     or triple (d=3)."""
     if S.dim == 2:
-        return sum(
-            1 for i, j in itertools.combinations(range(S.n), 2)
-            if circles_intersect(S.spheres[i][0], S.spheres[i][1],
-                                 S.spheres[j][0], S.spheres[j][1])[0])
-    return sum(
-        1 for i, j, l in itertools.combinations(range(S.n), 3)
-        if spheres_triple_intersect(S.spheres[i], S.spheres[j],
-                                    S.spheres[l])[0])
+        pairs = itertools.combinations(S.spheres, 2)
+        return sum(1 for (c1, a), (c2, b) in pairs
+                   if circles_intersect(c1, a, c2, b)[0])
+    return sum(1 for triple in itertools.combinations(S.spheres, 3)
+               if spheres_triple_intersect(*triple)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -608,22 +742,17 @@ def st_lower_bound_minor_config(d: int, scale: int) -> PointConfig:
     if scale < 2:
         raise ValueError("need scale >= 2")
     s = scale
-    cols: list[tuple[Fraction, ...]] = []
-    pad = (Fraction(0),) * (d - 2)
-    for a in range(1, s + 1):
-        for b in range(1, s * s + 1):
-            cols.append((Fraction(1, b), Fraction(a, b)) + pad)
-    for x in range(s + 1, 2 * s + 1):
-        for y in range(1, 2 * s * s + 1):
-            cols.append((Fraction(x), Fraction(y)) + pad)
-    gap = 2 * s * s + 2
+    a, b = np.divmod(np.arange(s**3), s * s)
+    x, y = np.divmod(np.arange(2 * s**3), 2 * s * s)
+    chain = np.arange(1, s + 1) * (2 * s * s + 2)
+    nums = np.zeros((3 * s**3 + (d - 2) * s, d), dtype=np.int64)
+    dens = np.ones(len(nums), dtype=np.int64)
+    nums[:s**3, 0], nums[:s**3, 1], dens[:s**3] = 1, a + 1, b + 1
+    nums[s**3:3 * s**3, 0], nums[s**3:3 * s**3, 1] = x + s + 1, y + 1
     for part in range(3, d + 1):
-        for idx in range(1, s + 1):
-            col = [Fraction(0)] * d
-            col[part - 2] = Fraction(idx * gap)
-            col[part - 1] = Fraction(1)
-            cols.append(tuple(col))
-    return PointConfig(d, tuple(cols), distinct=True)
+        at = 3 * s**3 + (part - 3) * s
+        nums[at:at + s, part - 2], nums[at:at + s, part - 1] = chain, 1
+    return PointConfig.from_integers(d, nums, dens, distinct=True)
 
 
 def st_incidence_count(scale: int) -> int:
@@ -648,14 +777,13 @@ def k1uu_config(d: int, u: int) -> PointConfig:
     with one vertex in part 1 and u in every other part."""
     if d < 2 or u < 1:
         raise ValueError("need d >= 2 and u >= 1")
-    cols = [(Fraction(1),) + (Fraction(0),) * (d - 1)]
+    cols = [[1] + [0] * (d - 1)]
     for part in range(2, d + 1):
         for x in range(1, u + 1):
-            col = [Fraction(0)] * d
-            col[part - 2] = Fraction(x)
-            col[part - 1] = Fraction(1)
-            cols.append(tuple(col))
-    return PointConfig(d, tuple(cols), distinct=True)
+            col = [0] * d
+            col[part - 2], col[part - 1] = x, 1
+            cols.append(col)
+    return PointConfig.from_integers(d, cols, distinct=True)
 
 
 # ---------------------------------------------------------------------------

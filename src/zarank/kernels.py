@@ -1,10 +1,11 @@
 """Hot kernels: exact integer sweeps over column tuples.
 
-Every kernel is numpy.  The unit-minor kernels take denominator-cleared
-int64 columns: column i is (x_i, y_i[, z_i]) / s_i.  Callers are
-responsible for checking that the cleared integers cannot overflow
-int64 (see geometry.fits_int64) and for taking the big-integer Bareiss
-path when they might.
+Every kernel is numpy.  The unit-minor kernels take a configuration's
+stored int64 columns: column i is (x_i, y_i[, z_i]) / s_i, the
+numerators over the column's denominator.  Callers are responsible for
+checking that these integers cannot overflow int64 (see
+geometry.fits_int64) and for taking the big-integer Bareiss path when
+they might.
 
 `count_unit_pairs` counts the unit 2x2 minors by direction classes: a
 sorted join per heavy class and lattice-line enumeration for the light

@@ -16,10 +16,10 @@ line is acceptable, it fits a polynomial by soft-sign Gauss-Newton in
 the monomial basis, seeded from lifted-point subsets.  Acceptance is
 gated by exact rational sign verification, so a returned partition is
 correct regardless of how the search behaved, and `verify_partition`
-re-checks it by its own integer evaluation.  The search is sequential and consumes candidates in a
-seeded canonical order, so results are reproducible.  Linear-time
-ham-sandwich cuts (Lo, Matousek and Steiger, DCG 1994) would serve
-larger n at the two line levels.
+re-checks it by its own integer evaluation.  The search is sequential
+and consumes candidates in a seeded canonical order, so results are
+reproducible.  Linear-time ham-sandwich cuts (Lo, Matousek and Steiger,
+DCG 1994) would serve larger n at the two line levels.
 """
 
 from __future__ import annotations
@@ -108,19 +108,16 @@ def level_degree(dim: int, level: int) -> int:
 class _ExactEvaluator:
     """Signs of rational polynomials at rational points via big integers.
 
-    Points are scaled by a common denominator L; a polynomial of degree D
-    with integer coefficients C_e satisfies
+    Points are scaled by their common denominator L (the configuration's
+    `common_denominator`), giving integer points X; a polynomial of degree
+    D with integer coefficients C_e satisfies
         sign g(x) = sign sum_e C_e * X^e * L^(D - |e|).
     """
 
-    def __init__(self, points: Sequence[Sequence[Fraction]]):
-        L = 1
-        for p in points:
-            for c in p:
-                L = L * c.denominator // math.gcd(L, c.denominator)
+    def __init__(self, P: PointConfig):
+        L, X = P.common_denominator()
         self.L = L
-        self.X = [tuple(c.numerator * (L // c.denominator) for c in p)
-                  for p in points]
+        self.X = X.tolist()
         self._tables: dict[tuple[int, tuple], list[list[int]]] = {}
 
     def table(self, monos: Sequence[tuple[int, ...]], degree: int) -> list[list[int]]:
@@ -492,8 +489,9 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
     d = P.dim
     m = max(1, math.ceil(math.log2(r)))
     rng = np.random.default_rng(seed)
-    evaluator = _ExactEvaluator(P.points)
-    points_f = np.array([[float(c) for c in p] for p in P.points])
+    evaluator = _ExactEvaluator(P)
+    # x / L is correctly rounded, so this equals float() of each coordinate
+    points_f = np.array([[x / evaluator.L for x in p] for p in evaluator.X])
 
     factors: list[MultiPoly] = []
     levels: list[LevelReport] = []

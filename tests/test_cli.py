@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from zarank import experiments
 from zarank.cli import main
 from zarank.geometry import PointConfig, SphereConfig
 from zarank.hypergraph import KPartiteHypergraph
@@ -240,9 +241,44 @@ class TestInputErrors:
         ({"kind": "minors", "d": 2}, "no 'sizes' field"),
         ({"kind": "minors", "d": 2, "sizes": [20, 40, 80], "colour": 1},
          "colour"),
+        # specs the sweep cannot run as asked
+        ({"kind": "minors", "d": 1, "sizes": [4, 8, 16]},
+         "minors sweeps need d >= 2"),
+        ({"kind": "spheres", "d": 4, "sizes": [10, 20, 40]},
+         "spheres sweeps need d = 2 or 3"),
+        ({"kind": "st-config", "d": 2, "sizes": [1, 2, 3]},
+         "st-config sizes must be >= 2"),
+        ({"kind": "k1uu", "d": 3, "sizes": [0, 2, 3]},
+         "k1uu sizes must be >= 1"),
+        ({"kind": "minors", "d": 2, "sizes": [0, 20, 40]},
+         "minors sizes must be >= 1"),
+        ({"kind": "partition", "d": 2, "sizes": [8, 64]},
+         "partition sizes must be >= 16"),
+        ({"kind": "minors", "d": 2, "sizes": [20, 40, 80], "tolerance": "x"},
+         "tolerance must be a number"),
+        ({"kind": "minors", "d": 2, "sizes": [20, 40, 80], "variant": "nope"},
+         "unknown variant 'nope'"),
+        ({"kind": "minors", "d": 2, "sizes": [20, 40, 80],
+          "det_target": "bogus"}, "unknown det_target 'bogus'"),
+        ({"kind": "triangles", "d": 3, "sizes": [10, 20, 30]},
+         "triangles sweeps need d = 2"),
     ])
     def test_experiment_invalid_spec(self, tmp_path, capsys, spec, fragment):
         sf = tmp_path / "spec.json"
         sf.write_text(json.dumps(spec))
         msg = self.check(capsys, "experiment", "--spec", str(sf))
         assert fragment in msg
+
+    def test_one_dimensional_minors_rejected_before_any_loop(
+            self, tmp_path, capsys, monkeypatch):
+        """Only isqrt(n - 1) + 1 distinct 1-columns exist, so the matrix
+        generator would never finish: the spec must fail at parse time."""
+        def never(*args):
+            raise AssertionError("the generator ran")
+
+        monkeypatch.setattr(experiments, "_random_matrix", never)
+        monkeypatch.setattr(experiments, "_run_size", never)
+        sf = tmp_path / "spec.json"
+        sf.write_text(json.dumps({"kind": "minors", "d": 1,
+                                  "sizes": [4, 8, 16]}))
+        self.check(capsys, "experiment", "--spec", str(sf))

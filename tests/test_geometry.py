@@ -1,20 +1,27 @@
 """Exact geometry: determinants, builders, predicates, extremal configs."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zarank import geometry
+from zarank.experiments import (
+    ExperimentSpec,
+    _random_spheres,
+    _random_triangle_points,
+)
 from zarank.geometry import (
     DetTarget,
     PointConfig,
     SphereConfig,
     circles_intersect,
-    clear_columns,
     count_almost_unit_area,
     count_almost_unit_area_naive,
     count_sphere_intersections,
@@ -71,8 +78,9 @@ class TestDeterminants:
         assert det_of_columns(cfg, (1, 0)) == Fraction(-1, 3)
 
     def test_clear_columns(self):
-        cols, scalars = clear_columns(frac_points([(Fraction(1, 2), Fraction(3, 4))]))
-        assert cols == [(2, 3)] and scalars == [4]
+        cfg = PointConfig(2, frac_points([(Fraction(1, 2), Fraction(3, 4))]))
+        assert cfg.numerators.tolist() == [[2, 3]]
+        assert cfg.denominators.tolist() == [4]
 
 
 class TestUnitMinorHypergraph:
@@ -572,3 +580,150 @@ class TestPointFile:
     def test_text_format(self):
         cfg = PointConfig(2, frac_points([(Fraction(1, 2), 3)]))
         assert cfg.to_text() == "2 1\n1/2 3\n"
+
+
+# ---------------------------------------------------------------------------
+# the stored integer form: both constructors agree
+
+
+# small values, zero, and values on both sides of the int64 storage limit
+# and of the 2^62 overflow guard
+BIG = [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**64 + 3]
+numerator = st.one_of(st.integers(-12, 12), st.sampled_from(BIG),
+                      st.sampled_from([-v for v in BIG]))
+denominator = st.one_of(st.integers(1, 12), st.sampled_from(BIG))
+
+
+@st.composite
+def integer_rows(draw, k_lo, k_hi, positive_last=False):
+    k = draw(st.integers(k_lo, k_hi))
+    n = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(n):
+        row = [draw(numerator) for _ in range(k)]
+        if positive_last:
+            row[-1] = abs(row[-1]) or 1
+        rows.append(row)
+    return k, rows, [draw(denominator) for _ in range(n)]
+
+
+def assert_same_config(a, b):
+    assert a.numerators.dtype == b.numerators.dtype
+    assert a.denominators.dtype == b.denominators.dtype
+    assert a.numerators.tolist() == b.numerators.tolist()
+    assert a.denominators.tolist() == b.denominators.tolist()
+    assert a.to_text() == b.to_text()
+    assert a == b and hash(a) == hash(b)
+
+
+def assert_lowest_terms(cfg, rows):
+    """Row i of cfg is rows[i] as Fractions, stored over a positive
+    denominator with no common factor."""
+    for num, q, want in zip(cfg.numerators.tolist(),
+                            cfg.denominators.tolist(), rows):
+        assert q > 0 and math.gcd(q, *num) == 1
+        assert tuple(Fraction(a, q) for a in num) == want
+    for a in (cfg.numerators, cfg.denominators):
+        fits = all(abs(v) < 2**63 for v in a.ravel().tolist())
+        assert (a.dtype == np.int64) == fits
+
+
+class TestIntegerConstructor:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_rows(1, 3))
+    def test_points_round_trip(self, data):
+        dim, nums, dens = data
+        rows = tuple(tuple(Fraction(a, q) for a in row)
+                     for row, q in zip(nums, dens))
+        cfg = PointConfig.from_integers(dim, nums, dens)
+        assert_same_config(cfg, PointConfig(dim, rows))
+        assert cfg.points == rows
+        assert_lowest_terms(cfg, rows)
+        assert cfg.has_repeats() == (len(set(rows)) != len(rows))
+        L, X = cfg.common_denominator()
+        assert L == math.lcm(*(c.denominator for p in rows for c in p))
+        assert X.tolist() == [[int(c * L) for c in p] for p in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_rows(3, 4, positive_last=True))
+    def test_spheres_round_trip(self, data):
+        k, nums, dens = data
+        rows = tuple(tuple(Fraction(a, q) for a in row)
+                     for row, q in zip(nums, dens))
+        spheres = tuple((row[:-1], row[-1]) for row in rows)
+        cfg = SphereConfig.from_integers(k - 1, nums, dens)
+        assert_same_config(cfg, SphereConfig(k - 1, spheres))
+        assert cfg.spheres == spheres
+        assert_lowest_terms(cfg, rows)
+
+    def test_unreduced_input_is_reduced(self):
+        cfg = PointConfig.from_integers(2, [(2, 4), (0, 0), (-3, 6)],
+                                        [6, 5, 3])
+        assert cfg.numerators.tolist() == [[1, 2], [0, 0], [-1, 2]]
+        assert cfg.denominators.tolist() == [3, 1, 1]
+        assert cfg == PointConfig(2, [(Fraction(1, 3), Fraction(2, 3)),
+                                      (0, 0), (-1, 2)])
+
+    def test_rejects_bad_integer_input(self):
+        with pytest.raises(ValueError):
+            PointConfig.from_integers(2, [(1, 2)], [0])
+        with pytest.raises(ValueError):
+            PointConfig.from_integers(2, [(1, 2, 3)])
+        with pytest.raises(ValueError):
+            PointConfig.from_integers(2, [(1, 2), (2, 4)], [1, 2],
+                                      distinct=True)
+        with pytest.raises(ValueError):  # a repeat among large values
+            PointConfig.from_integers(2, [(2**62, 1), (-2**62, 1), (2**62, 1)],
+                                      distinct=True)
+        with pytest.raises(ValueError):
+            SphereConfig.from_integers(2, [(1, 2, 0)])
+
+    def test_configs_are_immutable(self):
+        cfg = PointConfig.from_integers(2, [(1, 2)])
+        with pytest.raises(AttributeError):
+            cfg.dim = 3
+        with pytest.raises(ValueError):
+            cfg.numerators[0, 0] = 5
+        with pytest.raises(ValueError):
+            cfg.common_denominator()[1][0, 0] = 5
+
+    @pytest.mark.parametrize("cfg", [
+        PointConfig(2, [(Fraction(1, 2), 3), (2**70, Fraction(-1, 3))],
+                    labels=("a", "b"), distinct=True),
+        SphereConfig(3, [((Fraction(1, 2), 0, 2**64), Fraction(5, 4))],
+                     distinct=True),
+    ])
+    def test_copy_and_pickle(self, cfg):
+        for twin in (copy.copy(cfg), copy.deepcopy(cfg),
+                     pickle.loads(pickle.dumps(cfg))):
+            assert type(twin) is type(cfg)
+            assert_same_config(twin, cfg)
+            assert twin.distinct and twin.to_text() == cfg.to_text()
+            assert getattr(twin, "labels", None) == getattr(cfg, "labels", None)
+
+
+def test_sweeps_on_generator_output_build_no_fraction(monkeypatch):
+    """The unit-minor count, the area band and the sphere sweeps read the
+    stored integers of generator output; no `Fraction` is made."""
+    specs = [ExperimentSpec(kind=kind, d=d, sizes=(10, 20, 30))
+             for kind, d in (("triangles", 2), ("spheres", 2), ("spheres", 3))]
+    made = []
+    original = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    assert count_unit_minors(st_lower_bound_minor_config(2, 16)) > 0
+    P = _random_triangle_points(specs[0], 40)
+    assert count_almost_unit_area(P) * 6 \
+        == almost_unit_area_hypergraph(P).num_edges
+    for spec in specs[1:]:
+        S = _random_spheres(spec, 40)
+        hypergraph, _ = sphere_intersection_hypergraph(S)
+        assert count_sphere_intersections(S) * math.factorial(S.dim) \
+            == hypergraph.num_edges
+    assert made == []
+    Fraction(1, 3)
+    assert made == [(1, 3)]

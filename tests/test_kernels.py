@@ -17,7 +17,6 @@ from zarank import kernels
 from zarank.geometry import (
     _unit_minors,
     circles_intersect,
-    clear_columns,
     det_bareiss,
     spheres_triple_intersect,
     st_lower_bound_minor_config,
@@ -201,8 +200,8 @@ def test_unit_pair_count_just_under_the_guard(cols):
 
 @pytest.mark.parametrize("scale", [4, 8, 12, 16])
 def test_unit_pair_count_on_st_config(scale):
-    cols, scalars = clear_columns(st_lower_bound_minor_config(2, scale).points)
-    x, y, s = as_arrays([c + (t,) for c, t in zip(cols, scalars)])
+    cfg = st_lower_bound_minor_config(2, scale)
+    (x, y), s = cfg.numerators.T, cfg.denominators
     assert kernels.count_unit_pairs(x, y, s) == kernels._unit_pairs_numpy(x, y, s)
 
 

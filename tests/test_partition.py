@@ -191,7 +191,8 @@ def assert_sides_match(points, parts, block=2 ** 18):
     act = sorted(set().union(*parts))
     swept = []
     with mock.patch.object(partition, "_SWEEP_BLOCK", block):
-        blocks = list(_anchor_sides(_ExactEvaluator(points).X, parts))
+        blocks = list(_anchor_sides(_ExactEvaluator(PointConfig(2, points)).X,
+                                    parts))
     for anchors, on_anchor, left, right in blocks:
         for b, a in enumerate(anchors):
             swept.append(a)
