@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the hot kernels: the unit-minor pair count by direction
-classes against the quadratic block sweep, and the area-band hit sweep.
+classes against the quadratic row sweep, and the area-band hit sweep.
 
 Usage: python benchmarks/bench_kernels.py [--scale 16] [--points 400]
 
 The pair count runs on the stored integer columns (numerators over
 denominators) of the extremal configuration at --scale, once through
-`kernels.count_unit_pairs` and once through `kernels._unit_pairs_numpy`,
-the O(n^2) block sweep it replaced; the two counts are asserted equal.
+`kernels.count_unit_pairs` and once as the number of hits of
+`kernels.unit_pair_hits`, the O(n^2) row sweep; the two counts are
+asserted equal.
 Timings are the best of three wall-clock calls.
 """
 
@@ -18,6 +19,10 @@ import numpy as np
 
 from zarank import kernels
 from zarank.geometry import st_lower_bound_minor_config
+
+
+def row_sweep_count(x, y, s):
+    return len(kernels.unit_pair_hits(x, y, s)[0])
 
 
 def time_call(fn, *args, repeat=3):
@@ -35,7 +40,7 @@ def bench_unit_pairs(scale: int):
     (x, y), s = cfg.numerators.T, cfg.denominators
     rows = []
     for name, fn in (("direction classes", kernels.count_unit_pairs),
-                     ("block sweep", kernels._unit_pairs_numpy)):
+                     ("row sweep", row_sweep_count)):
         count, secs = time_call(fn, x, y, s)
         rows.append((name, count, secs))
     return cfg.n, rows

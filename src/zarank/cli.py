@@ -177,35 +177,33 @@ def _write_out(text: str, path) -> None:
 def cmd_build(args) -> int:
     kind = args.kind
     target = DetTarget(args.target)
+    degenerate = ()
     if kind == "minors":
         cfg = _load(args.points, PointConfig.from_text, distinct=True)
         H = unit_minor_hypergraph(cfg, target)
-        _write_out(H.to_text(), args.out)
-        return EXIT_OK
-    if kind == "triangles":
+    elif kind == "triangles":
         cfg = _load(args.points, PointConfig.from_text)
         H = almost_unit_area_hypergraph(cfg, parse_rational(args.lo),
                                         parse_rational(args.hi))
-        _write_out(H.to_text(), args.out)
-        return EXIT_OK
-    if kind == "spheres":
+    elif kind == "spheres":
         cfg = _load(args.spheres, SphereConfig.from_text)
         H, degenerate = sphere_intersection_hypergraph(cfg)
-        _write_out(H.to_text(), args.out)
-        if degenerate:
-            print(f"degenerate edges: {sorted(degenerate)}", file=sys.stderr)
-        return EXIT_OK
-    if kind == "st-config":
-        cfg = st_lower_bound_minor_config(args.d, args.scale)
-    elif kind == "k1uu":
-        cfg = k1uu_config(args.d, args.u)
     else:
-        raise SystemExit(f"unknown build kind {kind!r}")
-    _write_out(cfg.to_text(), args.out)
-    if args.hypergraph:
-        H = unit_minor_hypergraph(cfg, target)
-        with open(args.hypergraph, "w", encoding="utf-8") as fh:
-            fh.write(H.to_text())
+        if kind == "st-config":
+            cfg = st_lower_bound_minor_config(args.d, args.scale)
+        elif kind == "k1uu":
+            cfg = k1uu_config(args.d, args.u)
+        else:
+            raise SystemExit(f"unknown build kind {kind!r}")
+        _write_out(cfg.to_text(), args.out)
+        if args.hypergraph:
+            H = unit_minor_hypergraph(cfg, target)
+            with open(args.hypergraph, "w", encoding="utf-8") as fh:
+                fh.write(H.to_text())
+        return EXIT_OK
+    _write_out(H.to_text(), args.out)
+    if degenerate:
+        print(f"degenerate edges: {sorted(degenerate)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -214,19 +214,8 @@ class PowerProduct:
     def __lt__(self, other: "PowerProduct") -> bool:
         return self.compare(other) < 0
 
-    def log_mpf(self) -> mpmath.mpf:
-        """Natural log at current mpmath working precision."""
-        total = mpmath.mpf(0)
-        for p, e in self.exps.items():
-            total += mpmath.mpf(e.numerator) / e.denominator * mpmath.log(p)
-        return total
-
-    def mpf(self) -> mpmath.mpf:
-        return mpmath.exp(self.log_mpf())
-
     def __float__(self) -> float:
-        with mpmath.workprec(80):
-            return float(self.mpf())
+        return float(PowerSum.from_product(self))
 
     def base_exp_pairs(self) -> list[tuple[int, Fraction]]:
         return sorted(self.exps.items())
@@ -253,9 +242,7 @@ def _add_exponent(exps: dict[int, Fraction], p: int, e: Fraction) -> None:
 def _compare_exact(diff: PowerProduct) -> int:
     """Sign of log(diff) by big integers: clear the exponent denominators
     and compare the products of the positive and negative powers."""
-    lcm = 1
-    for e in diff.exps.values():
-        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
+    lcm = math.lcm(*(e.denominator for e in diff.exps.values()))
     hi = 1
     lo = 1
     for p, e in diff.exps.items():

@@ -357,16 +357,19 @@ def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
                 if spec.kind == "st-config" else "")
         return SizeResult(size, cfg.n, count, note=note)
     # one sweep per size: the hypergraph holds the orderings of each hit
-    # subset (for unit minors the d!/2 with determinant exactly 1), so the
-    # count is read off the hypergraph the pattern check needs anyway
+    # subset (for unit minors the d!/2 with determinant exactly 1, or all
+    # d! for +-1), so the count is read off the hypergraph the pattern
+    # check needs anyway
     if spec.kind == "triangles":
         H, orderings = almost_unit_area_hypergraph(cfg), math.factorial(k)
     elif spec.kind == "spheres":
         H = sphere_intersection_hypergraph(cfg)[0]
         orderings = math.factorial(k)
     else:
-        H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
-        orderings = math.factorial(k) // 2
+        target = DetTarget(spec.det_target)
+        H = unit_minor_hypergraph(cfg, target)
+        orderings = math.factorial(k) // (
+            2 if target is DetTarget.EXACTLY_ONE else 1)
     checked, free, note = _check_kfree(spec, H, k)
     return SizeResult(size, cfg.n, H.num_edges // orderings,
                       checked, free, False, note)
@@ -393,19 +396,24 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     Per size: build the configuration, count exactly, verify the
     pattern-freeness precondition where it applies (skipped with a note
-    when the budget trips).  The two smallest completed sizes are
-    recounted by an independent naive enumerator.  The slope of the
-    log-log fit is compared against the predicted exponent.
+    when the budget trips).  The two smallest completed sizes within the
+    oracle's cap are recounted by an independent naive enumerator.  The
+    slope of the log-log fit is compared against the predicted exponent.
     """
     t0 = time.time()
     results = [_run_size(spec, s) for s in spec.sizes]
 
+    # the oracle's cap is on k-subsets, so no size after the first past it fits
     cross_checked = 0
     for res in results:
-        if res.skipped or cross_checked >= 2:
+        if res.skipped:
             continue
+        if cross_checked >= 2:
+            break
         naive = _naive_recount(spec, res.size)
-        if naive is not None and naive != res.count:
+        if naive is None:
+            break
+        if naive != res.count:
             raise AssertionError(
                 f"oracle mismatch at size {res.size}: {res.count} != {naive}")
         cross_checked += 1
@@ -483,7 +491,7 @@ def report_svg(report: ExperimentReport, width: int = 480,
         if report.slope is not None and len(pts) >= 2:
             xbar = sum(lx) / len(lx)
             ybar = sum(ly) / len(ly)
-            s = report.slope * math.log(10) / math.log(10)
+            s = report.slope
             ia = ybar - s * xbar
             parts.append(
                 f'<line x1="{sx(x0):.2f}" y1="{sy(s * x0 + ia):.2f}" '

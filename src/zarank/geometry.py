@@ -824,8 +824,7 @@ def halfplane_traces(points: Sequence[Sequence[Fraction]]) -> set[frozenset[int]
 
 
 def _primitive(v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    lcm = v[0].denominator * v[1].denominator // math.gcd(
-        v[0].denominator, v[1].denominator)
+    lcm = math.lcm(v[0].denominator, v[1].denominator)
     a, b = int(v[0] * lcm), int(v[1] * lcm)
     g = math.gcd(abs(a), abs(b))
     return (Fraction(a // g), Fraction(b // g))

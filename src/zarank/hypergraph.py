@@ -124,31 +124,6 @@ class DetectionResult:
     tests: int
 
 
-def _detect_bipartite(rows: list[int], u1: int, u2: int,
-                      budget: list[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    n1 = len(rows)
-    need = u2
-    cand = [i for i in range(n1) if rows[i].bit_count() >= need]
-    for combo in itertools.combinations(cand, u1):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceededError("pattern search budget exhausted")
-        inter = rows[combo[0]]
-        for i in combo[1:]:
-            inter &= rows[i]
-            if inter.bit_count() < need:
-                break
-        else:
-            cols = []
-            m = inter
-            while m and len(cols) < need:
-                b = (m & -m).bit_length() - 1
-                cols.append(b)
-                m &= m - 1
-            return combo, tuple(cols)
-    return None
-
-
 def contains_complete(H: KPartiteHypergraph, pat: ForbiddenPattern,
                       budget: int = 10**8) -> DetectionResult:
     """Search for a complete K_{u_1,...,u_k} subhypergraph.
@@ -179,24 +154,6 @@ def contains_complete(H: KPartiteHypergraph, pat: ForbiddenPattern,
         return DetectionResult(False, None, budget - spent[0])
 
     order = sorted(range(H.k), key=lambda i: -pat.u[i])
-
-    if H.k == 2:
-        # bitmask fast path on the reordered parts
-        i0, i1 = order
-        rows = [0] * H.part_sizes[i0]
-        for e in H.edges:
-            if e[i0] in alive[i0] and e[i1] in alive[i1]:
-                rows[e[i0]] |= 1 << e[i1]
-        try:
-            hit = _detect_bipartite(rows, pat.u[i0], pat.u[i1], spent)
-        except BudgetExceededError:
-            raise
-        if hit is None:
-            return DetectionResult(False, None, budget - spent[0])
-        witness = [None, None]
-        witness[i0] = tuple(sorted(hit[0]))
-        witness[i1] = tuple(sorted(hit[1]))
-        return DetectionResult(True, tuple(witness), budget - spent[0])
 
     def recurse(level: int, tuples: set[tuple[int, ...]],
                 chosen: list[tuple[int, ...]]) -> Optional[list[tuple[int, ...]]]:
@@ -382,28 +339,22 @@ def find_low_crossing_tuple(G: KPartiteHypergraph, u: int,
                 c += 1
         return c
 
-    total = math.comb(nq, u)
-    if total * len(rows) <= budget:
-        best = None
-        for combo in itertools.combinations(range(nq), u):
-            mask = 0
-            for q in combo:
-                mask |= 1 << q
-            c = crossings(mask)
-            if best is None or c < best[1]:
-                best = (combo, c)
-        return LowCrossingResult(best[0], best[1], True)
-    rng = random.Random(seed)
+    exhaustive = math.comb(nq, u) * len(rows) <= budget
+    if exhaustive:
+        combos = itertools.combinations(range(nq), u)
+    else:
+        rng = random.Random(seed)
+        combos = (tuple(sorted(rng.sample(range(nq), u)))
+                  for _ in range(trials))
     best = None
-    for _ in range(trials):
-        combo = tuple(sorted(rng.sample(range(nq), u)))
+    for combo in combos:
         mask = 0
         for q in combo:
             mask |= 1 << q
         c = crossings(mask)
         if best is None or c < best[1]:
             best = (combo, c)
-    return LowCrossingResult(best[0], best[1], False)
+    return LowCrossingResult(best[0], best[1], exhaustive)
 
 
 # ---------------------------------------------------------------------------

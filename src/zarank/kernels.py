@@ -10,9 +10,9 @@ they might.
 `count_unit_pairs` counts the unit 2x2 minors by direction classes: a
 sorted join per heavy class and lattice-line enumeration for the light
 columns, sub-quadratic on incidence-like data such as the
-Szemeredi-Trotter configuration; the quadratic block sweep
-`_unit_pairs_numpy` takes only the light columns whose partner lines
-hold too many lattice points, and is the tests' oracle.
+Szemeredi-Trotter configuration; the quadratic row sweep
+`unit_pair_hits` takes only the light columns whose partner lines hold
+too many lattice points, and is the tests' oracle.
 
 The hit sweeps return the hit index tuples, from which the caller takes
 both the count (their number) and the hypergraph (their orderings):
@@ -37,30 +37,6 @@ _CHUNK = 1 << 20
 def active_backend() -> str:
     """The backend the kernels run on, for run records: always numpy."""
     return "numpy"
-
-
-def _unit_pairs_numpy(x, y, s, rows: int | None = None,
-                      block: int = 2048) -> int:
-    """Pairs i<j with i < rows (every pair by default) and
-    |x_i y_j - y_i x_j| == s_i s_j: the quadratic block sweep."""
-    n = x.shape[0]
-    rows = n if rows is None else rows
-    total = 0
-    for i0 in range(0, rows, block):
-        i1 = min(i0 + block, rows)
-        xi = x[i0:i1, None]
-        yi = y[i0:i1, None]
-        si = s[i0:i1, None]
-        for j0 in range(i0, n, block):
-            j1 = min(j0 + block, n)
-            d = np.abs(xi * y[None, j0:j1] - yi * x[None, j0:j1])
-            hit = d == si * s[None, j0:j1]
-            if j0 == i0:
-                ii, jj = np.nonzero(hit)
-                total += int(np.count_nonzero(jj > ii))
-            else:
-                total += int(np.count_nonzero(hit))
-    return total
 
 
 def _labels(cols: list[np.ndarray]) -> np.ndarray:
@@ -146,8 +122,8 @@ def _light_pairs(x, y, s, g, px, py, n: int) -> int:
     sigma.  A column with at most n such lattice points in all enumerates
     them and looks each up among the other enumerated columns; every
     pair of two enumerated columns is found from both ends, so their sum
-    is halved.  The other columns come first in the quadratic sweep, run
-    over their pairs with every light column."""
+    is halved.  The other columns come first in the rows of the quadratic
+    sweep `unit_pair_hits`, run over their pairs with every light column."""
     u, v = _bezout(px, np.abs(py))
     v = np.where(py < 0, -v, v)
     cand = np.zeros(x.size, dtype=np.int64)
@@ -187,8 +163,8 @@ def _light_pairs(x, y, s, g, px, py, n: int) -> int:
             lo = hi
     rest = ~enum
     order = np.concatenate((np.nonzero(rest)[0], np.nonzero(enum)[0]))
-    return total // 2 + _unit_pairs_numpy(x[order], y[order], s[order],
-                                          rows=int(rest.sum()))
+    return total // 2 + len(unit_pair_hits(x[order], y[order], s[order],
+                                           rows=int(rest.sum()))[0])
 
 
 def count_unit_pairs(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> int:
@@ -264,14 +240,16 @@ def _row_hits(i: int, *cols: np.ndarray) -> np.ndarray:
                            + tuple(c + (i + 1) for c in cols))
 
 
-def unit_pair_hits(x: np.ndarray, y: np.ndarray,
-                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs i<j with |x_i y_j - y_i x_j| == s_i s_j as an (m, 2) index
-    array in lexicographic order, and the sign of each determinant
+def unit_pair_hits(x: np.ndarray, y: np.ndarray, s: np.ndarray,
+                   rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i<j with i < rows (every pair by default) and
+    |x_i y_j - y_i x_j| == s_i s_j as an (m, 2) index array in
+    lexicographic order, and the sign of each determinant
     x_i y_j - y_i x_j.  int64 data under the caller's overflow guard."""
     x, y, s = (np.asarray(a, dtype=np.int64) for a in (x, y, s))
+    last = x.shape[0] - 1
     blocks, signs = [], []
-    for i in range(x.shape[0] - 1):
+    for i in range(last if rows is None else min(rows, last)):
         d = x[i] * y[i + 1:] - y[i] * x[i + 1:]
         jj = np.nonzero(np.abs(d) == s[i] * s[i + 1:])[0]
         if jj.size:

@@ -166,9 +166,7 @@ def _rationalize_coeffs(coeffs: np.ndarray, shifts: Sequence[int],
             fracs.append(Fraction(0))
         else:
             fracs.append(Fraction(c) / Fraction(2) ** k)
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
+    lcm = math.lcm(*(f.denominator for f in fracs))
     ints = [int(f * lcm) for f in fracs]
     nv = len(monos[0])
     poly = MultiPoly(nv, {e: Fraction(c) for e, c in zip(monos, ints)})
@@ -327,7 +325,6 @@ def _search_line(points: Sequence[Sequence[Fraction]], parts, limits,
     sign gate before it is accepted, so the accepted cut is the most
     balanced acceptable one.  A pair of coincident points spans no line:
     it scores 0 and is skipped.  Deterministic for a fixed input."""
-    monos = monomials_upto(2, 1)  # (0,0), (1,0), (0,1) in graded order
     active = sorted(set().union(*parts)) if parts else []
     if len(active) < 2:
         return None
@@ -351,13 +348,13 @@ def _search_line(points: Sequence[Sequence[Fraction]], parts, limits,
             c = a * p[0] + b * p[1]
             if a == 0 and b == 0:
                 continue
-            lcm = math.lcm(a.denominator, b.denominator, c.denominator)
-            ints = [int(-c * lcm), int(a * lcm), int(b * lcm)]
-            signs_by_part = [evaluator.signs(ints, monos, 1, sorted(pp))
+            found = _cleared_factor(
+                MultiPoly(2, {(0, 0): -c, (1, 0): a, (0, 1): b}), 2)
+            ints, monos, degree, _ = found
+            signs_by_part = [evaluator.signs(ints, monos, degree, sorted(pp))
                              for pp in parts]
             if _accept(signs_by_part, limits):
-                poly = MultiPoly(2, {(0, 0): -c, (1, 0): a, (0, 1): b})
-                return ints, monos, 1, poly
+                return found
     return None
 
 

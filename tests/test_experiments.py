@@ -180,6 +180,44 @@ class TestRunExperiment:
         run_experiment(spec)
         assert calls == [(s, threading.get_ident()) for s in spec.sizes]
 
+    def test_det_target_reaches_the_pattern_check(self, monkeypatch):
+        """A +-1 minors sweep counts the same subsets, and its pattern
+        check receives the +-1 hypergraph (twice the edges at d = 2)."""
+        checked = []
+        detect = experiments.contains_complete
+
+        def record(H, pattern, budget):
+            checked.append(H)
+            return detect(H, pattern, budget=budget)
+
+        monkeypatch.setattr(experiments, "contains_complete", record)
+        base = ExperimentSpec(kind="minors", d=2, sizes=(20, 40, 80), seed=4)
+        pm = ExperimentSpec.from_dict(dict(base.to_dict(),
+                                           det_target="plus-minus-one"))
+        counts = [r.count for r in run_experiment(base).results]
+        checked.clear()
+        assert [r.count for r in run_experiment(pm).results] == counts
+        for size, H, count in zip(pm.sizes, checked, counts):
+            cfg, _ = experiments._config(pm, size)
+            assert H == geometry.unit_minor_hypergraph(
+                cfg, geometry.DetTarget.PLUS_MINUS_ONE)
+            assert H.num_edges == 2 * count
+
+    def test_recount_stops_at_the_oracle_cap(self, monkeypatch):
+        """st-config size 8 has C(1536, 2) pairs, past the cap, and larger
+        sizes have more: no size after it is tried."""
+        asked = []
+        recount = experiments._naive_recount
+
+        def record(spec, size):
+            asked.append(size)
+            return recount(spec, size)
+
+        monkeypatch.setattr(experiments, "_naive_recount", record)
+        run_experiment(ExperimentSpec(kind="st-config", d=2,
+                                      sizes=(8, 12, 16)))
+        assert asked == [8]
+
 
 class TestNaiveRecount:
     def test_oracle_capped_for_triangles_and_spheres(self, monkeypatch):

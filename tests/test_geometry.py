@@ -201,8 +201,7 @@ class TestCountUnitMinors:
                 cfg = random_rational_config(rng, d, rng.randint(d + 1, 9))
                 assert count_unit_minors(cfg) == count_unit_minors_naive(cfg)
 
-    def test_numpy_backend_agrees(self, monkeypatch):
-        monkeypatch.setenv("ZARANK_BACKEND", "numpy")
+    def test_numpy_backend_agrees(self):
         rng = random.Random(51)
         for d in (2, 3):
             cfg = random_rational_config(rng, d, 9)

@@ -92,6 +92,82 @@ class TestDetection:
             want = contains_complete_naive(H, ForbiddenPattern(u))
             assert got == want, (H, u)
 
+    # (found, witness, tests) per pattern, recorded when k = 2 still had
+    # a separate bitmask detector; the general recursion must match it
+    PINNED_RANDOM = {
+        0: [(True, ((0, 1), (1, 10)), 1),
+            (True, ((3, 4), (0, 1, 3, 4)), 22),
+            (True, ((0, 1, 2, 10), (10, 22)), 8),
+            (True, ((0, 1, 2), (10, 20, 22)), 1)],
+        1: [(True, ((0, 1), (2, 8)), 1),
+            (True, ((6, 8), (0, 3, 5, 16)), 314),
+            (True, ((0, 1, 10, 13), (2, 12)), 63),
+            (True, ((0, 3, 5), (7, 8, 19)), 25)],
+        2: [(True, ((0, 6), (0, 4)), 5),
+            (True, ((7, 8), (1, 2, 8, 10)), 196),
+            (True, ((0, 6, 8, 11), (4, 8)), 107),
+            (True, ((4, 7, 8), (8, 10, 12)), 91)],
+        3: [(True, ((0, 3), (4, 7)), 3),
+            (True, ((6, 7), (0, 3, 14, 17)), 397),
+            (True, ((0, 3, 5, 9), (7, 20)), 158),
+            (True, ((0, 3, 9), (7, 8, 20)), 31)],
+    }
+    PINNED_MINORS = {
+        40: [(False, None, 3),
+             (True, ((4,), (0, 11, 25)), 23),
+             (True, ((0, 6, 14), (1,)), 13),
+             (False, None, 0)],
+        160: [(False, None, 66),
+              (True, ((14,), (0, 29, 56)), 335),
+              (True, ((0, 16, 32), (1,)), 111),
+              (False, None, 1)],
+    }
+
+    @staticmethod
+    def seeded_bipartite(seed):
+        rng = random.Random(seed)
+        n1, n2 = rng.randint(12, 24), rng.randint(12, 24)
+        return random_hypergraph(rng, (n1, n2), 0.35)
+
+    @staticmethod
+    def minors_hypergraph(size):
+        from zarank import experiments
+        from zarank.geometry import unit_minor_hypergraph
+
+        spec = experiments.ExperimentSpec(kind="minors", d=2,
+                                          sizes=(20, 40, 80))
+        return unit_minor_hypergraph(experiments._config(spec, size)[0])
+
+    @staticmethod
+    def outcomes(H, patterns):
+        return [(r.found, r.witness, r.tests)
+                for r in (contains_complete(H, ForbiddenPattern(u))
+                          for u in patterns)]
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_RANDOM))
+    def test_bipartite_outcomes_pinned(self, seed):
+        H = self.seeded_bipartite(seed)
+        got = self.outcomes(H, [(2, 2), (2, 4), (4, 2), (3, 3)])
+        assert got == self.PINNED_RANDOM[seed]
+
+    @pytest.mark.parametrize("size", sorted(PINNED_MINORS))
+    def test_minors_sweep_outcomes_pinned(self, size):
+        H = self.minors_hypergraph(size)
+        got = self.outcomes(H, [(2, 2), (1, 3), (3, 1), (2, 3)])
+        assert got == self.PINNED_MINORS[size]
+
+    @pytest.mark.parametrize("make, u, tests", [
+        (lambda: TestDetection.seeded_bipartite(1), (2, 4), 314),
+        (lambda: TestDetection.minors_hypergraph(160), (2, 2), 66),
+    ], ids=["random-1", "minors-160"])
+    def test_bipartite_budget_edge_pinned(self, make, u, tests):
+        # one budget unit per level-0 combination: `tests` units suffice,
+        # one fewer raises
+        H, pat = make(), ForbiddenPattern(u)
+        assert contains_complete(H, pat, budget=tests).tests == tests
+        with pytest.raises(BudgetExceededError):
+            contains_complete(H, pat, budget=tests - 1)
+
     def test_monotone_under_edge_toggles(self):
         rng = random.Random(42)
         for _ in range(60):
@@ -217,6 +293,18 @@ class TestLowCrossing:
         G = random_hypergraph(rng, (10, 24), 0.3)
         res = find_low_crossing_tuple(G, 6, budget=100, seed=5, trials=50)
         assert not res.exhaustive
+
+    @pytest.mark.parametrize("seed, subset, crossings", [
+        (0, (2, 6, 7, 10, 18, 23), 8),
+        (1, (3, 6, 12, 14, 15, 20), 8),
+        (2, (0, 2, 9, 11, 19, 21), 6),
+    ], ids=["seed-0", "seed-1", "seed-2"])
+    def test_sampled_result_pinned(self, seed, subset, crossings):
+        rng = random.Random(100 + seed)
+        G = random_hypergraph(rng, (10, 24), 0.3)
+        res = find_low_crossing_tuple(G, 6, budget=100, seed=seed, trials=50)
+        assert (res.subset, res.crossings, res.exhaustive) == (
+            subset, crossings, False)
 
 
 class TestDoubleCount:
