@@ -1,5 +1,5 @@
 """Kernels against brute force: the direction-class unit-pair count
-against the quadratic block sweep, and the hit sweeps on int64 and on
+against the quadratic row sweep, and the hit sweeps on int64 and on
 python-int object data."""
 
 import itertools
@@ -31,6 +31,10 @@ def random_int_data(rng, n, top=50):
     return x, y, z, s
 
 
+def row_sweep_count(x, y, s):
+    return len(kernels.unit_pair_hits(x, y, s)[0])
+
+
 def brute_pairs(x, y, s):
     n = len(x)
     return sum(1 for i in range(n) for j in range(i + 1, n)
@@ -49,11 +53,9 @@ def brute_triples(x, y, z, s):
     return total
 
 
-def test_active_backend_env(monkeypatch):
-    """Every kernel is numpy, whatever ZARANK_BACKEND asks for."""
-    for choice in ("numpy", "numba", "auto"):
-        monkeypatch.setenv("ZARANK_BACKEND", choice)
-        assert kernels.active_backend() == "numpy"
+def test_active_backend_env():
+    """Every kernel is numpy."""
+    assert kernels.active_backend() == "numpy"
 
 
 @pytest.mark.parametrize("backend", ["numba", "numpy"])
@@ -97,11 +99,11 @@ def test_backends_agree_on_large_sweep():
     800 columns."""
     rng = random.Random(4)
     x, y, _, s = random_int_data(rng, 800, top=300)
-    assert kernels.count_unit_pairs(x, y, s) == kernels._unit_pairs_numpy(x, y, s)
+    assert kernels.count_unit_pairs(x, y, s) == row_sweep_count(x, y, s)
 
 
 # ---------------------------------------------------------------------------
-# the direction-class pair count against brute force and the block sweep
+# the direction-class pair count against brute force and the row sweep
 
 
 def partner(w, s, s_new, k):
@@ -185,7 +187,7 @@ def test_unit_pair_count_matches_brute_force(cols):
     x, y, s = as_arrays(cols)
     want = brute_pairs(x, y, s)
     assert kernels.count_unit_pairs(x, y, s) == want
-    assert kernels._unit_pairs_numpy(x, y, s) == want
+    assert row_sweep_count(x, y, s) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,7 +204,20 @@ def test_unit_pair_count_just_under_the_guard(cols):
 def test_unit_pair_count_on_st_config(scale):
     cfg = st_lower_bound_minor_config(2, scale)
     (x, y), s = cfg.numerators.T, cfg.denominators
-    assert kernels.count_unit_pairs(x, y, s) == kernels._unit_pairs_numpy(x, y, s)
+    assert kernels.count_unit_pairs(x, y, s) == row_sweep_count(x, y, s)
+
+
+def test_unit_pair_hits_row_bound():
+    """rows=r keeps exactly the hits with first index below r."""
+    rng = random.Random(5)
+    x, y, _, s = random_int_data(rng, 60, top=6)
+    hits, signs = kernels.unit_pair_hits(x, y, s)
+    assert len(hits)
+    for rows in (0, 1, 17, 59, 60, 100):
+        got, got_signs = kernels.unit_pair_hits(x, y, s, rows=rows)
+        keep = hits[:, 0] < rows
+        assert np.array_equal(got, hits[keep])
+        assert np.array_equal(got_signs, signs[keep])
 
 
 def test_unit_pair_count_sends_wide_short_lines_to_the_block_sweep():
@@ -377,5 +392,6 @@ def test_bench_kernels_smoke(capsys):
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
     runpy.run_path(str(script))["main"](["--scale", "4", "--points", "30"])
     out = capsys.readouterr().out
-    assert "direction classes" in out and "block sweep" in out
+    assert "direction classes" in out and "row sweep" in out
+    assert "block" not in out
     assert "area-band hit sweep over 30 points" in out
