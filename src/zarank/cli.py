@@ -104,10 +104,12 @@ def cmd_bounds(args) -> int:
         sizes = _parse_int_list(args.sizes) if args.sizes else (100,) * d.k
         n = SizeProfile(sizes)
         eps = parse_rational(args.eps)
+        checks = [c.strip() for c in args.check.split(",") if c.strip()]
+        for name in checks:
+            if name not in ("matrix", "scaling", "monotonicity", "dominance"):
+                raise ValueError(f"unknown check {name!r}")
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(str(err)) from None
-    checks = [c.strip() for c in args.check.split(",") if c.strip()] \
-        if args.check else []
     out = {
         "dims": list(dims),
         "sizes": list(sizes),
@@ -156,8 +158,6 @@ def cmd_bounds(args) -> int:
                 "ratio": rep.ratio,
             }
             failed |= rep.hypothesis_met and not rep.holds
-        else:
-            raise SystemExit(f"unknown check {name!r}")
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_VERDICT if failed else EXIT_OK
 
@@ -182,19 +182,27 @@ def cmd_build(args) -> int:
         cfg = _load(args.points, PointConfig.from_text, distinct=True)
         H = unit_minor_hypergraph(cfg, target)
     elif kind == "triangles":
+        try:
+            lo, hi = parse_rational(args.lo), parse_rational(args.hi)
+        except (ValueError, ZeroDivisionError) as err:
+            raise InputError(f"--lo/--hi: {err}") from None
+        if lo > hi:
+            raise InputError("need --lo <= --hi")
         cfg = _load(args.points, PointConfig.from_text)
-        H = almost_unit_area_hypergraph(cfg, parse_rational(args.lo),
-                                        parse_rational(args.hi))
+        H = almost_unit_area_hypergraph(cfg, lo, hi)
     elif kind == "spheres":
         cfg = _load(args.spheres, SphereConfig.from_text)
         H, degenerate = sphere_intersection_hypergraph(cfg)
     else:
-        if kind == "st-config":
-            cfg = st_lower_bound_minor_config(args.d, args.scale)
-        elif kind == "k1uu":
-            cfg = k1uu_config(args.d, args.u)
-        else:
-            raise SystemExit(f"unknown build kind {kind!r}")
+        try:
+            if kind == "st-config":
+                cfg = st_lower_bound_minor_config(args.d, args.scale)
+            elif kind == "k1uu":
+                cfg = k1uu_config(args.d, args.u)
+            else:
+                raise SystemExit(f"unknown build kind {kind!r}")
+        except ValueError as err:  # the generators' argument checks
+            raise InputError(str(err)) from None
         _write_out(cfg.to_text(), args.out)
         if args.hypergraph:
             H = unit_minor_hypergraph(cfg, target)
@@ -213,7 +221,13 @@ def cmd_build(args) -> int:
 
 def cmd_detect(args) -> int:
     H = _load(args.hypergraph, KPartiteHypergraph.from_text)
-    pat = ForbiddenPattern(_parse_int_list(args.pattern))
+    try:
+        pat = ForbiddenPattern(_parse_int_list(args.pattern))
+    except ValueError as err:
+        raise InputError(f"--pattern: {err}") from None
+    if pat.k != H.k:
+        raise InputError(f"--pattern has {pat.k} class sizes for a "
+                         f"{H.k}-partite hypergraph")
     try:
         res = contains_complete(H, pat, budget=args.budget)
     except BudgetExceededError as err:
@@ -229,7 +243,12 @@ def cmd_detect(args) -> int:
 
 def cmd_shatter(args) -> int:
     H = _load(args.hypergraph, KPartiteHypergraph.from_text)
-    F = neighborhood_system(H, args.ground_part)
+    try:
+        F = neighborhood_system(H, args.ground_part)
+    except ValueError as err:
+        raise InputError(str(err)) from None
+    if not 1 <= args.z <= F.ground_size:
+        raise InputError(f"--z {args.z} is outside 1..{F.ground_size}")
     try:
         value = primal_shatter(F, args.z, mode=args.mode, seed=args.seed,
                                trials=args.trials, budget=args.budget)
@@ -247,6 +266,9 @@ def cmd_shatter(args) -> int:
 
 def cmd_partition(args) -> int:
     cfg = _load(args.points, PointConfig.from_text)
+    if not 2 <= args.r <= cfg.n:
+        raise InputError(f"--r {args.r} is outside 2..{cfg.n}, the number "
+                         "of points")
     try:
         part = stone_tukey_partition(cfg, args.r, seed=args.seed,
                                      slack=args.slack)

@@ -80,6 +80,8 @@ class ComparisonUndecided(Exception):
 # covers exponents or products that underflow.
 _FILTER_EPS = 2.0 ** -48
 _FILTER_TINY = 2.0 ** -960
+# PowerSum.compare doubles its interval precision from 64 bits up to this
+_MAX_PREC = 4096
 
 
 class PowerProduct:
@@ -356,7 +358,7 @@ class PowerSum:
                                            prec), prec)
         return mpmath.mp.make_mpf(total[0]), mpmath.mp.make_mpf(total[1])
 
-    def compare(self, other: "PowerSum", max_prec: int = 4096) -> int:
+    def compare(self, other: "PowerSum") -> int:
         """Exact three-way comparison, escalating precision as needed."""
         if self.terms == other.terms:
             return 0
@@ -364,7 +366,7 @@ class PowerSum:
             a, b = self.as_rational(), other.as_rational()
             return (a > b) - (a < b)
         prec = 64
-        while prec <= max_prec:
+        while prec <= _MAX_PREC:
             alo, ahi = self.bounds(prec)
             blo, bhi = other.bounds(prec)
             if ahi < blo:

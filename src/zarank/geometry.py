@@ -11,8 +11,9 @@ point is consulted for any edge decision.  The `Fraction` views
 (`points`, `spheres`) are built on first use, for the independent
 `*_naive` oracles and text output.
 
-Point (matrix-column) file format: first line `d n`, then n lines of d
-rationals (`p/q` or integer).  Sphere file: `d n`, then `c1 .. cd r2`.
+Both file formats (`to_text`, `from_text`) are a first line `d n`, then
+n lines of rationals (`p/q` or integer): a point's (matrix column's) d
+coordinates, or a sphere's centre and squared radius, `c1 .. cd r2`.
 """
 
 from __future__ import annotations
@@ -143,6 +144,27 @@ class _RationalRows:
             self._cache["common"] = (L, X)
         return self._cache["common"]
 
+    def to_text(self) -> str:
+        """The file form: `d n`, then one row of rationals per line."""
+        lines = [f"{self.dim} {self.n}"]
+        lines += [" ".join(map(format_rational, row)) for row in self._rows()]
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str, distinct: bool = False):
+        """Parse the file form of `to_text`."""
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty input")
+        d, n = (int(x) for x in lines[0].split())
+        rows = tuple(tuple(parse_rational(t) for t in ln.split())
+                     for ln in lines[1:])
+        if len(rows) != n:
+            raise ValueError(f"expected {n} {cls._noun}, found {len(rows)}")
+        cfg = cls.__new__(cls)
+        cfg._setup(d, *_cleared(rows), distinct, rows)
+        return cfg
+
     def _key(self) -> tuple:
         if "key" not in self._cache:
             self._cache["key"] = (self.dim, self.distinct,
@@ -174,12 +196,13 @@ class PointConfig(_RationalRows):
     """
 
     __slots__ = ("labels",)
+    _noun = "points"
 
     def __init__(self, dim: int, points,
                  labels: Optional[Sequence[str]] = None,
                  distinct: bool = False):
         rows = tuple(tuple(Fraction(c) for c in p) for p in points)
-        self._setup(dim, *_cleared(rows), labels, distinct, rows)
+        self._setup(dim, *_cleared(rows), distinct, rows, labels)
 
     @classmethod
     def from_integers(cls, dim: int, numerators, denominators=None,
@@ -188,7 +211,7 @@ class PointConfig(_RationalRows):
         """Points numerators[i] / denominators[i]; denominators default to
         1, must be positive, and are reduced against the numerators."""
         cfg = cls.__new__(cls)
-        cfg._setup(dim, numerators, denominators, labels, distinct)
+        cfg._setup(dim, numerators, denominators, distinct, labels=labels)
         return cfg
 
     def __reduce__(self):
@@ -197,8 +220,8 @@ class PointConfig(_RationalRows):
                 (self.dim, self.numerators, self.denominators, self.labels,
                  self.distinct))
 
-    def _setup(self, dim, numerators, denominators, labels, distinct,
-               rows=None):
+    def _setup(self, dim, numerators, denominators, distinct, rows=None,
+               labels=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         for p in rows or ():
@@ -216,23 +239,6 @@ class PointConfig(_RationalRows):
     def points(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows()
 
-    def to_text(self) -> str:
-        lines = [f"{self.dim} {self.n}"]
-        for p in self.points:
-            lines.append(" ".join(format_rational(c) for c in p))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, distinct: bool = False) -> "PointConfig":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty input")
-        d, n = (int(x) for x in lines[0].split())
-        pts = [tuple(parse_rational(t) for t in ln.split()) for ln in lines[1:]]
-        if len(pts) != n:
-            raise ValueError(f"expected {n} points, found {len(pts)}")
-        return cls(d, tuple(pts), distinct=distinct)
-
 
 class SphereConfig(_RationalRows):
     """Spheres stored as (center, radius_squared); radii themselves may be
@@ -244,6 +250,7 @@ class SphereConfig(_RationalRows):
     """
 
     __slots__ = ()
+    _noun = "spheres"
 
     def __init__(self, dim: int, spheres, distinct: bool = False):
         rows = tuple(tuple(Fraction(c) for c in center) + (Fraction(r2),)
@@ -282,27 +289,6 @@ class SphereConfig(_RationalRows):
             self._cache["spheres"] = tuple((row[:-1], row[-1])
                                            for row in self._rows())
         return self._cache["spheres"]
-
-    def to_text(self) -> str:
-        lines = [f"{self.dim} {self.n}"]
-        for center, r2 in self.spheres:
-            lines.append(" ".join(format_rational(c) for c in center)
-                         + " " + format_rational(r2))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, distinct: bool = False) -> "SphereConfig":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty input")
-        d, n = (int(x) for x in lines[0].split())
-        spheres = []
-        for ln in lines[1:]:
-            toks = [parse_rational(t) for t in ln.split()]
-            spheres.append((tuple(toks[:-1]), toks[-1]))
-        if len(spheres) != n:
-            raise ValueError(f"expected {n} spheres, found {len(spheres)}")
-        return cls(d, tuple(spheres), distinct=distinct)
 
 
 class DetTarget(enum.Enum):
@@ -793,38 +779,34 @@ def k1uu_config(d: int, u: int) -> PointConfig:
 def halfplane_traces(points: Sequence[Sequence[Fraction]]) -> set[frozenset[int]]:
     """All distinct subsets cut off by halfplanes, exactly.
 
-    Every halfplane trace is a prefix of the points sorted along some
-    direction; the order only changes at directions perpendicular to a
-    difference vector, and ties there are split by the two perpendicular
-    tiebreaks.  Enumerating prefixes over that critical direction set
-    (both signs, both tiebreaks) yields every realizable trace.
+    A halfplane whose trace is neither empty nor everything can be turned
+    and moved, keeping its trace, until its boundary runs through two
+    distinct points; the trace is then the points strictly left of that
+    directed line plus the points on it up to some position along it.  So
+    for each ordered pair of distinct points, the traces are the left
+    side, then each group of on-line points added in order along the line.
+    Sides are signs of integer cross products over the common denominator
+    of the coordinates; equal points get equal keys, so none is split.
     """
     n = len(points)
     pts = [tuple(Fraction(c) for c in p) for p in points]
+    L = math.lcm(*(c.denominator for p in pts for c in p))
+    X = [tuple(c.numerator * (L // c.denominator) for c in p) for p in pts]
     out = {frozenset(), frozenset(range(n))}
-    dirs = {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-            (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = pts[j][0] - pts[i][0]
-            dy = pts[j][1] - pts[i][1]
+    for xi, yi in X:
+        for xj, yj in X:
+            dx, dy = xj - xi, yj - yi
             if dx == 0 and dy == 0:
                 continue
-            for v in ((dy, -dx), (-dy, dx)):
-                dirs.add(_primitive(v))
-    for v in dirs:
-        w = (-v[1], v[0])
-        for flip in (1, -1):
-            order = sorted(range(n), key=lambda t: (
-                v[0] * pts[t][0] + v[1] * pts[t][1],
-                flip * (w[0] * pts[t][0] + w[1] * pts[t][1])))
-            for cut in range(1, n):
-                out.add(frozenset(order[:cut]))
+            left, on = [], {}
+            for t, (x, y) in enumerate(X):
+                side = dx * (y - yi) - dy * (x - xi)
+                if side > 0:
+                    left.append(t)
+                elif side == 0:
+                    on.setdefault(dx * x + dy * y, []).append(t)
+            out.add(frozenset(left))
+            for along in sorted(on):
+                left.extend(on[along])
+                out.add(frozenset(left))
     return out
-
-
-def _primitive(v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    lcm = math.lcm(v[0].denominator, v[1].denominator)
-    a, b = int(v[0] * lcm), int(v[1] * lcm)
-    g = math.gcd(abs(a), abs(b))
-    return (Fraction(a // g), Fraction(b // g))

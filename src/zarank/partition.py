@@ -200,28 +200,12 @@ def _accept(signs_by_part, limits) -> bool:
     return True
 
 
-def _line_pairs(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate point pairs as index arrays (first points, second points):
-    cross-part pairs first, then within-part; each block in the order
-    itertools.product / itertools.combinations list it."""
-    def within(idx):
-        return (np.repeat(idx, np.arange(len(idx) - 1, -1, -1)),
-                np.concatenate([idx[:0]] + [idx[u + 1:]
-                                            for u in range(len(idx))]))
-
-    if len(parts) == 2:
-        a, b = (np.array(sorted(p), dtype=np.int32) for p in parts)
-        blocks = [(np.repeat(a, len(b)), np.tile(b, len(a))),
-                  within(a), within(b)]
-        return (np.concatenate([bl[0] for bl in blocks]),
-                np.concatenate([bl[1] for bl in blocks]))
-    return within(np.array(sorted(set().union(*parts)), dtype=np.int32))
-
-
 # direction components below this keep 2x2 cross products inside int64
 _INT64_SPAN = 2 ** 31
 # anchors swept at once: about this many directions per block
 _SWEEP_BLOCK = 2 ** 18
+# starts of the soft-sign fit per level
+_SOFT_SIGN_RESTARTS = 64
 
 
 def _angular_ranks(fx: np.ndarray, fy: np.ndarray,
@@ -315,51 +299,60 @@ def _anchor_sides(X: Sequence[Sequence[int]], parts):
 
 def _search_line(points: Sequence[Sequence[Fraction]], parts, limits,
                  evaluator, budget, counter) -> Optional[tuple]:
-    """Exact search over the lines through two points of `_line_pairs`.
+    """Exact search over the lines through two active points.
 
     Each line's score is its worst side count over the parts, counted
     exactly by the rotational sweep of `_anchor_sides` on the evaluator's
-    cleared integers (O(n^2 log n)).  Candidates whose score is within the
-    largest side limit are tried in order of increasing score, pair index
-    breaking ties; each counts against the budget and passes the exact
-    sign gate before it is accepted, so the accepted cut is the most
-    balanced acceptable one.  A pair of coincident points spans no line:
-    it scores 0 and is skipped.  Deterministic for a fixed input."""
+    cleared integers (O(n^2 log n)).  The candidate pairs come in blocks:
+    with two parts, the pairs across them (first point in parts[0]), then
+    the pairs inside parts[0], then inside parts[1]; with one part, its
+    pairs; inside a part the first point has the lower index.  Pairs whose
+    score is within the largest side limit are kept as the sweep yields
+    them and tried by increasing score, then block, first and second
+    point; each counts against the budget and passes the exact sign gate
+    before it is accepted, so the accepted cut is the most balanced
+    acceptable one.  A pair of coincident points spans no line: it scores
+    0 and is skipped.  Deterministic for a fixed input."""
     active = sorted(set().union(*parts)) if parts else []
     if len(active) < 2:
         return None
-    pos = np.full(len(points), -1, dtype=np.int32)
-    pos[active] = np.arange(len(active))
-    score = np.empty((len(active), len(active)), dtype=np.int32)
+    label = {i: p for p, part in enumerate(parts) for i in part}
+    labels = np.array([label[i] for i in active], dtype=np.intp)
+    kept = []
     for anchors, on_anchor, left, right in _anchor_sides(evaluator.X, parts):
-        score[anchors] = np.where(on_anchor, 0,
-                                  np.maximum(left, right).max(axis=1))
-    pi, pj = _line_pairs(parts)
-    scores = score[pos[pi], pos[pj]]
-    del score
-    for value in np.unique(scores[scores <= max(limits)]):
-        for cand in np.flatnonzero(scores == value):
-            counter[0] += 1
-            if counter[0] > budget:
-                raise PartitionSearchError("candidate budget exhausted")
-            p, q = points[pi[cand]], points[pj[cand]]
-            a = p[1] - q[1]
-            b = q[0] - p[0]
-            c = a * p[0] + b * p[1]
-            if a == 0 and b == 0:
-                continue
-            found = _cleared_factor(
-                MultiPoly(2, {(0, 0): -c, (1, 0): a, (0, 1): b}), 2)
-            ints, monos, degree, _ = found
-            signs_by_part = [evaluator.signs(ints, monos, degree, sorted(pp))
-                             for pp in parts]
-            if _accept(signs_by_part, limits):
-                return found
+        score = np.where(on_anchor, 0, np.maximum(left, right).max(axis=1))
+        row, second = np.nonzero(score <= max(limits))
+        first = anchors[row]
+        la, lb = labels[first], labels[second]
+        # each line once: across the parts from parts[0], inside a part
+        # from its lower point
+        own = (la < lb) | ((la == lb) & (first < second))
+        kept.append((score[row, second][own],
+                     np.where(la == lb, 1 + la, 0)[own],
+                     first[own], second[own]))
+    score, block, first, second = map(np.concatenate, zip(*kept))
+    for cand in np.lexsort((second, first, block, score)):
+        counter[0] += 1
+        if counter[0] > budget:
+            raise PartitionSearchError("candidate budget exhausted")
+        p, q = points[active[first[cand]]], points[active[second[cand]]]
+        a = p[1] - q[1]
+        b = q[0] - p[0]
+        c = a * p[0] + b * p[1]
+        if a == 0 and b == 0:
+            continue
+        found = _cleared_factor(
+            MultiPoly(2, {(0, 0): -c, (1, 0): a, (0, 1): b}), 2)
+        ints, monos, degree, _ = found
+        signs_by_part = [evaluator.signs(ints, monos, degree, sorted(pp))
+                         for pp in parts]
+        if _accept(signs_by_part, limits):
+            return found
     return None
 
 
 def _search_soft_sign(points_f, parts, limits, degree, evaluator, rng,
-                      budget, counter, restarts=64) -> Optional[tuple]:
+                      budget, counter) -> Optional[tuple]:
     """Annealed soft-sign Gauss-Newton in the degree-<=D monomial basis.
 
     Minimizes the per-part sums of tanh(g/h) while h shrinks; float
@@ -407,7 +400,7 @@ def _search_soft_sign(points_f, parts, limits, degree, evaluator, rng,
             return ints, monos, degree, poly
         return None
 
-    for attempt in range(restarts):
+    for attempt in range(_SOFT_SIGN_RESTARTS):
         counter[0] += 1
         if counter[0] > budget:
             raise PartitionSearchError("candidate budget exhausted")
@@ -625,6 +618,10 @@ def verify_partition(P: PointConfig, part: Partition) -> bool:
 # product partitions over grids
 
 
+# grids up to this many points are re-signed point by point on verification
+_MATERIALIZE_BUDGET = 200_000
+
+
 @dataclass
 class ProductPartition:
     blocks: tuple[Partition, ...]
@@ -641,10 +638,6 @@ class ProductPartition:
     @property
     def max_cell(self) -> int:
         return max(self.grid_census.values(), default=0)
-
-    def grid_points(self) -> list[tuple[int, ...]]:
-        ranges = [range(len(b.signs)) for b in self.blocks]
-        return list(itertools.product(*ranges))
 
     def grid_cell_assignment(self) -> list[Optional[tuple]]:
         """Cell key per grid point (canonical product order), None on Z(h)."""
@@ -704,8 +697,7 @@ def product_partition(blocks: Sequence[tuple[PointConfig, int]],
 
 
 def verify_product_partition(blocks: Sequence[tuple[PointConfig, int]],
-                             pp: ProductPartition,
-                             materialize_budget: int = 200_000) -> bool:
+                             pp: ProductPartition) -> bool:
     """Independent verification.  Small grids are materialized and every
     concatenated grid point is re-signed against the shifted factors;
     larger grids re-verify each block independently and recheck the
@@ -714,7 +706,7 @@ def verify_product_partition(blocks: Sequence[tuple[PointConfig, int]],
         if block.target_r > 1:
             verify_partition(cfg, block)
     n_grid = math.prod(cfg.n for cfg, _ in blocks)
-    if n_grid <= materialize_budget:
+    if n_grid <= _MATERIALIZE_BUDGET:
         census: dict[tuple, int] = {}
         boundary = 0
         block_assigns = [b.cell_assignment() for b in pp.blocks]

@@ -45,9 +45,6 @@ class MultiPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.num_vars:
             raise ValueError("point dimension mismatch")
@@ -110,7 +107,6 @@ def monomials_upto(num_vars: int, degree: int) -> list[tuple[int, ...]]:
             for v in combo:
                 e[v] += 1
             out.append(tuple(e))
-    # dedupe while keeping order (combinations_with_replacement is unique)
     return out
 
 

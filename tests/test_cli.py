@@ -224,6 +224,47 @@ class TestInputErrors:
         msg = self.check(capsys, "bounds", "--dims", "1,1")
         assert "more than one d_i equals 1" in msg
 
+    def test_bounds_unknown_check(self, capsys):
+        msg = self.check(capsys, "bounds", "--dims", "2,2", "--check", "bogus")
+        assert "unknown check 'bogus'" in msg
+
+    @pytest.mark.parametrize("pattern, fragment", [
+        ("2,x", "--pattern"), ("1,1,1", "3 class sizes"), ("0,1", ">= 1")])
+    def test_detect_bad_pattern(self, tmp_path, capsys, pattern, fragment):
+        hg = tmp_path / "h.txt"
+        hg.write_text("2 2 2\n0 1\n1 0\n")
+        msg = self.check(capsys, "detect", "--hypergraph", str(hg),
+                         "--pattern", pattern)
+        assert fragment in msg
+
+    def test_shatter_z_beyond_ground_set(self, tmp_path, capsys):
+        hg = tmp_path / "h.txt"
+        hg.write_text("2 2 2\n0 1\n1 0\n")
+        msg = self.check(capsys, "shatter", "--hypergraph", str(hg),
+                         "--z", "9")
+        assert "--z 9" in msg
+
+    @pytest.mark.parametrize("r", ["1", "4"])
+    def test_partition_r_out_of_range(self, tmp_path, capsys, r):
+        pts = tmp_path / "p.txt"
+        pts.write_text("2 3\n0 0\n1 1\n2 0\n")
+        msg = self.check(capsys, "partition", "--points", str(pts), "--r", r)
+        assert f"--r {r}" in msg
+
+    def test_build_st_config_scale_one(self, capsys):
+        msg = self.check(capsys, "build", "--kind", "st-config",
+                         "--scale", "1")
+        assert "scale" in msg
+
+    @pytest.mark.parametrize("band, fragment", [
+        (["--lo", "x"], "--lo/--hi"), (["--lo", "2", "--hi", "1"], "--lo <=")])
+    def test_build_bad_area_band(self, tmp_path, capsys, band, fragment):
+        pts = tmp_path / "p.txt"
+        pts.write_text("2 3\n0 0\n1 1\n2 0\n")
+        msg = self.check(capsys, "build", "--kind", "triangles",
+                         "--points", str(pts), *band)
+        assert fragment in msg
+
     def test_experiment_missing_spec(self, tmp_path, capsys):
         msg = self.check(capsys, "experiment", "--spec",
                          str(tmp_path / "absent.json"))

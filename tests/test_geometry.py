@@ -531,7 +531,76 @@ class TestK1uuConfig:
             assert count_unit_minors(cfg) == 1
 
 
+def halfplane_traces_oracle(points):
+    """Reference: every prefix of the points sorted along each critical
+    direction (perpendicular to a difference vector, or an axis), ties
+    split both ways by the perpendicular; `Fraction` keys throughout.
+    Exact on distinct points only: a prefix may split equal points."""
+    n = len(points)
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    out = {frozenset(), frozenset(range(n))}
+    dirs = {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+            (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = pts[j][0] - pts[i][0]
+            dy = pts[j][1] - pts[i][1]
+            if dx == 0 and dy == 0:
+                continue
+            for v in ((dy, -dx), (-dy, dx)):
+                lcm = math.lcm(v[0].denominator, v[1].denominator)
+                a, b = int(v[0] * lcm), int(v[1] * lcm)
+                g = math.gcd(abs(a), abs(b))
+                dirs.add((Fraction(a // g), Fraction(b // g)))
+    for v in dirs:
+        w = (-v[1], v[0])
+        for flip in (1, -1):
+            order = sorted(range(n), key=lambda t: (
+                v[0] * pts[t][0] + v[1] * pts[t][1],
+                flip * (w[0] * pts[t][0] + w[1] * pts[t][1])))
+            for cut in range(1, n):
+                out.add(frozenset(order[:cut]))
+    return out
+
+
+@st.composite
+def plane_points(draw, unique=True):
+    """Up to 8 points mixing a collinear run (a line of rational slope),
+    small-grid points and rational points."""
+    slope = draw(st.fractions(-2, 2, max_denominator=3))
+    offset = draw(st.integers(-2, 2))
+    on_line = st.integers(-4, 4).map(
+        lambda x: (Fraction(x), slope * x + offset))
+    grid = st.tuples(st.integers(-3, 3).map(Fraction),
+                     st.integers(-3, 3).map(Fraction))
+    rational = st.tuples(st.fractions(-5, 5, max_denominator=4),
+                         st.fractions(-5, 5, max_denominator=4))
+    return draw(st.lists(st.one_of(on_line, grid, rational), max_size=8,
+                         unique=unique))
+
+
 class TestHalfplaneTraces:
+    @settings(max_examples=150, deadline=None)
+    @given(plane_points())
+    def test_equals_oracle_on_distinct_points(self, pts):
+        assert halfplane_traces(pts) == halfplane_traces_oracle(pts)
+
+    def test_equal_points_are_not_split(self):
+        tr = halfplane_traces(frac_points([(0, 0), (0, 0), (1, 0)]))
+        assert tr == {frozenset(), frozenset({0, 1}), frozenset({2}),
+                      frozenset({0, 1, 2})}
+
+    @settings(max_examples=100, deadline=None)
+    @given(plane_points(unique=False))
+    def test_repeated_points_follow_their_distinct_copy(self, pts):
+        """The traces of a point list with repeats are the traces of its
+        distinct points, each widened to every copy."""
+        distinct = sorted(set(pts))
+        copies = [[i for i, p in enumerate(pts) if p == q] for q in distinct]
+        want = {frozenset(i for t in trace for i in copies[t])
+                for trace in halfplane_traces(distinct)}
+        assert halfplane_traces(pts) == want
+
     def test_three_points_general_position_shatter(self):
         pts = frac_points([(0, 0), (1, 0), (0, 1)])
         assert len(halfplane_traces(pts)) == 8

@@ -242,9 +242,11 @@ class TestLineSweep:
 
 def brute_line(points, parts, slack):
     """The line-search selection rule by brute force: candidate pairs in
-    `_line_pairs` order, scored by exact worst side counts, tried by
-    (score, pair index) while the score is within the largest limit; a
-    coincident pair scores 0 and is skipped.  Returns (pair, tried)."""
+    block order (across the two parts, then inside each part, as
+    itertools.product and itertools.combinations list them), scored by
+    exact worst side counts, tried by (score, pair index) while the score
+    is within the largest limit; a coincident pair scores 0 and is
+    skipped.  Returns (pair, tried)."""
     limits = [-(-len(p) // 2) + slack for p in parts]
     if len(parts) == 2:
         pairs = (list(itertools.product(sorted(parts[0]), sorted(parts[1])))
