@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -94,32 +94,26 @@ class ExponentVector:
 
 @dataclass(frozen=True)
 class BoundValue:
-    """Exact bound value: a sum of power-product terms plus a float view.
+    """Exact bound value: a sum of power-product terms.
 
     `pairs` keeps one (base, exponent) list per term in the original
-    n_i^alpha style for display; `value` is the canonical exact sum.
+    n_i^alpha style for display; `value` is the canonical exact sum, and
+    float() encloses it.
     """
 
     value: PowerSum
     pairs: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-    epsilon: Fraction = Fraction(0)
-    approx: float = field(default=0.0)
 
     @staticmethod
-    def build(terms: Sequence[Sequence[tuple[Rational, Rational]]],
-              epsilon: Rational = 0) -> "BoundValue":
+    def build(terms: Sequence[Sequence[tuple[Rational, Rational]]]
+              ) -> "BoundValue":
         pairs = tuple(tuple((Fraction(b), Fraction(e)) for b, e in term)
                       for term in terms)
-        total = _sum_of(product_from_pairs(term) for term in pairs)
-        return BoundValue(
-            value=total,
-            pairs=pairs,
-            epsilon=Fraction(epsilon),
-            approx=float(total),
-        )
+        return BoundValue(_sum_of(product_from_pairs(term) for term in pairs),
+                          pairs)
 
     def __float__(self) -> float:
-        return self.approx
+        return float(self.value)
 
 
 def exponents(d: DimProfile) -> ExponentVector:
@@ -201,8 +195,8 @@ def eval_F(d: DimProfile, n: SizeProfile, eps: Rational = 0) -> BoundValue:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if d.k == 1:
-        return BoundValue.build([[(Fraction(n.sizes[0]), Fraction(1))]], eps)
-    return BoundValue.build(_f_terms(d, n, eps), eps)
+        return BoundValue.build([[(Fraction(n.sizes[0]), Fraction(1))]])
+    return BoundValue.build(_f_terms(d, n, eps))
 
 
 def _f_products(d: DimProfile, n: SizeProfile,
@@ -218,14 +212,13 @@ def _sum_of(products: Iterable[PowerProduct]) -> PowerSum:
     return total
 
 
-def _f_value_literal(d: DimProfile, n: SizeProfile, eps: Fraction) -> PowerSum:
-    """Literal sum including the degenerate k = 1 case (value 1).
-
-    The dominance hypothesis plugs (k-1)-part subprofiles into F; for
-    k = 2 the literal trailing term (1/n)*n = 1 is what makes that
-    hypothesis reduce to the paper-side condition n_j >= n_i^{1/d_i}.
-    """
-    return _sum_of(_f_products(d, n, eps))
+def _at_most(small: PowerSum, large: PowerSum) -> bool:
+    """small <= large, exactly; a comparison that the intervals cannot
+    decide counts as not holding."""
+    try:
+        return small.compare(large) <= 0
+    except ComparisonUndecided:
+        return False
 
 
 @dataclass(frozen=True)
@@ -255,7 +248,6 @@ class ScalingReport:
     special_index: int
     r: Fraction
     lhs_r_exponent: Fraction
-    size_exponents: tuple[Fraction, ...]
     lhs_value: PowerProduct
     rhs_value: PowerProduct
 
@@ -295,7 +287,7 @@ def check_scaling_identity(d: DimProfile, n: SizeProfile, r: Rational,
         + [(Fraction(n.sizes[j]) / r**(1 if j == i else d.dims[j]), alphas[j])
            for j in range(d.k)])
     rhs = product_from_pairs(zip(n.sizes, alphas))
-    return ScalingReport(i, r, r_exp, alphas, lhs, rhs)
+    return ScalingReport(i, r, r_exp, lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -304,8 +296,6 @@ class MonotonicityReport:
     hypothesis_met: bool
     failed_pairs: tuple[tuple[int, int], ...]
     holds: Optional[bool]
-    lhs_float: Optional[float]
-    rhs_float: Optional[float]
 
 
 def check_monotonicity(d: DimProfile, n: SizeProfile, i: int,
@@ -327,22 +317,13 @@ def check_monotonicity(d: DimProfile, n: SizeProfile, i: int,
     failed = tuple((i, j) for j in range(d.k)
                    if j != i and n.sizes[i] ** d.dims[j] < n.sizes[j])
     if failed:
-        return MonotonicityReport(i, False, failed, None, None, None)
+        return MonotonicityReport(i, False, failed, None)
 
     lo_prods = _f_products(d.decrement(i), n, eps)
     hi_prods = _f_products(d, n, eps)
-    termwise = all(lo.compare(hi) <= 0 for lo, hi in zip(lo_prods, hi_prods))
-    lo_sum = _sum_of(lo_prods)
-    hi_sum = _sum_of(hi_prods)
-    if termwise:
-        holds = True
-    else:
-        try:
-            holds = lo_sum.compare(hi_sum) <= 0
-        except ComparisonUndecided:
-            holds = False
-    return MonotonicityReport(i, True, (), holds,
-                              float(lo_sum), float(hi_sum))
+    holds = (all(lo.compare(hi) <= 0 for lo, hi in zip(lo_prods, hi_prods))
+             or _at_most(_sum_of(lo_prods), _sum_of(hi_prods)))
+    return MonotonicityReport(i, True, (), holds)
 
 
 @dataclass(frozen=True)
@@ -373,12 +354,12 @@ def check_dominance(d: DimProfile, n: SizeProfile,
     for i in range(k):
         lhs = product_from_pairs([(n.sizes[i], Fraction(-1, d.dims[i]))]
                                  + [(size, 1) for size in n.sizes])
-        sub = _f_value_literal(d.drop(i), n.drop(i), eps)
+        # F of the (k-1)-part subprofile, summed literally: for k = 2 its
+        # trailing term (1/n)*n = 1 is what reduces the hypothesis to the
+        # paper-side condition n_j >= n_i^{1/d_i}.
+        sub = _sum_of(_f_products(d.drop(i), n.drop(i), eps))
         rhs = sub.times_product(PowerProduct.from_rational(n.sizes[i]))
-        try:
-            if PowerSum.from_product(lhs).compare(rhs) < 0:
-                failed.append(i)
-        except ComparisonUndecided:
+        if not _at_most(rhs, PowerSum.from_product(lhs)):
             failed.append(i)
     constant = Fraction(1, 2 ** (k + 1))
     if failed:
@@ -387,21 +368,14 @@ def check_dominance(d: DimProfile, n: SizeProfile,
     alphas = exponents(d).alphas
     dominant = product_from_pairs((size, alpha + eps)
                                   for size, alpha in zip(n.sizes, alphas))
+    dominant_sum = PowerSum.from_product(dominant)
     prods = _f_products(d, n, eps)
     full = _sum_of(prods)
     # Termwise: every term of F is at most the dominant term, hence
     # F <= (2^k - 1) * dominant <= dominant / constant.
-    termwise = all(prod.compare(dominant) <= 0 for prod in prods)
-    if termwise:
-        holds = True
-    else:
-        try:
-            holds = PowerSum.from_product(dominant).compare(
-                full.scale(constant)) >= 0
-        except ComparisonUndecided:
-            holds = False
-    with_eps = PowerSum.from_product(dominant)
-    ratio = float(with_eps) / float(full)
+    holds = (all(prod.compare(dominant) <= 0 for prod in prods)
+             or _at_most(full.scale(constant), dominant_sum))
+    ratio = float(dominant_sum) / float(full)
     return DominanceReport(True, (), constant, holds, ratio)
 
 

@@ -4,8 +4,9 @@ Subcommands: bounds, build, detect, shatter, partition, experiment,
 verify.  JSON goes to stdout; exact rationals are rendered as "p/q"
 strings next to float approximations.  Exit codes: 0 all verdicts pass,
 2 a verdict failed, 3 a search budget was exhausted, 4 malformed input
-(an unreadable or ill-formed input file or experiment spec, or arguments
-the bound calculus rejects), reported as one line of JSON with an "error" key.
+(a usage error, an unreadable or ill-formed input file or experiment
+spec, or arguments the bound calculus rejects), reported as one line of
+JSON with an "error" key.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ EXIT_INPUT = 4
 
 class InputError(Exception):
     """Malformed input: the command exits with EXIT_INPUT."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input, not argparse's exit status 2
+    (which would read as a failed verdict); subparsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
 
 
 def _load(path, parse, **kwargs):
@@ -197,10 +207,8 @@ def cmd_build(args) -> int:
         try:
             if kind == "st-config":
                 cfg = st_lower_bound_minor_config(args.d, args.scale)
-            elif kind == "k1uu":
+            else:  # k1uu, the last of the parser's choices
                 cfg = k1uu_config(args.d, args.u)
-            else:
-                raise SystemExit(f"unknown build kind {kind!r}")
         except ValueError as err:  # the generators' argument checks
             raise InputError(str(err)) from None
         _write_out(cfg.to_text(), args.out)
@@ -432,17 +440,15 @@ def cmd_verify(args) -> int:
         "erdos": _suite_erdos,
         "minor-free": _suite_minor_free,
     }
-    fn = suites.get(args.suite)
-    if fn is None:
-        raise SystemExit(f"unknown suite {args.suite!r}")
-    return EXIT_OK if fn(args.count, args.seed) else EXIT_VERDICT
+    ok = suites[args.suite](args.count, args.seed)
+    return EXIT_OK if ok else EXIT_VERDICT
 
 
 # ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="zarank",
         description="Zarankiewicz-type extremal problems on geometric "
                     "hypergraphs: exact bounds, builders, detectors, "
@@ -520,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as err:
         print(json.dumps({"error": str(err)}))

@@ -359,7 +359,12 @@ class PowerSum:
         return mpmath.mp.make_mpf(total[0]), mpmath.mp.make_mpf(total[1])
 
     def compare(self, other: "PowerSum") -> int:
-        """Exact three-way comparison, escalating precision as needed."""
+        """Exact three-way comparison, escalating precision as needed.
+
+        Equal sums have equal terms, since terms are keyed by residue;
+        any other pair that _MAX_PREC bits cannot separate raises
+        ComparisonUndecided.
+        """
         if self.terms == other.terms:
             return 0
         if self.is_rational() and other.is_rational():
@@ -374,10 +379,6 @@ class PowerSum:
             if alo > bhi:
                 return 1
             prec *= 2
-        # Last resort: cancel common terms and retry the rational test.
-        diff_self, diff_other = _cancel(self, other)
-        if diff_self.terms == diff_other.terms:
-            return 0
         raise ComparisonUndecided(f"cannot separate {self} and {other}")
 
     def __le__(self, other: "PowerSum") -> bool:
@@ -392,18 +393,6 @@ class PowerSum:
         if not self.terms:
             return "0"
         return " + ".join(f"{c}*{r!r}" for c, r in self.term_list())
-
-
-def _cancel(a: PowerSum, b: PowerSum) -> tuple[PowerSum, PowerSum]:
-    ra, rb = PowerSum(), PowerSum()
-    for residue in set(a.terms) | set(b.terms):
-        ca = a.terms.get(residue, Fraction(0))
-        cb = b.terms.get(residue, Fraction(0))
-        if ca > cb:
-            ra.terms[residue] = ca - cb
-        elif cb > ca:
-            rb.terms[residue] = cb - ca
-    return ra, rb
 
 
 def _point(n: int) -> tuple:

@@ -53,6 +53,9 @@ VARIANTS = ("random", "clusters")
 _PARTITION_BOUND = 10**4
 _CLUSTER_RADIUS = 100
 
+# The naive recount enumerates k-subsets; it declines past this many.
+_ORACLE_SUBSETS = 200_000
+
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -316,23 +319,33 @@ def _check_kfree(spec: ExperimentSpec, H, k: int) -> tuple[bool, Optional[bool],
         return False, None, "pattern check budget exhausted"
 
 
+def _arity(spec: ExperimentSpec) -> int:
+    """The arity k of the tuples a sweep's hyperedges decide."""
+    if spec.kind == "triangles":
+        return 3
+    if spec.kind == "spheres":
+        return min(spec.d, 3)
+    return spec.d
+
+
 def _config(spec: ExperimentSpec,
             size: int) -> tuple[PointConfig | SphereConfig, int]:
-    """The configuration a sweep builds at this size, and the arity k of
-    the tuples its hyperedges decide."""
+    """The configuration a sweep builds at this size, and its arity."""
     if spec.kind == "minors":
-        return _random_matrix(spec, size), spec.d
-    if spec.kind == "st-config":
-        return st_lower_bound_minor_config(spec.d, size), spec.d
-    if spec.kind == "k1uu":
-        return k1uu_config(spec.d, size), spec.d
-    if spec.kind == "triangles":
-        if spec.variant == "clusters":
-            return _cluster_triangle_points(spec, size), 3
-        return _random_triangle_points(spec, size), 3
-    if spec.kind == "spheres":
-        return _random_spheres(spec, size), min(spec.d, 3)
-    raise AssertionError(spec.kind)
+        cfg = _random_matrix(spec, size)
+    elif spec.kind == "st-config":
+        cfg = st_lower_bound_minor_config(spec.d, size)
+    elif spec.kind == "k1uu":
+        cfg = k1uu_config(spec.d, size)
+    elif spec.kind == "triangles" and spec.variant == "clusters":
+        cfg = _cluster_triangle_points(spec, size)
+    elif spec.kind == "triangles":
+        cfg = _random_triangle_points(spec, size)
+    elif spec.kind == "spheres":
+        cfg = _random_spheres(spec, size)
+    else:
+        raise AssertionError(spec.kind)
+    return cfg, _arity(spec)
 
 
 def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
@@ -377,12 +390,12 @@ def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
 
 def _naive_recount(spec: ExperimentSpec, size: int) -> Optional[int]:
     """Independently coded counter for the oracle cross-check; None for
-    partition sweeps and for configurations with more than 200,000
-    k-subsets."""
+    partition sweeps and for configurations with more than
+    _ORACLE_SUBSETS k-subsets."""
     if spec.kind == "partition":
         return None
     cfg, k = _config(spec, size)
-    if math.comb(cfg.n, k) > 200_000:
+    if math.comb(cfg.n, k) > _ORACLE_SUBSETS:
         return None
     if spec.kind == "triangles":
         return count_almost_unit_area_naive(cfg)
@@ -403,12 +416,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     t0 = time.time()
     results = [_run_size(spec, s) for s in spec.sizes]
 
-    # the oracle's cap is on k-subsets, so no size after the first past it fits
+    # the oracle's cap is on k-subsets, so no size after the first past it
+    # fits; res.n decides it before the recount builds anything
     cross_checked = 0
     for res in results:
         if res.skipped:
             continue
-        if cross_checked >= 2:
+        if (cross_checked >= 2
+                or math.comb(res.n, _arity(spec)) > _ORACLE_SUBSETS):
             break
         naive = _naive_recount(spec, res.size)
         if naive is None:

@@ -24,7 +24,7 @@ from zarank.bounds import (
     eval_F,
     exponents,
 )
-from zarank.exactnum import PowerSum
+from zarank.exactnum import ComparisonUndecided, PowerProduct, PowerSum
 
 
 def two_part_alphas(d1, d2):
@@ -307,6 +307,49 @@ class TestDominance:
             assert rep.holds, (dims, sizes)
             assert rep.ratio >= float(rep.constant)
             done += 1
+
+
+class TestSumFallbacks:
+    """The branches behind the termwise comparison: the sums, and an
+    undecided sum comparison counting as not holding."""
+
+    MONO = (DimProfile((3, 2)), SizeProfile((100, 100)), 0)
+    DOM = (DimProfile((2, 2)), SizeProfile((10**6, 10**6)), 0)
+
+    def test_termwise_monotonicity_encloses_nothing(self, monkeypatch):
+        calls = []
+        bounds = PowerSum.bounds
+        monkeypatch.setattr(PowerSum, "bounds", lambda self, prec: (
+            calls.append(prec) or bounds(self, prec)))
+        assert check_monotonicity(*self.MONO).holds
+        assert calls == []
+
+    def test_sums_decide_when_a_term_resists(self, monkeypatch):
+        sums = []
+        compare = PowerSum.compare
+        monkeypatch.setattr(PowerProduct, "compare", lambda self, other: 1)
+        monkeypatch.setattr(PowerSum, "compare", lambda self, other: (
+            sums.append(other) or compare(self, other)))
+        assert check_monotonicity(*self.MONO).holds
+        assert len(sums) == 1
+        sums.clear()
+        rep = check_dominance(*self.DOM)
+        assert rep.hypothesis_met and rep.holds
+        # two hypotheses, then the fallback against F / 2^{k+1}
+        assert len(sums) == 3
+
+    def test_undecided_sums_do_not_hold(self, monkeypatch):
+        def undecided(self, other):
+            raise ComparisonUndecided("forced")
+
+        monkeypatch.setattr(PowerProduct, "compare", lambda self, other: 1)
+        monkeypatch.setattr(PowerSum, "compare", undecided)
+        rep = check_monotonicity(*self.MONO)
+        assert rep.hypothesis_met and rep.holds is False
+        rep = check_dominance(*self.DOM)
+        assert not rep.hypothesis_met
+        assert rep.failed_indices == (0, 1)
+        assert rep.holds is None
 
 
 class TestErdosBound:

@@ -199,6 +199,23 @@ class TestInputErrors:
         assert "Traceback" not in err
         return json.loads(out)["error"]
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["build", "--kind", "bogus"], "invalid choice: 'bogus'"),
+        (["verify", "--suite", "bogus"], "invalid choice: 'bogus'"),
+        (["bounds"], "--dims"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["partition", "--r", "a"], "invalid int value: 'a'"),
+    ])
+    def test_usage_error(self, capsys, argv, fragment):
+        assert fragment in self.check(capsys, *argv)
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     def test_empty_hypergraph_file(self, tmp_path, capsys):
         hg = tmp_path / "h.txt"
         hg.write_text("")

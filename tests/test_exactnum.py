@@ -76,6 +76,19 @@ def test_sum_comparison_escalates():
     assert b.compare(a) == 1
 
 
+def test_sum_comparison_undecided_past_max_precision(monkeypatch):
+    # 1 + sqrt(2) vs (1 + 2^-100) + sqrt(2): 64-bit intervals overlap
+    root2 = PowerSum.from_product(
+        PowerProduct.from_base_exp(2, Fraction(1, 2)))
+    a = PowerSum.from_product(PowerProduct.one()) + root2
+    b = PowerSum.from_product(PowerProduct.one(),
+                              1 + Fraction(1, 2 ** 100)) + root2
+    assert a.compare(b) == -1
+    monkeypatch.setattr(exactnum, "_MAX_PREC", 64)
+    with pytest.raises(exactnum.ComparisonUndecided):
+        a.compare(b)
+
+
 def test_sum_rational_fast_path():
     a = PowerSum.from_product(PowerProduct.from_rational(Fraction(1, 3)))
     b = PowerSum.from_product(PowerProduct.from_rational(Fraction(2, 3)))

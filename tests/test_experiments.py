@@ -205,7 +205,7 @@ class TestRunExperiment:
 
     def test_recount_stops_at_the_oracle_cap(self, monkeypatch):
         """st-config size 8 has C(1536, 2) pairs, past the cap, and larger
-        sizes have more: no size after it is tried."""
+        sizes have more: neither it nor any size after it is recounted."""
         asked = []
         recount = experiments._naive_recount
 
@@ -216,7 +216,21 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "_naive_recount", record)
         run_experiment(ExperimentSpec(kind="st-config", d=2,
                                       sizes=(8, 12, 16)))
-        assert asked == [8]
+        assert asked == []
+
+    def test_cap_is_checked_before_the_recount_builds(self, monkeypatch):
+        """Sizes 4, 8, 12 are built once each; only size 4 (n = 192) is
+        within the cap, so the recount builds it a fourth time."""
+        built = []
+        build = experiments.st_lower_bound_minor_config
+
+        def record(d, size):
+            built.append(size)
+            return build(d, size)
+
+        monkeypatch.setattr(experiments, "st_lower_bound_minor_config", record)
+        run_experiment(ExperimentSpec(kind="st-config", d=2, sizes=(4, 8, 12)))
+        assert built == [4, 8, 12, 4]
 
 
 class TestNaiveRecount:
