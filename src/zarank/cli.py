@@ -114,6 +114,8 @@ def cmd_bounds(args) -> int:
         sizes = _parse_int_list(args.sizes) if args.sizes else (100,) * d.k
         n = SizeProfile(sizes)
         eps = parse_rational(args.eps)
+        if eps < 0:
+            raise ValueError(f"--eps {args.eps} is negative")
         checks = [c.strip() for c in args.check.split(",") if c.strip()]
         for name in checks:
             if name not in ("matrix", "scaling", "monotonicity", "dominance"):
@@ -440,6 +442,8 @@ def cmd_verify(args) -> int:
         "erdos": _suite_erdos,
         "minor-free": _suite_minor_free,
     }
+    if args.count < 1:
+        raise InputError(f"--count {args.count} is not >= 1")
     ok = suites[args.suite](args.count, args.seed)
     return EXIT_OK if ok else EXIT_VERDICT
 

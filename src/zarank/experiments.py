@@ -123,6 +123,10 @@ class ExperimentSpec:
         if (isinstance(self.tolerance, bool)
                 or not isinstance(self.tolerance, (int, float))):
             raise ValueError("tolerance must be a number")
+        if not math.isfinite(self.tolerance):
+            raise ValueError("tolerance must be finite")
+        if self.kfree_budget < 1:
+            raise ValueError("kfree_budget must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.det_target not in [t.value for t in DetTarget]:
@@ -389,9 +393,12 @@ def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
 
 
 def _naive_recount(spec: ExperimentSpec, size: int) -> Optional[int]:
-    """Independently coded counter for the oracle cross-check; None for
-    partition sweeps and for configurations with more than
-    _ORACLE_SUBSETS k-subsets."""
+    """Independently coded counter for the oracle cross-check: the
+    `Fraction` oracles of `geometry`, which share no code with the integer
+    sweeps.  None for partition sweeps and for configurations with more
+    than _ORACLE_SUBSETS k-subsets.  The cap bounds the subsets an oracle
+    may visit; the d=3 sphere oracle tests only the triples whose three
+    pairs meet."""
     if spec.kind == "partition":
         return None
     cfg, k = _config(spec, size)
@@ -410,8 +417,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     Per size: build the configuration, count exactly, verify the
     pattern-freeness precondition where it applies (skipped with a note
     when the budget trips).  The two smallest completed sizes within the
-    oracle's cap are recounted by an independent naive enumerator.  The
-    slope of the log-log fit is compared against the predicted exponent.
+    oracle's cap are recounted by an independent `Fraction` oracle
+    (`_naive_recount`), and a mismatch raises.  The slope of the log-log
+    fit is compared against the predicted exponent.
     """
     t0 = time.time()
     results = [_run_size(spec, s) for s in spec.sizes]

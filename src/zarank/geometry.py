@@ -453,13 +453,24 @@ def count_unit_minors(M: PointConfig) -> int:
 
 
 def count_unit_minors_naive(M: PointConfig) -> int:
-    """Independent oracle: plain rational Gaussian elimination per subset."""
-    d = M.dim
+    """Independent oracle: the `Fraction` determinant of every d-subset of
+    columns, by cofactors for d in {2, 3} (each pair's cross product
+    taken once for all its third columns), else by Gaussian
+    elimination."""
+    d, cols = M.dim, M.points
+    if d == 2:
+        return sum(1 for (a, b), (c, e) in itertools.combinations(cols, 2)
+                   if abs(a * e - b * c) == 1)
+    if d != 3:
+        return sum(1 for combo in itertools.combinations(cols, d)
+                   if abs(_det_fraction_gauss(
+                       [[c[r] for c in combo] for r in range(d)])) == 1)
     count = 0
-    for cols in itertools.combinations(M.points, d):
-        det = _det_fraction_gauss([[c[r] for c in cols] for r in range(d)])
-        if det == 1 or det == -1:
-            count += 1
+    for i, u in enumerate(cols):
+        for j in range(i + 1, len(cols)):
+            w0, w1, w2 = _cross3(u, cols[j])
+            count += sum(1 for x, y, z in cols[j + 1:]
+                         if abs(w0 * x + w1 * y + w2 * z) == 1)
     return count
 
 
@@ -534,28 +545,17 @@ def count_almost_unit_area(P: PointConfig, lo: Fraction = Fraction(9, 10),
 
 def count_almost_unit_area_naive(P: PointConfig, lo=Fraction(9, 10),
                                  hi=Fraction(11, 10)) -> int:
-    """Independent oracle: direct rational triple loop."""
-    lo, hi = Fraction(lo), Fraction(hi)
+    """Independent oracle: direct rational triple loop, over each anchor's
+    `Fraction` differences to the later points."""
+    lo2, hi2 = 2 * Fraction(lo), 2 * Fraction(hi)
+    pts = P.points
     count = 0
-    for p, q, r in itertools.combinations(P.points, 3):
-        a2 = triangle_double_area(p, q, r)
-        if 2 * lo <= a2 <= 2 * hi:
-            count += 1
+    for i, (px, py) in enumerate(pts):
+        rel = [(qx - px, qy - py) for qx, qy in pts[i + 1:]]
+        for j, (ux, uy) in enumerate(rel):
+            count += sum(1 for vx, vy in rel[j + 1:]
+                         if lo2 <= abs(ux * vy - uy * vx) <= hi2)
     return count
-
-
-def distance_ratio_squared(P: PointConfig) -> Optional[Fraction]:
-    """max/min squared pairwise distance; a reported statistic only."""
-    best_hi = None
-    best_lo = None
-    for p, q in itertools.combinations(P.points, 2):
-        d2 = sum((a - b) ** 2 for a, b in zip(p, q))
-        best_hi = d2 if best_hi is None else max(best_hi, d2)
-        if d2 > 0:
-            best_lo = d2 if best_lo is None else min(best_lo, d2)
-    if best_hi is None or best_lo is None:
-        return None
-    return best_hi / best_lo
 
 
 # ---------------------------------------------------------------------------
@@ -699,14 +699,20 @@ def count_sphere_intersections(S: SphereConfig) -> int:
 
 
 def count_sphere_intersections_naive(S: SphereConfig) -> int:
-    """Independent oracle: the rational predicates on every pair (d=2)
-    or triple (d=3)."""
+    """Independent oracle: the rational predicates on every pair (d=2),
+    or (d=3) on every triple whose three pairs meet, since spheres that
+    share a point meet pairwise.  `circles_intersect` tests the pairs:
+    its squared-distance form holds in any dimension."""
+    spheres = S.spheres
+    later = [{j for j in range(i + 1, len(spheres))
+              if circles_intersect(*spheres[i], *spheres[j])[0]}
+             for i in range(len(spheres))]
     if S.dim == 2:
-        pairs = itertools.combinations(S.spheres, 2)
-        return sum(1 for (c1, a), (c2, b) in pairs
-                   if circles_intersect(c1, a, c2, b)[0])
-    return sum(1 for triple in itertools.combinations(S.spheres, 3)
-               if spheres_triple_intersect(*triple)[0])
+        return sum(map(len, later))
+    return sum(1 for i, nbrs in enumerate(later)
+               for j in sorted(nbrs) for l in sorted(nbrs & later[j])
+               if spheres_triple_intersect(spheres[i], spheres[j],
+                                           spheres[l])[0])
 
 
 # ---------------------------------------------------------------------------

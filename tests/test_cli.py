@@ -245,6 +245,17 @@ class TestInputErrors:
         msg = self.check(capsys, "bounds", "--dims", "2,2", "--check", "bogus")
         assert "unknown check 'bogus'" in msg
 
+    def test_bounds_negative_eps(self, capsys):
+        msg = self.check(capsys, "bounds", "--dims", "2,2", "--sizes",
+                         "10,10", "--eps", "-1")
+        assert "--eps -1 is negative" in msg
+
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_verify_count_below_one(self, capsys, count):
+        msg = self.check(capsys, "verify", "--suite", "lemmas",
+                         "--count", count)
+        assert f"--count {count} is not >= 1" in msg
+
     @pytest.mark.parametrize("pattern, fragment", [
         ("2,x", "--pattern"), ("1,1,1", "3 class sizes"), ("0,1", ">= 1")])
     def test_detect_bad_pattern(self, tmp_path, capsys, pattern, fragment):
@@ -326,6 +337,22 @@ class TestInputErrors:
         sf.write_text(json.dumps(spec))
         msg = self.check(capsys, "experiment", "--spec", str(sf))
         assert fragment in msg
+
+    def test_experiment_infinite_tolerance(self, tmp_path, capsys):
+        """1e400 parses as an infinite float, which a report could not
+        write as JSON."""
+        sf = tmp_path / "spec.json"
+        sf.write_text('{"kind": "minors", "d": 2, "sizes": [20, 40, 80], '
+                      '"tolerance": 1e400}')
+        msg = self.check(capsys, "experiment", "--spec", str(sf))
+        assert "tolerance must be finite" in msg
+
+    def test_experiment_kfree_budget_below_one(self, tmp_path, capsys):
+        sf = tmp_path / "spec.json"
+        sf.write_text(json.dumps({"kind": "minors", "d": 2,
+                                  "sizes": [20, 40, 80], "kfree_budget": -1}))
+        msg = self.check(capsys, "experiment", "--spec", str(sf))
+        assert "kfree_budget must be >= 1" in msg
 
     def test_one_dimensional_minors_rejected_before_any_loop(
             self, tmp_path, capsys, monkeypatch):

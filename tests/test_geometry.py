@@ -30,7 +30,6 @@ from zarank.geometry import (
     count_unit_minors_naive,
     det_bareiss,
     det_of_columns,
-    distance_ratio_squared,
     halfplane_traces,
     k1uu_config,
     almost_unit_area_hypergraph,
@@ -293,10 +292,6 @@ class TestAlmostUnitArea:
         with pytest.raises(ValueError):
             count_almost_unit_area(cfg, Fraction(2), Fraction(1))
 
-    def test_distance_ratio_statistic(self):
-        cfg = PointConfig(2, frac_points([(0, 0), (1, 0), (3, 0)]))
-        assert distance_ratio_squared(cfg) == 9
-
 
 class TestSpheres:
     def test_tangent_circles_meet(self):
@@ -463,6 +458,168 @@ class TestSpheres:
         dup = (((Fraction(0), Fraction(0)), Fraction(1)),) * 2
         with pytest.raises(ValueError):
             SphereConfig(2, dup, distinct=True)
+
+
+# The oracles' earlier, unfiltered loops: every subset through the
+# rational predicate.  The oracles in `geometry` must count the same.
+
+
+def unit_minors_loop(M):
+    """Gaussian elimination on every d-subset of columns."""
+    d = M.dim
+    return sum(1 for cols in itertools.combinations(M.points, d)
+               if abs(geometry._det_fraction_gauss(
+                   [[c[r] for c in cols] for r in range(d)])) == 1)
+
+
+def area_loop(P, lo, hi):
+    """The doubled area of every triangle against the doubled band."""
+    return sum(1 for p, q, r in itertools.combinations(P.points, 3)
+               if 2 * lo <= triangle_double_area(p, q, r) <= 2 * hi)
+
+
+def sphere_loop(S):
+    """The pair predicate on every pair (d=2), the triple predicate on
+    every triple (d=3)."""
+    if S.dim == 2:
+        return sum(1 for (c1, a), (c2, b)
+                   in itertools.combinations(S.spheres, 2)
+                   if circles_intersect(c1, a, c2, b)[0])
+    return sum(1 for triple in itertools.combinations(S.spheres, 3)
+               if spheres_triple_intersect(*triple)[0])
+
+
+# small values, so that unit determinants, exact band ends, tangencies
+# and repeats come up
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+class TestOraclesMatchTheirLoops:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_unit_minors(self, data):
+        """Columns with denominators, d = 2 and 3 by cofactors, d = 4
+        through `_det_fraction_gauss`; repeated columns allowed."""
+        d = data.draw(st.sampled_from([2, 3, 4]))
+        unit = [tuple(Fraction(int(r == i)) for r in range(d))
+                for i in range(d)]
+        cols = data.draw(st.lists(st.one_of(
+            st.tuples(*[small_rational] * d), st.sampled_from(unit)),
+            max_size=9 if d < 4 else 7))
+        M = PointConfig(d, cols)
+        assert count_unit_minors_naive(M) == unit_minors_loop(M)
+
+    def test_unit_minors_d4_case(self):
+        cols = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                (1, 1, 1, Fraction(1, 2)), (2, 0, 1, 3)]
+        M = PointConfig(4, frac_points(cols))
+        assert count_unit_minors_naive(M) == unit_minors_loop(M) == 7
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_almost_unit_area(self, data):
+        """Points with denominators; the band's ends are triangle areas,
+        so hits sit exactly on both ends."""
+        raw = data.draw(st.lists(st.tuples(small_rational, small_rational),
+                                 min_size=3, max_size=10))
+        P = PointConfig(2, raw)
+        areas = sorted({triangle_double_area(*t) / 2
+                        for t in itertools.combinations(P.points, 3)})
+        lo = data.draw(st.sampled_from(areas))
+        hi = data.draw(st.sampled_from([a for a in areas if a >= lo]))
+        assert count_almost_unit_area_naive(P, lo, hi) == area_loop(P, lo, hi)
+        assert count_almost_unit_area_naive(P) \
+            == area_loop(P, Fraction(9, 10), Fraction(11, 10))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_sphere_intersections(self, data):
+        """Few distinct centres on a small grid and few rational radii,
+        squared: identical, concentric, tangent spheres and collinear
+        centres (parallel radical planes) come up."""
+        d = data.draw(st.sampled_from([2, 3]))
+        coord = st.sampled_from([Fraction(v, 2) for v in range(-3, 4)])
+        centres = data.draw(st.lists(st.tuples(*[coord] * d),
+                                     min_size=1, max_size=4))
+        radii = data.draw(st.lists(st.fractions(1, 2, max_denominator=2),
+                                   min_size=1, max_size=3))
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(centres),
+                                            st.sampled_from(radii)),
+                                  max_size=9))
+        S = SphereConfig(d, tuple((c, r * r) for c, r in rows))
+        assert count_sphere_intersections_naive(S) == sphere_loop(S)
+
+    @pytest.mark.parametrize("rows, want", [
+        # (centre, squared radius) triples and their count
+        # mutually tangent pairs through one point (1, 0, 0)
+        ([((0, 0, 0), 1), ((2, 0, 0), 1), ((1, 1, 0), 1)], 1),
+        # two tangent spheres and a third through the tangency point
+        ([((0, 0, 0), 1), ((3, 0, 0), 4), ((1, 0, 5), 25)], 1),
+        # two tangent spheres and a third that misses the tangency point
+        ([((0, 0, 0), 1), ((3, 0, 0), 4), ((1, 0, 6), 25)], 0),
+        # an identical pair and a sphere meeting it: one degenerate triple
+        ([((0, 0, 0), 2), ((0, 0, 0), 2), ((1, 1, 1), 2)], 1),
+        # three identical spheres
+        ([((1, 0, 0), 1)] * 3, 1),
+        # concentric spheres never share a point
+        ([((0, 0, 0), 1), ((0, 0, 0), 4), ((1, 0, 0), 4)], 0),
+        # collinear centres, coincident radical planes: a common circle
+        ([((-1, 0, 0), 4), ((1, 0, 0), 4), ((0, 0, 0), 3)], 1),
+        # collinear centres, distinct parallel radical planes
+        ([((0, 0, 0), 4), ((1, 0, 0), 4), ((2, 0, 0), 4)], 0),
+        # every pair meets, the three share no point
+        ([((0, 0, 0), 1), ((Fraction(19, 10), 0, 0), 1),
+          ((Fraction(19, 20), Fraction(8, 5), 0), 1)], 0),
+    ])
+    def test_named_sphere_cases(self, rows, want):
+        rows = [(tuple(map(Fraction, c)), Fraction(r2)) for c, r2 in rows]
+        for more in ([], [((Fraction(9),) * 3, Fraction(1))]):
+            S = SphereConfig(3, rows + more)
+            assert count_sphere_intersections_naive(S) == sphere_loop(S) \
+                == want
+
+    def test_triple_predicate_runs_once_per_pair_graph_triangle(
+            self, monkeypatch):
+        S = _random_spheres(ExperimentSpec("spheres", 3, (10, 20, 40)), 40)
+        spheres = S.spheres
+        meets = {(i, j) for i, j in itertools.combinations(range(S.n), 2)
+                 if circles_intersect(*spheres[i], *spheres[j])[0]}
+        triangles = [t for t in itertools.combinations(range(S.n), 3)
+                     if all(p in meets for p in itertools.combinations(t, 2))]
+        calls = []
+        original = geometry.spheres_triple_intersect
+
+        def spy(*triple):
+            calls.append(tuple(spheres.index(s) for s in triple))
+            return original(*triple)
+
+        monkeypatch.setattr(geometry, "spheres_triple_intersect", spy)
+        assert count_sphere_intersections_naive(S) > 0
+        assert sorted(calls) == triangles
+        assert len(triangles) < math.comb(S.n, 3) // 100
+
+    def test_oracles_read_neither_kernels_nor_common_denominator(
+            self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the oracle used the integer form")
+
+        class NoKernels:
+            def __getattr__(self, name):
+                never()
+
+        monkeypatch.setattr(geometry, "kernels", NoKernels())
+        monkeypatch.setattr(geometry._RationalRows, "common_denominator",
+                            never)
+        rng = random.Random(81)
+        for d in (2, 3, 4):
+            M = random_rational_config(rng, d, 8)
+            assert count_unit_minors_naive(M) == unit_minors_loop(M)
+        P = random_rational_config(rng, 2, 12, num=5)
+        assert count_almost_unit_area_naive(P) \
+            == area_loop(P, Fraction(9, 10), Fraction(11, 10))
+        for d in (2, 3):
+            S = _random_spheres(ExperimentSpec("spheres", d, (10, 20, 30)), 20)
+            assert count_sphere_intersections_naive(S) == sphere_loop(S)
 
 
 class TestSTConfig:
