@@ -7,6 +7,12 @@ strings next to float approximations.  Exit codes: 0 all verdicts pass,
 (a usage error, an unreadable or ill-formed input file or experiment
 spec, or arguments the bound calculus rejects), reported as one line of
 JSON with an "error" key.
+
+`experiment` exits 3 only when a size is skipped (a partition search
+failed).  A pattern check that runs out of its `kfree_budget` does not
+change the exit code: its size reports `kfree_checked: false` with the
+note "pattern check budget exhausted", and the sweep exits 0 unless the
+verdict fails.
 """
 
 from __future__ import annotations
@@ -78,11 +84,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load(path, parse, **kwargs):
+def _load(path, parse):
     """Read and parse an input file; any failure is an InputError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(fh.read(), **kwargs)
+            return parse(fh.read())
     except (OSError, ValueError, ZeroDivisionError) as err:
         raise InputError(f"{path}: {err}") from None
 
@@ -191,7 +197,9 @@ def cmd_build(args) -> int:
     target = DetTarget(args.target)
     degenerate = ()
     if kind == "minors":
-        cfg = _load(args.points, PointConfig.from_text, distinct=True)
+        cfg = _load(args.points, PointConfig.from_text)
+        if cfg.has_repeats():
+            raise InputError(f"{args.points}: repeated columns are not allowed")
         H = unit_minor_hypergraph(cfg, target)
     elif kind == "triangles":
         try:
@@ -428,7 +436,7 @@ def _suite_minor_free(count: int, seed: int) -> bool:
         while len(cols) < n:
             cols.add(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                            for _ in range(d)))
-        cfg = PointConfig(d, tuple(sorted(cols)), distinct=True)
+        cfg = PointConfig(d, tuple(sorted(cols)))
         H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
         if contains_complete(H, ForbiddenPattern((2,) * d)).found:
             bad += 1

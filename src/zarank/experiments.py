@@ -136,6 +136,8 @@ class ExperimentSpec:
         self._check_shape()
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "eps", Fraction(self.eps))
+        if self.eps < 0:
+            raise ValueError("eps must be >= 0")
 
     def _check_shape(self):
         """The dimension and the size range each kind's generator needs."""
@@ -258,7 +260,7 @@ def _random_matrix(spec: ExperimentSpec, n: int) -> PointConfig:
     cols = set()
     while len(cols) < n:
         cols.add(tuple(rng.randint(1, top) for _ in range(spec.d)))
-    return PointConfig.from_integers(spec.d, sorted(cols), distinct=True)
+    return PointConfig.from_integers(spec.d, sorted(cols))
 
 
 def _random_triangle_points(spec: ExperimentSpec, n: int) -> PointConfig:
@@ -300,8 +302,7 @@ def _random_spheres(spec: ExperimentSpec, n: int) -> SphereConfig:
         center = tuple(rng.randint(0, boxq) for _ in range(spec.d))
         spheres.add(center + (rng.randint(2, 10),))
     # (center, r2) pairs and (center..., r2) rows sort alike
-    return SphereConfig.from_integers(spec.d, sorted(spheres), [4] * n,
-                                      distinct=True)
+    return SphereConfig.from_integers(spec.d, sorted(spheres), [4] * n)
 
 
 def _partition_points(spec: ExperimentSpec, n: int) -> PointConfig:

@@ -3,13 +3,19 @@
 `PointConfig` and `SphereConfig` store each point or sphere once, as
 integer numerators over one positive denominator in lowest terms; the
 rational constructor clears denominators once, and generators hand their
-integers to `from_integers`.  Builders produce k-partite hypergraphs from
-those integers using only exact predicates: fraction-free determinants of
-the stored columns, and, over the common-denominator form, the area band
-and polynomial sign tests in squared radii for spheres.  No floating
-point is consulted for any edge decision.  The `Fraction` views
-(`points`, `spheres`) are built on first use, for the independent
-`*_naive` oracles and text output.
+integers to `from_integers`.  A configuration is its dimension and those
+integers, nothing more; the unit-minor builders reject repeated columns
+themselves.
+
+Builders produce k-partite hypergraphs from those integers using only
+exact predicates: fraction-free determinants of the stored columns, and,
+over the common-denominator form, the area band and polynomial sign
+tests in squared radii for spheres.  The sweeps in `kernels` decide each
+family for d <= 3 and pick their own integer width; the Bareiss loop
+`_unit_minors` decides unit minors for d >= 4.  No floating point is
+consulted for any edge decision.  The `Fraction` views (`points`,
+`spheres`) are built on first use, for the independent `*_naive` oracles
+and text output.
 
 Both file formats (`to_text`, `from_text`) are a first line `d n`, then
 n lines of rationals (`p/q` or integer): a point's (matrix column's) d
@@ -78,14 +84,59 @@ class _RationalRows:
     denominators[i] is 1.  Both arrays are int64 when every entry fits,
     else object arrays of python ints, and read-only.  Equal rationals
     give equal integers, so equality, hashing and the repeat check work on
-    the integers; the `Fraction` rows are built on first use and kept."""
+    the integers; the `Fraction` rows are built on first use and kept.
 
-    __slots__ = ("dim", "distinct", "numerators", "denominators", "_cache")
+    A subclass names its rows (`_noun`) and gives their width for a
+    dimension (`_width`, which rejects a dimension it cannot hold); it
+    may turn a constructor item into a row differently (`_row`) and
+    check the stored values (`_store`)."""
+
+    __slots__ = ("dim", "numerators", "denominators", "_cache")
+
+    def __init__(self, dim: int, items):
+        rows = tuple(map(self._row, items))
+        self._store(dim, *_cleared(rows), rows)
+
+    @classmethod
+    def from_integers(cls, dim: int, numerators, denominators=None):
+        """Rows numerators[i] / denominators[i]; denominators default to
+        1, must be positive, and are reduced against the numerators."""
+        cfg = cls.__new__(cls)
+        cfg._store(dim, numerators, denominators)
+        return cfg
+
+    @classmethod
+    def from_text(cls, text: str):
+        """Parse the file form of `to_text`."""
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty input")
+        d, n = (int(x) for x in lines[0].split())
+        rows = tuple(tuple(parse_rational(t) for t in ln.split())
+                     for ln in lines[1:])
+        if len(rows) != n:
+            raise ValueError(f"expected {n} {cls._noun}, found {len(rows)}")
+        cfg = cls.__new__(cls)
+        cfg._store(d, *_cleared(rows), rows)
+        return cfg
+
+    def __reduce__(self):
+        """Copy and pickle through the stored integers."""
+        return (type(self).from_integers,
+                (self.dim, self.numerators, self.denominators))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _store(self, dim, numerators, denominators, distinct, k, rows):
+    @staticmethod
+    def _row(item) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, item))
+
+    def _store(self, dim, numerators, denominators, rows=None):
+        k = self._width(dim)
+        for row in rows or ():
+            if len(row) != k:
+                raise ValueError(f"row {row} does not have {k} entries")
         nums = _int_array(numerators)
         if nums.ndim == 1 and not nums.size:
             nums = nums.reshape(0, k)
@@ -106,9 +157,8 @@ class _RationalRows:
         for a in (nums, dens):
             a.flags.writeable = False
         cache = {} if rows is None else {"rows": rows}
-        for name, value in (("dim", dim), ("distinct", bool(distinct)),
-                            ("numerators", nums), ("denominators", dens),
-                            ("_cache", cache)):
+        for name, value in (("dim", dim), ("numerators", nums),
+                            ("denominators", dens), ("_cache", cache)):
             object.__setattr__(self, name, value)
 
     @property
@@ -125,7 +175,7 @@ class _RationalRows:
         return self._cache["rows"]
 
     def has_repeats(self) -> bool:
-        """Whether two rows are equal (never, when built with distinct)."""
+        """Whether two rows are equal."""
         if "repeats" not in self._cache:
             both = np.column_stack((self.numerators, self.denominators))
             self._cache["repeats"] = _distinct_rows(both) != self.n
@@ -150,25 +200,9 @@ class _RationalRows:
         lines += [" ".join(map(format_rational, row)) for row in self._rows()]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str, distinct: bool = False):
-        """Parse the file form of `to_text`."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty input")
-        d, n = (int(x) for x in lines[0].split())
-        rows = tuple(tuple(parse_rational(t) for t in ln.split())
-                     for ln in lines[1:])
-        if len(rows) != n:
-            raise ValueError(f"expected {n} {cls._noun}, found {len(rows)}")
-        cfg = cls.__new__(cls)
-        cfg._setup(d, *_cleared(rows), distinct, rows)
-        return cfg
-
     def _key(self) -> tuple:
         if "key" not in self._cache:
-            self._cache["key"] = (self.dim, self.distinct,
-                                  getattr(self, "labels", None),
+            self._cache["key"] = (self.dim,
                                   tuple(map(tuple, self.numerators.tolist())),
                                   tuple(self.denominators.tolist()))
         return self._cache["key"]
@@ -182,58 +216,26 @@ class _RationalRows:
         return hash(self._key())
 
     def __repr__(self):
-        return (f"{type(self).__name__}(dim={self.dim}, n={self.n}, "
-                f"distinct={self.distinct})")
+        return f"{type(self).__name__}(dim={self.dim}, n={self.n})"
 
 
 class PointConfig(_RationalRows):
-    """Labeled points with exact rational coordinates; doubles as the
-    column storage of a d x n matrix (points are the columns).
+    """Points with exact rational coordinates; doubles as the column
+    storage of a d x n matrix (points are the columns).
 
     Point i is numerators[i] / denominators[i], the column cleared of its
     denominators, which is what the exact predicates read.  `points` is
     the `Fraction` view, for the independent oracles and text output.
     """
 
-    __slots__ = ("labels",)
+    __slots__ = ()
     _noun = "points"
 
-    def __init__(self, dim: int, points,
-                 labels: Optional[Sequence[str]] = None,
-                 distinct: bool = False):
-        rows = tuple(tuple(Fraction(c) for c in p) for p in points)
-        self._setup(dim, *_cleared(rows), distinct, rows, labels)
-
-    @classmethod
-    def from_integers(cls, dim: int, numerators, denominators=None,
-                      labels: Optional[Sequence[str]] = None,
-                      distinct: bool = False) -> "PointConfig":
-        """Points numerators[i] / denominators[i]; denominators default to
-        1, must be positive, and are reduced against the numerators."""
-        cfg = cls.__new__(cls)
-        cfg._setup(dim, numerators, denominators, distinct, labels=labels)
-        return cfg
-
-    def __reduce__(self):
-        """Copy and pickle through the stored integers."""
-        return (type(self).from_integers,
-                (self.dim, self.numerators, self.denominators, self.labels,
-                 self.distinct))
-
-    def _setup(self, dim, numerators, denominators, distinct, rows=None,
-               labels=None):
+    @staticmethod
+    def _width(dim: int) -> int:
         if dim < 1:
             raise ValueError("dimension must be positive")
-        for p in rows or ():
-            if len(p) != dim:
-                raise ValueError(f"point {p} does not have {dim} coordinates")
-        self._store(dim, numerators, denominators, distinct, dim, rows)
-        labels = None if labels is None else tuple(labels)
-        if labels is not None and len(labels) != self.n:
-            raise ValueError("one label per point")
-        object.__setattr__(self, "labels", labels)
-        if self.distinct and self.has_repeats():
-            raise ValueError("repeated columns are not allowed here")
+        return dim
 
     @property
     def points(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -252,36 +254,21 @@ class SphereConfig(_RationalRows):
     __slots__ = ()
     _noun = "spheres"
 
-    def __init__(self, dim: int, spheres, distinct: bool = False):
-        rows = tuple(tuple(Fraction(c) for c in center) + (Fraction(r2),)
-                     for center, r2 in spheres)
-        self._setup(dim, *_cleared(rows), distinct, rows)
-
-    @classmethod
-    def from_integers(cls, dim: int, numerators, denominators=None,
-                      distinct: bool = False) -> "SphereConfig":
-        """Spheres whose row numerators[i] = (center numerators..., squared
-        radius numerator) is over denominators[i] (default 1, positive)."""
-        cfg = cls.__new__(cls)
-        cfg._setup(dim, numerators, denominators, distinct)
-        return cfg
-
-    def __reduce__(self):
-        """Copy and pickle through the stored integers."""
-        return (type(self).from_integers,
-                (self.dim, self.numerators, self.denominators, self.distinct))
-
-    def _setup(self, dim, numerators, denominators, distinct, rows=None):
+    @staticmethod
+    def _width(dim: int) -> int:
         if dim not in (2, 3):
             raise ValueError("sphere predicates are implemented for d in {2,3}")
-        for row in rows or ():
-            if len(row) != dim + 1:
-                raise ValueError("center dimension mismatch")
-        self._store(dim, numerators, denominators, distinct, dim + 1, rows)
-        if self.n and not (self.numerators[:, dim] > 0).all():
+        return dim + 1
+
+    @staticmethod
+    def _row(item) -> tuple[Fraction, ...]:
+        center, r2 = item
+        return tuple(map(Fraction, center)) + (Fraction(r2),)
+
+    def _store(self, *args):
+        super()._store(*args)
+        if self.n and not (self.numerators[:, self.dim] > 0).all():
             raise ValueError("radius_squared must be positive")
-        if self.distinct and self.has_repeats():
-            raise ValueError("coincident spheres are not allowed here")
 
     @property
     def spheres(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
@@ -344,22 +331,6 @@ def det_of_columns(config: PointConfig, idx: Sequence[int]) -> Fraction:
     return Fraction(det_bareiss(rows), scale)
 
 
-def fits_int64(config: PointConfig) -> bool:
-    """Conservative check that the determinant sweep for d in {2,3} over
-    the stored integers stays inside int64."""
-    if not config.n:
-        return True
-    maxabs = [int(m) for m in np.abs(config.numerators).max(axis=0)]
-    smax = int(config.denominators.max())
-    limit = 2**62
-    if config.dim == 2:
-        return 2 * maxabs[0] * maxabs[1] < limit and smax * smax < limit
-    if config.dim == 3:
-        m = max(maxabs)
-        return 6 * m**3 < limit and smax**3 < limit
-    return False
-
-
 # ---------------------------------------------------------------------------
 # unit minors
 
@@ -387,20 +358,19 @@ def unit_minor_hypergraph(M: PointConfig,
 
 def _unit_hits(M: PointConfig) -> tuple[np.ndarray, np.ndarray]:
     """The increasing d-subsets of the columns with rational determinant
-    +-1, as an index array, and the sign of each: from the int64 hit sweep
-    for d in {2, 3} under the overflow guard, else from the big-integer
-    Bareiss loop."""
+    +-1, as an index array, and the sign of each: from the kernels' hit
+    sweep for d in {2, 3}, else from the Bareiss loop."""
     d = M.dim
-    if d in (2, 3) and fits_int64(M):
+    if d in (2, 3):
         sweep = kernels.unit_pair_hits if d == 2 else kernels.unit_triple_hits
-        return sweep(*_int64_rows(M))
+        return sweep(*_columns(M))
     found = list(_unit_minors(M.numerators.tolist(),
                               M.denominators.tolist(), d))
     hits = np.array([combo for combo, _ in found], dtype=np.int64).reshape(-1, d)
     return hits, np.array([sign for _, sign in found], dtype=np.int64)
 
 
-def _int64_rows(M: PointConfig) -> list[np.ndarray]:
+def _columns(M: PointConfig) -> list[np.ndarray]:
     """The coordinate rows of the stored numerators, then the denominators:
     the arguments of the unit-minor kernels."""
     return [M.numerators[:, r] for r in range(M.dim)] + [M.denominators]
@@ -445,9 +415,9 @@ def count_unit_minors(M: PointConfig) -> int:
     d = M.dim
     if M.has_repeats():
         raise ValueError("repeated columns are not allowed")
-    if d in (2, 3) and fits_int64(M):
+    if d in (2, 3):
         count = kernels.count_unit_pairs if d == 2 else kernels.count_unit_triples
-        return count(*_int64_rows(M))
+        return count(*_columns(M))
     return sum(1 for _ in _unit_minors(M.numerators.tolist(),
                                        M.denominators.tolist(), d))
 
@@ -510,22 +480,15 @@ def triangle_double_area(p, q, r) -> Fraction:
 
 def _area_band_args(P: PointConfig, lo, hi) -> tuple:
     """Arguments of the area-band kernels: coordinates over the common
-    denominator L and the band with scale L^2.  int64 when the bound on
-    |cross| * denominator and on the band's ends stays below 2^62, else
-    object arrays of python ints."""
+    denominator L and the band with scale L^2."""
     if P.dim != 2:
         raise ValueError("triangle areas live in the plane")
     lo, hi = (q if isinstance(q, Fraction) else Fraction(q) for q in (lo, hi))
     if lo > hi:
         raise ValueError("need lo <= hi")
     L, X = P.common_denominator()
-    scale2 = L * L
-    maxc = max(1, int(np.abs(X).max(initial=0)))
-    bound = max(8 * maxc * maxc * max(lo.denominator, hi.denominator),
-                2 * scale2 * max(abs(lo.numerator), abs(hi.numerator)))
-    X = X.astype(np.int64 if bound < 2**62 else object)
     return (X[:, 0], X[:, 1],
-            lo.numerator, lo.denominator, hi.numerator, hi.denominator, scale2)
+            lo.numerator, lo.denominator, hi.numerator, hi.denominator, L * L)
 
 
 def almost_unit_area_hypergraph(P: PointConfig,
@@ -670,15 +633,9 @@ def _sphere_hits(S: SphereConfig) -> tuple[np.ndarray, np.ndarray]:
     index tuples, and their degenerate flags, from one integer sweep.
 
     Centres are scaled by L, the common denominator, and squared radii
-    by L^2.  g bounds every |u|^2, |u.w| and |rho| of the sweep, whose
-    products stay below 8 g^3 (see kernels.sphere_triple_hits); past the
-    int64 guard the sweep runs on python ints."""
+    by L^2."""
     L, X = S.common_denominator()
-    c, r2 = X[:, :S.dim], X[:, S.dim].astype(object) * L
-    span = 2 * int(np.abs(c).max(initial=0))
-    g = S.dim * span * span + int(r2.max(initial=0))
-    dtype = np.int64 if 16 * g**3 < 2**62 else object
-    c, r2 = c.astype(dtype), r2.astype(dtype)
+    c, r2 = X[:, :S.dim], _int_array(X[:, S.dim].astype(object) * L)
     if S.dim == 2:
         return kernels.circle_pair_hits(c, r2)
     return kernels.sphere_triple_hits(c, r2)
@@ -744,7 +701,7 @@ def st_lower_bound_minor_config(d: int, scale: int) -> PointConfig:
     for part in range(3, d + 1):
         at = 3 * s**3 + (part - 3) * s
         nums[at:at + s, part - 2], nums[at:at + s, part - 1] = chain, 1
-    return PointConfig.from_integers(d, nums, dens, distinct=True)
+    return PointConfig.from_integers(d, nums, dens)
 
 
 def st_incidence_count(scale: int) -> int:
@@ -775,7 +732,7 @@ def k1uu_config(d: int, u: int) -> PointConfig:
             col = [0] * d
             col[part - 2], col[part - 1] = x, 1
             cols.append(col)
-    return PointConfig.from_integers(d, cols, distinct=True)
+    return PointConfig.from_integers(d, cols)
 
 
 # ---------------------------------------------------------------------------

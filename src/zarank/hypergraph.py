@@ -73,15 +73,6 @@ class KPartiteHypergraph:
                 out.add(v)
         return out
 
-    def bipartite_masks(self) -> list[int]:
-        """For k = 2: neighborhoods of part-0 vertices as bitmasks over part 1."""
-        if self.k != 2:
-            raise ValueError("bitmask view requires a bipartite hypergraph")
-        rows = [0] * self.part_sizes[0]
-        for a, b in self.edges:
-            rows[a] |= 1 << b
-        return rows
-
     def to_text(self) -> str:
         lines = [" ".join(str(x) for x in (self.k,) + self.part_sizes)]
         for e in sorted(self.edges):
@@ -329,17 +320,8 @@ def find_low_crossing_tuple(G: KPartiteHypergraph, u: int,
     nq = G.part_sizes[1]
     if u > nq:
         raise ValueError("u larger than |Q|")
-    rows = G.bipartite_masks()
-
-    def crossings(mask: int) -> int:
-        c = 0
-        for r in rows:
-            inter = r & mask
-            if inter and inter != mask:
-                c += 1
-        return c
-
-    exhaustive = math.comb(nq, u) * len(rows) <= budget
+    F = neighborhood_system(G, 1)
+    exhaustive = math.comb(nq, u) * len(F.members) <= budget
     if exhaustive:
         combos = itertools.combinations(range(nq), u)
     else:
@@ -348,10 +330,7 @@ def find_low_crossing_tuple(G: KPartiteHypergraph, u: int,
                   for _ in range(trials))
     best = None
     for combo in combos:
-        mask = 0
-        for q in combo:
-            mask |= 1 << q
-        c = crossings(mask)
+        c = crossing_count(F, combo)
         if best is None or c < best[1]:
             best = (combo, c)
     return LowCrossingResult(best[0], best[1], exhaustive)

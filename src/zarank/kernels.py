@@ -1,25 +1,25 @@
 """Hot kernels: exact integer sweeps over column tuples.
 
 Every kernel is numpy.  The unit-minor kernels take a configuration's
-stored int64 columns: column i is (x_i, y_i[, z_i]) / s_i, the
-numerators over the column's denominator.  Callers are responsible for
-checking that these integers cannot overflow int64 (see
-geometry.fits_int64) and for taking the big-integer Bareiss path when
-they might.
+stored columns: column i is (x_i, y_i[, z_i]) / s_i, the numerators over
+the column's denominator.  Each sweep bounds its largest product from
+its own inputs and runs on int64 when that bound is below 2^62, and
+otherwise on object arrays of python ints, with the same code (see
+`_exact`); callers hand over exact integers of either dtype.
 
 `count_unit_pairs` counts the unit 2x2 minors by direction classes: a
 sorted join per heavy class and lattice-line enumeration for the light
 columns, sub-quadratic on incidence-like data such as the
 Szemeredi-Trotter configuration; the quadratic row sweep
 `unit_pair_hits` takes only the light columns whose partner lines hold
-too many lattice points, and is the tests' oracle.
+too many lattice points, the whole count past the int64 guard, and is
+the tests' oracle.
 
 The hit sweeps return the hit index tuples, from which the caller takes
 both the count (their number) and the hypergraph (their orderings):
 `unit_pair_hits` and `unit_triple_hits` with the sign of each unit
-determinant, on int64; the area-band and circle/sphere sweeps on int64
-data when the caller's overflow guard holds and otherwise on object
-arrays of python ints, with the same code.
+determinant, the area-band sweep, and the circle/sphere sweeps with a
+degenerate flag per tuple.
 
 All kernels are exact; dtype never changes results.
 """
@@ -37,6 +37,38 @@ _CHUNK = 1 << 20
 def active_backend() -> str:
     """The backend the kernels run on, for run records: always numpy."""
     return "numpy"
+
+
+def _maxabs(a) -> int:
+    """The largest |entry| of an integer array, as a python int."""
+    a = np.asarray(a)
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _exact(bound: int, *arrays) -> list[np.ndarray]:
+    """The arrays as int64 when `bound`, a bound on every product a sweep
+    forms from them, is below 2^62, and otherwise as object arrays of
+    python ints; object input stays object.  int64 copies are contiguous,
+    which the row loops read faster than column views."""
+    dtype = np.int64 if bound < 2**62 else object
+    out = []
+    for a in arrays:
+        a = np.asarray(a)
+        out.append(a if a.dtype == object else a.astype(dtype))
+    return out
+
+
+def _unit_bound(cols, s) -> int:
+    """Bound on the products of the unit-minor sweeps over k = len(cols)
+    coordinate rows: a determinant's k! terms of k entries each (bounded
+    by the row maxima at k = 2 and by the largest entry at k = 3), and
+    the product of k scales."""
+    k = len(cols)
+    if k == 2:
+        det = 2 * _maxabs(cols[0]) * _maxabs(cols[1])
+    else:
+        det = math.factorial(k) * max(map(_maxabs, cols)) ** k
+    return max(det, _maxabs(s) ** k)
 
 
 def _labels(cols: list[np.ndarray]) -> np.ndarray:
@@ -178,11 +210,12 @@ def count_unit_pairs(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> int:
     |det(p, w_j)| / s_j against its members' s_i / g_i as reduced
     fractions: this finds every pair with a heavy end, those with two
     heavy ends twice, so that part is halved.  Pairs of light columns go
-    to `_light_pairs`.
+    to `_light_pairs`.  Past the int64 guard the row sweep
+    `unit_pair_hits` counts them all, on python ints.
     """
-    x = np.ascontiguousarray(x, dtype=np.int64)
-    y = np.ascontiguousarray(y, dtype=np.int64)
-    s = np.ascontiguousarray(s, dtype=np.int64)
+    x, y, s = _exact(_unit_bound((x, y), s), x, y, s)
+    if object in (x.dtype, y.dtype, s.dtype):
+        return len(unit_pair_hits(x, y, s)[0])
     n = x.size
     nz = np.nonzero((x != 0) | (y != 0))[0]
     x, y, s = x[nz], y[nz], s[nz]
@@ -218,12 +251,6 @@ def count_unit_triples(x: np.ndarray, y: np.ndarray, z: np.ndarray,
 # hit sweeps: the index tuples themselves, for the count and the hypergraph
 
 
-def _exact(a) -> np.ndarray:
-    """int64 data as int64; object arrays of python ints stay as they are."""
-    a = np.asarray(a)
-    return a if a.dtype == object else a.astype(np.int64)
-
-
 def _stack(blocks: list[np.ndarray], k: int) -> np.ndarray:
     if not blocks:
         return np.zeros((0, k), dtype=np.int64)
@@ -245,8 +272,8 @@ def unit_pair_hits(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     """Pairs i<j with i < rows (every pair by default) and
     |x_i y_j - y_i x_j| == s_i s_j as an (m, 2) index array in
     lexicographic order, and the sign of each determinant
-    x_i y_j - y_i x_j.  int64 data under the caller's overflow guard."""
-    x, y, s = (np.asarray(a, dtype=np.int64) for a in (x, y, s))
+    x_i y_j - y_i x_j."""
+    x, y, s = _exact(_unit_bound((x, y), s), x, y, s)
     last = x.shape[0] - 1
     blocks, signs = [], []
     for i in range(last if rows is None else min(rows, last)):
@@ -254,7 +281,7 @@ def unit_pair_hits(x: np.ndarray, y: np.ndarray, s: np.ndarray,
         jj = np.nonzero(np.abs(d) == s[i] * s[i + 1:])[0]
         if jj.size:
             blocks.append(_row_hits(i, jj))
-            signs.append(np.sign(d[jj]))
+            signs.append(np.sign(d[jj]).astype(np.int64))
     return _stack(blocks, 2), _flags(signs, np.int64)
 
 
@@ -263,9 +290,8 @@ def unit_triple_hits(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     """Triples i<j<l whose determinant det(col_i, col_j, col_l) is
     +-s_i s_j s_l, as an (m, 3) index array in lexicographic order, and
     the sign of each.  One step per i decides its tail's (j, l) block
-    from the 2x2 minors of columns i and j.  int64 data under the
-    caller's overflow guard."""
-    x, y, z, s = (np.asarray(a, dtype=np.int64) for a in (x, y, z, s))
+    from the 2x2 minors of columns i and j."""
+    x, y, z, s = _exact(_unit_bound((x, y, z), s), x, y, z, s)
     blocks, signs = [], []
     for i in range(x.shape[0] - 2):
         xt, yt, zt, st = x[i + 1:], y[i + 1:], z[i + 1:], s[i + 1:]
@@ -278,7 +304,7 @@ def unit_triple_hits(x: np.ndarray, y: np.ndarray, z: np.ndarray,
         jj, ll = np.nonzero(np.triu(ok, 1))
         if jj.size:
             blocks.append(_row_hits(i, jj, ll))
-            signs.append(np.sign(det[jj, ll]))
+            signs.append(np.sign(det[jj, ll]).astype(np.int64))
     return _stack(blocks, 3), _flags(signs, np.int64)
 
 
@@ -288,12 +314,14 @@ def area_triple_hits(x: np.ndarray, y: np.ndarray, lo_a: int, lo_b: int,
     in the band [2*scale2*lo, 2*scale2*hi] with lo = lo_a/lo_b and
     hi = hi_a/hi_b, as an (m, 3) index array in lexicographic order.
 
-    One step per i decides the whole (j, l) block of its tail.  x and y
-    are int64 when the caller has checked that the band products stay
-    below 2^62, and otherwise object arrays of python ints, on which the
-    same code runs exactly.
+    One step per i decides the whole (j, l) block of its tail.  Each
+    |cross| is at most 8 c^2, c the largest |coordinate|, and is
+    multiplied by a band denominator.
     """
-    x, y = _exact(x), _exact(y)
+    c = max(1, _maxabs(x), _maxabs(y))
+    bound = max(8 * c * c * max(lo_b, hi_b),
+                2 * scale2 * max(abs(lo_a), abs(hi_a)))
+    x, y = _exact(bound, x, y)
     lo_t = 2 * scale2 * lo_a
     hi_t = 2 * scale2 * hi_a
     blocks = []
@@ -314,13 +342,22 @@ def count_area_triples(x: np.ndarray, y: np.ndarray, lo_a: int, lo_b: int,
     return len(area_triple_hits(x, y, lo_a, lo_b, hi_a, hi_b, scale2))
 
 
+def _sphere_bound(c, r2) -> int:
+    """Bound on the products of the circle and sphere sweeps: g bounds
+    every |u|^2, |u.w| and |rho| of the sweep, and their products stay
+    below 16 g^3."""
+    span = 2 * _maxabs(c)
+    g = np.shape(c)[1] * span * span + _maxabs(r2)
+    return 16 * g**3
+
+
 def circle_pair_hits(c: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairs i<j of circles (integer centres c, shape (n, 2), integer
     squared radii r2) that meet, with a flag per pair for identical
     circles.  With D the squared centre distance, the circles meet iff
     (D - a - b)^2 <= 4ab, which is |r_i - r_j| <= dist <= r_i + r_j in
-    squared quantities only.  Data as for `sphere_triple_hits`."""
-    c, r2 = _exact(c), _exact(r2)
+    squared quantities only.  Guarded as `sphere_triple_hits`."""
+    c, r2 = _exact(_sphere_bound(c, r2), c, r2)
     blocks, flags = [], []
     for i in range(c.shape[0] - 1):
         u = c[i + 1:] - c[i]
@@ -349,12 +386,10 @@ def sphere_triple_hits(c: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.nd
     Q = |w|^2 rho_u^2 - 2 (u.w) rho_u rho_w + |u|^2 rho_w^2 (the Gram
     form), so the triple meets iff Q <= 4 r2_i A.  Parallel planes
     (A = 0) coincide iff rho_w |u|^2 = (u.w) rho_u, and then one plane
-    decides.  All of these are polynomial sign tests in the data.
-
-    c and r2 are int64 when the caller has checked that every product
-    here stays below 2^62, and otherwise object arrays of python ints.
+    decides.  All of these are polynomial sign tests in the data, whose
+    products `_sphere_bound` bounds.
     """
-    c, r2 = _exact(c), _exact(r2)
+    c, r2 = _exact(_sphere_bound(c, r2), c, r2)
     blocks, flags = [], []
     for i in range(c.shape[0] - 2):
         U = c[i + 1:] - c[i]

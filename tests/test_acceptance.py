@@ -129,7 +129,7 @@ def test_criterion_4_unit_minor_pattern_free():
         while len(cols) < n:
             cols.add(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                            for _ in range(d)))
-        cfg = PointConfig(d, tuple(sorted(cols)), distinct=True)
+        cfg = PointConfig(d, tuple(sorted(cols)))
         H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
         if contains_complete(H, ForbiddenPattern((2,) * d)).found:
             bad += 1

@@ -167,6 +167,21 @@ class TestExperimentCmd:
         assert out_svg.read_text().startswith("<svg")
         assert "verdict=pass" in err
 
+    def test_exhausted_pattern_budget_exits_zero(self, tmp_path, capsys):
+        """Only a skipped size exits 3; a pattern check out of budget is
+        reported per size and leaves the exit code alone."""
+        sf = tmp_path / "spec.json"
+        sf.write_text(json.dumps({"kind": "minors", "d": 2,
+                                  "sizes": [20, 40, 80], "kfree_budget": 1}))
+        code, out, _ = run(capsys, "experiment", "--spec", str(sf))
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [(r["kfree_checked"], r["note"], r["skipped"])
+                for r in results] == [
+            (True, "", False),
+            (False, "pattern check budget exhausted", False),
+            (False, "pattern check budget exhausted", False)]
+
 
 class TestVerifyCmd:
     def test_lemmas_suite(self, capsys):
@@ -331,6 +346,8 @@ class TestInputErrors:
           "det_target": "bogus"}, "unknown det_target 'bogus'"),
         ({"kind": "triangles", "d": 3, "sizes": [10, 20, 30]},
          "triangles sweeps need d = 2"),
+        ({"kind": "minors", "d": 2, "sizes": [20, 40, 80], "eps": "-1"},
+         "eps must be >= 0"),
     ])
     def test_experiment_invalid_spec(self, tmp_path, capsys, spec, fragment):
         sf = tmp_path / "spec.json"
@@ -353,6 +370,13 @@ class TestInputErrors:
                                   "sizes": [20, 40, 80], "kfree_budget": -1}))
         msg = self.check(capsys, "experiment", "--spec", str(sf))
         assert "kfree_budget must be >= 1" in msg
+
+    def test_build_minors_repeated_column(self, tmp_path, capsys):
+        pts = tmp_path / "p.txt"
+        pts.write_text("2 3\n1 0\n0 1\n2/2 0\n")
+        msg = self.check(capsys, "build", "--kind", "minors",
+                         "--points", str(pts))
+        assert "repeated columns" in msg
 
     def test_one_dimensional_minors_rejected_before_any_loop(
             self, tmp_path, capsys, monkeypatch):

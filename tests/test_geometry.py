@@ -6,12 +6,13 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zarank import geometry
+from zarank import geometry, kernels
 from zarank.experiments import (
     ExperimentSpec,
     _random_spheres,
@@ -52,7 +53,7 @@ def random_rational_config(rng, d, n, num=4, den=2):
     while len(pts) < n:
         pts.add(tuple(Fraction(rng.randint(-num, num), rng.randint(1, den))
                       for _ in range(d)))
-    return PointConfig(d, tuple(sorted(pts)), distinct=True)
+    return PointConfig(d, tuple(sorted(pts)))
 
 
 class TestDeterminants:
@@ -122,7 +123,7 @@ class TestUnitMinorHypergraph:
                 tuple(sum(Fraction(m[r][t]) * p[t] for t in range(3))
                       for r in range(3))
                 for p in cfg.points)
-            cfg2 = PointConfig(3, mapped, distinct=True)
+            cfg2 = PointConfig(3, mapped)
             for target in DetTarget:
                 H1 = unit_minor_hypergraph(cfg, target)
                 H2 = unit_minor_hypergraph(cfg2, target)
@@ -138,18 +139,32 @@ class TestUnitMinorHypergraph:
             assert not contains_complete(H, ForbiddenPattern((2,) * d)).found
 
 
+def kernel_dtypes(call):
+    """call()'s result and the dtypes that the kernels' int64 guard
+    (`kernels._exact`) chose during it, in call order."""
+    seen, real = [], kernels._exact
+
+    def spy(bound, *arrays):
+        out = real(bound, *arrays)
+        seen.extend(a.dtype for a in out)
+        return out
+
+    with mock.patch.object(kernels, "_exact", spy):
+        return call(), seen
+
+
 @st.composite
 def unit_minor_configs(draw):
     """Distinct rational columns, d in {2, 3}; with `big`, one more column
-    with entries near 2^32, past the int64 guard, so the Bareiss path
-    runs."""
+    with entries near 2^32, past the kernels' int64 guard, so the sweeps
+    run on python ints."""
     d = draw(st.integers(2, 3))
     coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
     pts = draw(st.lists(st.tuples(*[coord] * d), max_size=8, unique=True))
     big = draw(st.booleans())
     if big:
         pts.append(tuple(Fraction(2**32 + 2 * r + 1, 3) for r in range(d)))
-    return PointConfig(d, tuple(pts), distinct=True), big
+    return PointConfig(d, tuple(pts)), big
 
 
 class TestUnitMinorHits:
@@ -158,7 +173,9 @@ class TestUnitMinorHits:
     def test_hypergraph_and_count_match_fraction_determinants(self, data):
         cfg, big = data
         d = cfg.dim
-        assert geometry.fits_int64(cfg) is not big
+        _, dtypes = kernel_dtypes(lambda: count_unit_minors(cfg))
+        assert dtypes and set(dtypes) == {np.dtype(object) if big
+                                          else np.dtype(np.int64)}
         from zarank.geometry import _det_fraction_gauss
         dets = {idx: _det_fraction_gauss([[cfg.points[i][r] for i in idx]
                                           for r in range(d)])
@@ -213,8 +230,44 @@ class TestCountUnitMinors:
         while len(pts) < 7:
             pts.add((Fraction(rng.randint(1, 2**40), rng.randint(1, 7)),
                      Fraction(rng.randint(1, 2**40), rng.randint(1, 7))))
-        cfg = PointConfig(2, tuple(pts), distinct=True)
+        cfg = PointConfig(2, tuple(pts))
         assert count_unit_minors(cfg) == count_unit_minors_naive(cfg)
+        # entries past 2^63 stay python ints under a zero product bound
+        cfg = PointConfig.from_integers(2, [(2**70, 0), (1, 0), (3, 0)])
+        assert count_unit_minors(cfg) == count_unit_minors_naive(cfg) == 0
+        assert unit_minor_hypergraph(cfg).num_edges == 0
+
+    def test_bareiss_loop_only_past_three_dimensions(self, monkeypatch):
+        """d = 2, 3 are decided by the kernels' sweeps even with entries
+        past 2^32, where they run on python ints; the Bareiss loop decides
+        d >= 4."""
+        calls = []
+        real = geometry._unit_minors
+
+        def spy(cols, scalars, d):
+            calls.append(d)
+            return real(cols, scalars, d)
+
+        monkeypatch.setattr(geometry, "_unit_minors", spy)
+        big = 2**32 + 1
+        for cols in ([(big, big - 1), (big + 1, big), (1, 0), (0, 1)],
+                     [(1, 0, 0), (big, 1, 0), (big, big, 1), (0, 1, 0),
+                      (0, 0, 1)]):
+            d = len(cols[0])
+            cfg = PointConfig.from_integers(d, cols)
+            want = count_unit_minors_naive(cfg)
+            assert want > 0
+            count, dtypes = kernel_dtypes(lambda: count_unit_minors(cfg))
+            assert count == want and np.dtype(object) in dtypes
+            for target in DetTarget:
+                H = unit_minor_hypergraph(cfg, target)
+                assert H.num_edges == want * math.factorial(d) // (
+                    2 if target is DetTarget.EXACTLY_ONE else 1)
+        assert calls == []
+        cfg = k1uu_config(4, 2)
+        assert count_unit_minors(cfg) == count_unit_minors_naive(cfg)
+        unit_minor_hypergraph(cfg)
+        assert calls == [4, 4]
 
 
 class TestAlmostUnitArea:
@@ -280,9 +333,10 @@ class TestAlmostUnitArea:
         hi = data.draw(st.sampled_from([a for a in areas if a >= lo]))
         want = {t for t in triples
                 if lo <= triangle_double_area(*(pts[i] for i in t)) / 2 <= hi}
-        xs = geometry._area_band_args(cfg, lo, hi)[0]
-        assert (xs.dtype == object) == (big == 2**40 or (big != 1 and hi != 0))
-        H = almost_unit_area_hypergraph(cfg, lo, hi)
+        H, dtypes = kernel_dtypes(
+            lambda: almost_unit_area_hypergraph(cfg, lo, hi))
+        past = big == 2**40 or (big != 1 and hi != 0)
+        assert set(dtypes) == {np.dtype(object) if past else np.dtype(np.int64)}
         assert H.edges == {p for t in want for p in itertools.permutations(t)}
         assert count_almost_unit_area(cfg, lo, hi) == len(want)
         assert count_almost_unit_area_naive(cfg, lo, hi) == len(want)
@@ -453,11 +507,6 @@ class TestSpheres:
         assert count_sphere_intersections(cfg) == 1
         again = SphereConfig.from_text(cfg.to_text())
         assert again == cfg
-
-    def test_distinctness_flag(self):
-        dup = (((Fraction(0), Fraction(0)), Fraction(1)),) * 2
-        with pytest.raises(ValueError):
-            SphereConfig(2, dup, distinct=True)
 
 
 # The oracles' earlier, unfiltered loops: every subset through the
@@ -894,12 +943,13 @@ class TestIntegerConstructor:
             PointConfig.from_integers(2, [(1, 2)], [0])
         with pytest.raises(ValueError):
             PointConfig.from_integers(2, [(1, 2, 3)])
-        with pytest.raises(ValueError):
-            PointConfig.from_integers(2, [(1, 2), (2, 4)], [1, 2],
-                                      distinct=True)
-        with pytest.raises(ValueError):  # a repeat among large values
-            PointConfig.from_integers(2, [(2**62, 1), (-2**62, 1), (2**62, 1)],
-                                      distinct=True)
+        # repeats are stored; the unit-minor builders reject them
+        for nums, dens in (([(1, 2), (2, 4)], [1, 2]),
+                           ([(2**62, 1), (-2**62, 1), (2**62, 1)], None)):
+            cfg = PointConfig.from_integers(2, nums, dens)
+            assert cfg.has_repeats()
+            with pytest.raises(ValueError):
+                count_unit_minors(cfg)
         with pytest.raises(ValueError):
             SphereConfig.from_integers(2, [(1, 2, 0)])
 
@@ -913,18 +963,15 @@ class TestIntegerConstructor:
             cfg.common_denominator()[1][0, 0] = 5
 
     @pytest.mark.parametrize("cfg", [
-        PointConfig(2, [(Fraction(1, 2), 3), (2**70, Fraction(-1, 3))],
-                    labels=("a", "b"), distinct=True),
-        SphereConfig(3, [((Fraction(1, 2), 0, 2**64), Fraction(5, 4))],
-                     distinct=True),
+        PointConfig(2, [(Fraction(1, 2), 3), (2**70, Fraction(-1, 3))]),
+        SphereConfig(3, [((Fraction(1, 2), 0, 2**64), Fraction(5, 4))]),
     ])
     def test_copy_and_pickle(self, cfg):
         for twin in (copy.copy(cfg), copy.deepcopy(cfg),
                      pickle.loads(pickle.dumps(cfg))):
             assert type(twin) is type(cfg)
             assert_same_config(twin, cfg)
-            assert twin.distinct and twin.to_text() == cfg.to_text()
-            assert getattr(twin, "labels", None) == getattr(cfg, "labels", None)
+            assert twin.to_text() == cfg.to_text()
 
 
 def test_sweeps_on_generator_output_build_no_fraction(monkeypatch):

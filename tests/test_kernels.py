@@ -170,7 +170,8 @@ def as_arrays(cols, factor=1):
 
 def guard_factor(cols):
     """The largest f for which the columns and scales times f stay just
-    under the int64 guard of geometry.fits_int64 for d = 2."""
+    under the unit-pair kernels' own int64 guard (`kernels._unit_bound`
+    below 2^62) wherever both coordinates occur; at f + 1 they pass it."""
     mx = max([1] + [abs(c[0]) for c in cols])
     my = max([1] + [abs(c[1]) for c in cols])
     sm = max([1] + [c[2] for c in cols])
@@ -197,7 +198,19 @@ def test_unit_pair_count_just_under_the_guard(cols):
     every hit; f is as large as the int64 guard allows."""
     f = guard_factor(cols)
     x, y, s = as_arrays(cols, f)
-    assert kernels.count_unit_pairs(x, y, s) == brute_pairs(*as_arrays(cols))
+    assert kernels.count_unit_pairs(x, y, s) == brute_pairs(*as_arrays(cols)) \
+        == len(kernels.unit_pair_hits(x, y, s)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_columns())
+def test_unit_pair_count_one_step_past_the_guard(cols):
+    """One step past the guard the count is the row sweep's, on python
+    ints."""
+    x, y, s = as_arrays(cols, guard_factor(cols) + 1)
+    assert kernels._unit_bound((x, y), s) >= 2**62 or not (x.any() and y.any())
+    assert kernels.count_unit_pairs(x, y, s) == brute_pairs(*as_arrays(cols)) \
+        == len(kernels.unit_pair_hits(x, y, s)[0])
 
 
 @pytest.mark.parametrize("scale", [4, 8, 12, 16])
