@@ -4,9 +4,9 @@ Subcommands: bounds, build, detect, shatter, partition, experiment,
 verify.  JSON goes to stdout; exact rationals are rendered as "p/q"
 strings next to float approximations.  Exit codes: 0 all verdicts pass,
 2 a verdict failed, 3 a search budget was exhausted, 4 malformed input
-(a usage error, an unreadable or ill-formed input file or experiment
-spec, or arguments the bound calculus rejects), reported as one line of
-JSON with an "error" key.
+(a usage error, an option value out of range, an unreadable or
+ill-formed input file or experiment spec, or arguments the bound
+calculus rejects), reported as one line of JSON with an "error" key.
 
 `experiment` exits 3 only when a size is skipped (a partition search
 failed).  A pattern check that runs out of its `kfree_budget` does not
@@ -38,8 +38,9 @@ from .bounds import (
 )
 from .experiments import (
     ExperimentSpec,
-    emit_report,
+    report_csv,
     report_json,
+    report_svg,
     run_experiment,
 )
 from .geometry import (
@@ -122,6 +123,8 @@ def cmd_bounds(args) -> int:
         eps = parse_rational(args.eps)
         if eps < 0:
             raise ValueError(f"--eps {args.eps} is negative")
+        if args.u < 1:
+            raise ValueError(f"--u {args.u} is not >= 1")
         checks = [c.strip() for c in args.check.split(",") if c.strip()]
         for name in checks:
             if name not in ("matrix", "scaling", "monotonicity", "dominance"):
@@ -198,6 +201,9 @@ def cmd_build(args) -> int:
     degenerate = ()
     if kind == "minors":
         cfg = _load(args.points, PointConfig.from_text)
+        if cfg.dim < 2:
+            raise InputError(f"{args.points}: minors need dimension >= 2, "
+                             f"not {cfg.dim}")
         if cfg.has_repeats():
             raise InputError(f"{args.points}: repeated columns are not allowed")
         H = unit_minor_hypergraph(cfg, target)
@@ -209,6 +215,9 @@ def cmd_build(args) -> int:
         if lo > hi:
             raise InputError("need --lo <= --hi")
         cfg = _load(args.points, PointConfig.from_text)
+        if cfg.dim != 2:
+            raise InputError(f"{args.points}: triangles need dimension 2, "
+                             f"not {cfg.dim}")
         H = almost_unit_area_hypergraph(cfg, lo, hi)
     elif kind == "spheres":
         cfg = _load(args.spheres, SphereConfig.from_text)
@@ -287,6 +296,9 @@ def cmd_partition(args) -> int:
     if not 2 <= args.r <= cfg.n:
         raise InputError(f"--r {args.r} is outside 2..{cfg.n}, the number "
                          "of points")
+    for flag, value in (("--seed", args.seed), ("--slack", args.slack)):
+        if value < 0:
+            raise InputError(f"{flag} {value} is not >= 0")
     try:
         part = stone_tukey_partition(cfg, args.r, seed=args.seed,
                                      slack=args.slack)
@@ -333,14 +345,11 @@ def _parse_spec(text: str) -> ExperimentSpec:
 def cmd_experiment(args) -> int:
     spec = _load(args.spec, _parse_spec)
     report = run_experiment(spec)
-    if args.out:
-        emit_report(report, "json", args.out)
-    else:
-        sys.stdout.write(report_json(report))
+    _write_out(report_json(report), args.out)
     if args.csv:
-        emit_report(report, "csv", args.csv)
+        _write_out(report_csv(report), args.csv)
     if args.svg:
-        emit_report(report, "svg-scatter", args.svg)
+        _write_out(report_svg(report), args.svg)
     print(f"verdict={report.verdict} slope={report.slope} "
           f"wall={report.wall_time:.2f}s", file=sys.stderr)
     if report.verdict == "fail":

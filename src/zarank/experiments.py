@@ -127,6 +127,8 @@ class ExperimentSpec:
             raise ValueError("tolerance must be finite")
         if self.kfree_budget < 1:
             raise ValueError("kfree_budget must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.det_target not in [t.value for t in DetTarget]:
@@ -489,9 +491,9 @@ def report_csv(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_svg(report: ExperimentReport, width: int = 480,
-               height: int = 360) -> str:
+def report_svg(report: ExperimentReport) -> str:
     """Minimal log-log scatter with the fitted line; deterministic text."""
+    width, height = 480, 360
     pts = [(r.n, r.count) for r in report.results
            if not r.skipped and r.count > 0]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -532,15 +534,3 @@ def report_svg(report: ExperimentReport, width: int = 480,
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
-    if fmt == "json":
-        text = report_json(report)
-    elif fmt == "csv":
-        text = report_csv(report)
-    elif fmt == "svg-scatter":
-        text = report_svg(report)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -58,9 +58,6 @@ class KPartiteHypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, part: int, v: int) -> int:
-        return sum(1 for e in self.edges if e[part] == v)
-
     def neighborhood(self, part: int, others: Sequence[int]) -> set[int]:
         """Vertices v of `part` completing `others` (the tuple of vertices
         in every part except `part`, in part order) to an edge."""
@@ -270,19 +267,14 @@ def primal_shatter(F: SetSystem, z: int, mode: str = "exhaustive",
             raise BudgetExceededError(
                 f"exhaustive shatter needs {work} operations > budget "
                 f"{budget}; use mode='sampled'")
-        best = 0
-        for subset in itertools.combinations(range(F.ground_size), z):
-            best = max(best, len(traces(F, subset)))
-        return best
-    if mode == "sampled":
+        subsets = itertools.combinations(range(F.ground_size), z)
+    elif mode == "sampled":
         rng = random.Random(seed)
         ground = list(range(F.ground_size))
-        best = 0
-        for _ in range(trials):
-            subset = rng.sample(ground, z)
-            best = max(best, len(traces(F, subset)))
-        return best
-    raise ValueError(f"unknown mode {mode!r}")
+        subsets = (rng.sample(ground, z) for _ in range(trials))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return max((len(traces(F, subset)) for subset in subsets), default=0)
 
 
 def crossing_count(F: SetSystem, B: Iterable[int]) -> int:

@@ -13,11 +13,13 @@ At d = 2, while there are at most two parts, the search tries the lines
 through two points, scored exactly by a rotational sweep around each
 point on cleared integers (O(n^2 log n)).  Otherwise, or when no such
 line is acceptable, it fits a polynomial by soft-sign Gauss-Newton in
-the monomial basis, seeded from lifted-point subsets.  Acceptance is
-gated by exact rational sign verification, so a returned partition is
-correct regardless of how the search behaved, and `verify_partition`
-re-checks it by its own integer evaluation.  The search is sequential
-and consumes candidates in a seeded canonical order, so results are
+the monomial basis, seeded from lifted-point subsets.  Every search
+hands back an exact `MultiPoly` (or None), and one integer gate,
+`_ExactEvaluator.signs`, clears it and decides its signs, so a returned
+partition is correct regardless of how the search behaved;
+`verify_partition` re-checks it by its own integer evaluation.  The
+searches share one candidate budget, `_CANDIDATE_BUDGET` per partition,
+and consume candidates in a seeded canonical order, so results are
 reproducible.  Linear-time ham-sandwich cuts (Lo, Matousek and Steiger,
 DCG 1994) would serve larger n at the two line levels.
 """
@@ -38,7 +40,8 @@ from .polynomials import MultiPoly, monomials_upto, poly_space_dim
 
 
 class PartitionSearchError(Exception):
-    """Search budget exhausted; carries the best partial factor list."""
+    """A level found no acceptable factor or the candidate budget ran out;
+    carries the factors of the levels before it."""
 
     def __init__(self, message, partial_factors=()):
         super().__init__(message)
@@ -109,20 +112,24 @@ class _ExactEvaluator:
     """Signs of rational polynomials at rational points via big integers.
 
     Points are scaled by their common denominator L (the configuration's
-    `common_denominator`), giving integer points X; a polynomial of degree
-    D with integer coefficients C_e satisfies
+    `common_denominator`), giving integer points X.  A polynomial of
+    degree D is cleared by the lcm of its coefficient denominators into
+    integer coefficients C_e over `monomials_upto(dim, D)`, and
         sign g(x) = sign sum_e C_e * X^e * L^(D - |e|).
+    The table of X^e * L^(D - |e|) is built once per degree.  This is the
+    one place where a factor's integer form is made.
     """
 
     def __init__(self, P: PointConfig):
         L, X = P.common_denominator()
+        self.dim = P.dim
         self.L = L
         self.X = X.tolist()
-        self._tables: dict[tuple[int, tuple], list[list[int]]] = {}
+        self._tables: dict[int, tuple[list, list[list[int]]]] = {}
 
-    def table(self, monos: Sequence[tuple[int, ...]], degree: int) -> list[list[int]]:
-        key = (degree, tuple(monos))
-        if key not in self._tables:
+    def _table(self, degree: int) -> tuple[list, list[list[int]]]:
+        if degree not in self._tables:
+            monos = monomials_upto(self.dim, degree)
             tab = []
             for X in self.X:
                 row = []
@@ -133,17 +140,18 @@ class _ExactEvaluator:
                             v *= x**p
                     row.append(v)
                 tab.append(row)
-            self._tables[key] = tab
-        return self._tables[key]
+            self._tables[degree] = monos, tab
+        return self._tables[degree]
 
-    def signs(self, coeff_ints: Sequence[int], monos, degree,
-              idx: Sequence[int]) -> list[int]:
-        tab = self.table(monos, degree)
+    def signs(self, poly: MultiPoly, idx: Sequence[int]) -> list[int]:
+        monos, tab = self._table(poly.degree)
+        k = math.lcm(*(c.denominator for c in poly.terms.values()))
+        ints = [int(poly.terms.get(e, 0) * k) for e in monos]
         out = []
         for i in idx:
             row = tab[i]
             v = 0
-            for c, t in zip(coeff_ints, row):
+            for c, t in zip(ints, row):
                 if c:
                     v += c * t
             out.append((v > 0) - (v < 0))
@@ -151,9 +159,9 @@ class _ExactEvaluator:
 
 
 def _rationalize_coeffs(coeffs: np.ndarray, shifts: Sequence[int],
-                        monos: Sequence[tuple[int, ...]]) -> tuple[list[int], MultiPoly]:
-    """Scaled float coefficients -> cleared integer coefficients plus the
-    exact polynomial they define (which is what gets verified and kept).
+                        monos: Sequence[tuple[int, ...]]) -> MultiPoly:
+    """Scaled float coefficients -> the exact polynomial they define,
+    cleared to integer coefficients (which is what gets verified and kept).
 
     The search works on columns scaled by 2^shift, so the true coefficient
     of monomial i is coeffs[i] / 2^shifts[i]; floats convert to binary
@@ -167,20 +175,7 @@ def _rationalize_coeffs(coeffs: np.ndarray, shifts: Sequence[int],
         else:
             fracs.append(Fraction(c) / Fraction(2) ** k)
     lcm = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * lcm) for f in fracs]
-    nv = len(monos[0])
-    poly = MultiPoly(nv, {e: Fraction(c) for e, c in zip(monos, ints)})
-    return ints, poly
-
-
-def _cleared_factor(poly: MultiPoly, dim: int) -> tuple:
-    """(integer coefficients, monomials, degree, poly) for an exact factor:
-    its coefficients over `monomials_upto(dim, degree)`, cleared by the lcm
-    of their denominators."""
-    monos = monomials_upto(dim, poly.degree)
-    lcm = math.lcm(*(cf.denominator for cf in poly.terms.values()))
-    ints = [int(poly.terms.get(e, Fraction(0)) * lcm) for e in monos]
-    return ints, monos, poly.degree, poly
+    return MultiPoly(len(monos[0]), {e: f * lcm for e, f in zip(monos, fracs)})
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +201,8 @@ _INT64_SPAN = 2 ** 31
 _SWEEP_BLOCK = 2 ** 18
 # starts of the soft-sign fit per level
 _SOFT_SIGN_RESTARTS = 64
+# candidates (lines and soft-sign starts) tried per partition
+_CANDIDATE_BUDGET = 500_000
 
 
 def _angular_ranks(fx: np.ndarray, fy: np.ndarray,
@@ -297,8 +294,7 @@ def _anchor_sides(X: Sequence[Sequence[int]], parts):
             np.where(folded, ccw, cw)
 
 
-def _search_line(points: Sequence[Sequence[Fraction]], parts, limits,
-                 evaluator, budget, counter) -> Optional[tuple]:
+def _search_line(parts, limits, evaluator, counter) -> Optional[MultiPoly]:
     """Exact search over the lines through two active points.
 
     Each line's score is its worst side count over the parts, counted
@@ -331,36 +327,34 @@ def _search_line(points: Sequence[Sequence[Fraction]], parts, limits,
                      np.where(la == lb, 1 + la, 0)[own],
                      first[own], second[own]))
     score, block, first, second = map(np.concatenate, zip(*kept))
+    X, L = evaluator.X, evaluator.L
     for cand in np.lexsort((second, first, block, score)):
         counter[0] += 1
-        if counter[0] > budget:
+        if counter[0] > _CANDIDATE_BUDGET:
             raise PartitionSearchError("candidate budget exhausted")
-        p, q = points[active[first[cand]]], points[active[second[cand]]]
-        a = p[1] - q[1]
-        b = q[0] - p[0]
-        c = a * p[0] + b * p[1]
-        if a == 0 and b == 0:
+        (xp, yp), (xq, yq) = X[active[first[cand]]], X[active[second[cand]]]
+        if (xp, yp) == (xq, yq):
             continue
-        found = _cleared_factor(
-            MultiPoly(2, {(0, 0): -c, (1, 0): a, (0, 1): b}), 2)
-        ints, monos, degree, _ = found
-        signs_by_part = [evaluator.signs(ints, monos, degree, sorted(pp))
-                         for pp in parts]
-        if _accept(signs_by_part, limits):
-            return found
+        a, b = Fraction(yp - yq, L), Fraction(xq - xp, L)
+        poly = MultiPoly(2, {(0, 0): -(a * xp + b * yp) / L, (1, 0): a,
+                             (0, 1): b})
+        if _accept([evaluator.signs(poly, sorted(pp)) for pp in parts],
+                   limits):
+            return poly
     return None
 
 
-def _search_soft_sign(points_f, parts, limits, degree, evaluator, rng,
-                      budget, counter) -> Optional[tuple]:
+def _search_soft_sign(parts, limits, degree, evaluator, rng,
+                      counter) -> Optional[MultiPoly]:
     """Annealed soft-sign Gauss-Newton in the degree-<=D monomial basis.
 
     Minimizes the per-part sums of tanh(g/h) while h shrinks; float
     near-balance is then checked exactly.  Starts alternate between
     random directions and null vectors of lifted point subsets.
     """
-    dim = points_f.shape[1]
-    monos = monomials_upto(dim, degree)
+    # x / L is correctly rounded, so this equals float() of each coordinate
+    points_f = np.array([[x / evaluator.L for x in p] for p in evaluator.X])
+    monos = monomials_upto(evaluator.dim, degree)
     V = len(monos)
     pts_active = sorted(set().union(*parts)) if parts else []
     if not pts_active:
@@ -390,19 +384,16 @@ def _search_soft_sign(points_f, parts, limits, degree, evaluator, rng,
                 return False
         return True
 
-    def exact_check(c) -> Optional[tuple]:
-        ints, poly = _rationalize_coeffs(c, shifts, monos)
-        if all(v == 0 for v in ints):
-            return None
-        signs_by_part = [evaluator.signs(ints, monos, degree, list(rows))
-                         for rows in part_rows]
-        if _accept(signs_by_part, limits):
-            return ints, monos, degree, poly
+    def exact_check(c) -> Optional[MultiPoly]:
+        poly = _rationalize_coeffs(c, shifts, monos)
+        if poly.terms and _accept([evaluator.signs(poly, rows)
+                                   for rows in part_rows], limits):
+            return poly
         return None
 
     for attempt in range(_SOFT_SIGN_RESTARTS):
         counter[0] += 1
-        if counter[0] > budget:
+        if counter[0] > _CANDIDATE_BUDGET:
             raise PartitionSearchError("candidate budget exhausted")
         if attempt % 2 == 0 or len(pts_active) < V - 1:
             c = rng.standard_normal(V)
@@ -459,8 +450,7 @@ def _cut_1d(values: list[Fraction]) -> Fraction:
 
 
 def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
-                          slack: int = 1,
-                          candidate_budget: int = 500_000) -> Partition:
+                          slack: int = 1) -> Partition:
     """Partition P with ceil(log2 r) factor polynomials so that every
     sign-vector cell holds at most ceil(|P|/r) * (1+slack)^levels points
     (verified on the result, along with the per-level side bounds).
@@ -468,8 +458,9 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
     d = 1 uses exact quantile cuts (slack 0 suffices); d >= 2 fits
     soft-sign polynomials under the level degree cap, after, at d = 2 with
     at most two parts, the exact line search (`_search_line`); exact
-    verification gates every acceptance.  Raises
-    PartitionSearchError (carrying partial factors) on failure.
+    verification gates every acceptance.  Raises PartitionSearchError
+    (carrying the partial factors) when a level finds no acceptable
+    factor or the searches try more than `_CANDIDATE_BUDGET` candidates.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -480,8 +471,6 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
     m = max(1, math.ceil(math.log2(r)))
     rng = np.random.default_rng(seed)
     evaluator = _ExactEvaluator(P)
-    # x / L is correctly rounded, so this equals float() of each coordinate
-    points_f = np.array([[x / evaluator.L for x in p] for p in evaluator.X])
 
     factors: list[MultiPoly] = []
     levels: list[LevelReport] = []
@@ -492,39 +481,30 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
     for level in range(1, m + 1):
         cap = level_degree(d, level)
         limits = _side_limits(parts, slack)
-        found = None
         if not parts:
             # everything already on some zero set: any factor verifies
             shift = min(p[0] for p in P.points) - 1
             poly = MultiPoly.linear([Fraction(1)] + [Fraction(0)] * (d - 1),
                                     -shift)
-            found = _cleared_factor(poly, d)
         elif d == 1:
-            cuts = [_cut_1d([P.points[i][0] for i in part]) for part in parts]
-            cuts = cuts or [P.points[0][0] - 1]
             poly = MultiPoly.constant(1, 1)
-            for cval in cuts:
+            for part in parts:
+                cval = _cut_1d([P.points[i][0] for i in part])
                 poly = poly * MultiPoly(1, {(1,): Fraction(1), (0,): -cval})
-            found = _cleared_factor(poly, 1)
         else:
-            if d == 2 and len(parts) <= 2:
-                try:
-                    found = _search_line(P.points, parts, limits, evaluator,
-                                         candidate_budget, counter)
-                except PartitionSearchError as err:
-                    raise PartitionSearchError(str(err), factors) from None
-            if found is None:
-                try:
-                    found = _search_soft_sign(points_f, parts, limits, cap,
-                                              evaluator, rng,
-                                              candidate_budget, counter)
-                except PartitionSearchError as err:
-                    raise PartitionSearchError(str(err), factors) from None
-        if found is None:
-            raise PartitionSearchError(
-                f"no acceptable factor at level {level}", factors)
-        ints, monos, degree, poly = found
-        all_signs = evaluator.signs(ints, monos, degree, range(n))
+            try:
+                poly = None
+                if d == 2 and len(parts) <= 2:
+                    poly = _search_line(parts, limits, evaluator, counter)
+                if poly is None:
+                    poly = _search_soft_sign(parts, limits, cap, evaluator,
+                                             rng, counter)
+            except PartitionSearchError as err:
+                raise PartitionSearchError(str(err), factors) from None
+            if poly is None:
+                raise PartitionSearchError(
+                    f"no acceptable factor at level {level}", factors)
+        all_signs = evaluator.signs(poly, range(n))
         for i in range(n):
             signs_acc[i].append(all_signs[i])
         new_parts = []

@@ -265,6 +265,10 @@ class TestInputErrors:
                          "10,10", "--eps", "-1")
         assert "--eps -1 is negative" in msg
 
+    def test_bounds_pattern_size_zero(self, capsys):
+        msg = self.check(capsys, "bounds", "--dims", "2,2", "--u", "0")
+        assert "--u 0 is not >= 1" in msg
+
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_verify_count_below_one(self, capsys, count):
         msg = self.check(capsys, "verify", "--suite", "lemmas",
@@ -293,6 +297,26 @@ class TestInputErrors:
         pts.write_text("2 3\n0 0\n1 1\n2 0\n")
         msg = self.check(capsys, "partition", "--points", str(pts), "--r", r)
         assert f"--r {r}" in msg
+
+    @pytest.mark.parametrize("flag", ["--seed", "--slack"])
+    def test_partition_negative_option(self, tmp_path, capsys, flag):
+        pts = tmp_path / "p.txt"
+        pts.write_text("2 3\n0 0\n1 1\n2 0\n")
+        msg = self.check(capsys, "partition", "--points", str(pts), "--r",
+                         "2", flag, "-1")
+        assert f"{flag} -1 is not >= 0" in msg
+
+    @pytest.mark.parametrize("kind, text, fragment", [
+        ("triangles", "3 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n",
+         "triangles need dimension 2, not 3"),
+        ("minors", "1 3\n1\n2\n3\n", "minors need dimension >= 2, not 1"),
+    ])
+    def test_build_points_of_wrong_dimension(self, tmp_path, capsys, kind,
+                                             text, fragment):
+        pts = tmp_path / "p.txt"
+        pts.write_text(text)
+        msg = self.check(capsys, "build", "--kind", kind, "--points", str(pts))
+        assert fragment in msg
 
     def test_build_st_config_scale_one(self, capsys):
         msg = self.check(capsys, "build", "--kind", "st-config",
@@ -348,6 +372,8 @@ class TestInputErrors:
          "triangles sweeps need d = 2"),
         ({"kind": "minors", "d": 2, "sizes": [20, 40, 80], "eps": "-1"},
          "eps must be >= 0"),
+        ({"kind": "partition", "d": 2, "sizes": [16, 32], "r": 4,
+          "seed": -1}, "seed must be >= 0"),
     ])
     def test_experiment_invalid_spec(self, tmp_path, capsys, spec, fragment):
         sf = tmp_path / "spec.json"

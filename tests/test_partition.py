@@ -21,6 +21,7 @@ from zarank.partition import (
     _angular_ranks,
     _anchor_sides,
     _ExactEvaluator,
+    _rationalize_coeffs,
     _sign_oracle,
     classify_incidences,
     level_degree,
@@ -132,8 +133,21 @@ class TestTwoDimensional:
     def test_search_failure_is_loud(self):
         rng = random.Random(6)
         pts = grid_free_points(rng, 64)
-        with pytest.raises(PartitionSearchError):
-            stone_tukey_partition(pts, 16, seed=0, candidate_budget=1)
+        with mock.patch.object(partition, "_CANDIDATE_BUDGET", 1), \
+                pytest.raises(PartitionSearchError):
+            stone_tukey_partition(pts, 16, seed=0)
+
+    def test_exhausted_budget_carries_partial_factors(self):
+        # the first line is accepted on the one candidate allowed, and the
+        # second level's first candidate is over budget
+        pts = grid_free_points(random.Random(6), 64)
+        with mock.patch.object(partition, "_CANDIDATE_BUDGET", 1), \
+                pytest.raises(PartitionSearchError,
+                              match="candidate budget exhausted") as err:
+            stone_tukey_partition(pts, 4, seed=0)
+        (factor,) = err.value.partial_factors
+        assert factor.degree == 1
+        assert factor == stone_tukey_partition(pts, 4, seed=0).factors[0]
 
     def test_half_integer_coordinates(self):
         rng = random.Random(8)
@@ -363,15 +377,27 @@ class TestVerification:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.data())
     def test_integer_signs_match_rational_evaluation(self, nv, data):
+        # the search's evaluator and the independent oracle both agree
+        # with Fraction evaluation, also for the zero polynomial and for a
+        # soft-sign candidate whose degree-4 coefficients are all zero
         frac = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
         terms = data.draw(st.dictionaries(
             st.tuples(*[st.integers(0, 3)] * nv), frac, max_size=6))
-        polys = [MultiPoly(nv, terms), MultiPoly.constant(0, nv)]
+        monos = monomials_upto(nv, 4)
+        low = data.draw(st.lists(st.integers(-30, 30), min_size=len(monos),
+                                 max_size=len(monos)))
+        coeffs = np.array([c if sum(e) < 4 else 0 for c, e in zip(low, monos)],
+                          dtype=float)
+        polys = [MultiPoly(nv, terms), MultiPoly.constant(0, nv),
+                 _rationalize_coeffs(coeffs, [0] * len(monos), monos)]
         points = data.draw(st.lists(st.tuples(*[frac] * nv), min_size=1,
                                     max_size=8))
         signs_at = _sign_oracle(polys, [c for p in points for c in p])
-        for p in points:
+        evaluator = _ExactEvaluator(PointConfig(nv, points))
+        columns = [evaluator.signs(f, range(len(points))) for f in polys]
+        for i, p in enumerate(points):
             assert signs_at(p) == tuple(f.sign_at(p) for f in polys)
+            assert signs_at(p) == tuple(col[i] for col in columns)
 
 
 class TestProductPartition:
