@@ -119,6 +119,9 @@ def cmd_bounds(args) -> int:
         d = DimProfile(dims)
         alphas = exponents(d).alphas
         sizes = _parse_int_list(args.sizes) if args.sizes else (100,) * d.k
+        if len(sizes) != d.k:
+            raise ValueError(f"--sizes has {len(sizes)} values for "
+                             f"{d.k} dims")
         n = SizeProfile(sizes)
         eps = parse_rational(args.eps)
         if eps < 0:
@@ -197,6 +200,10 @@ def _write_out(text: str, path) -> None:
 
 def cmd_build(args) -> int:
     kind = args.kind
+    source = {"minors": "points", "triangles": "points",
+              "spheres": "spheres"}.get(kind)
+    if source and getattr(args, source) is None:
+        raise InputError(f"--kind {kind} needs --{source}")
     target = DetTarget(args.target)
     degenerate = ()
     if kind == "minors":
@@ -255,6 +262,8 @@ def cmd_detect(args) -> int:
     if pat.k != H.k:
         raise InputError(f"--pattern has {pat.k} class sizes for a "
                          f"{H.k}-partite hypergraph")
+    if args.budget < 1:
+        raise InputError(f"--budget {args.budget} is not >= 1")
     try:
         res = contains_complete(H, pat, budget=args.budget)
     except BudgetExceededError as err:
@@ -276,6 +285,9 @@ def cmd_shatter(args) -> int:
         raise InputError(str(err)) from None
     if not 1 <= args.z <= F.ground_size:
         raise InputError(f"--z {args.z} is outside 1..{F.ground_size}")
+    for flag, value in (("--trials", args.trials), ("--budget", args.budget)):
+        if value < 1:
+            raise InputError(f"{flag} {value} is not >= 1")
     try:
         value = primal_shatter(F, args.z, mode=args.mode, seed=args.seed,
                                trials=args.trials, budget=args.budget)

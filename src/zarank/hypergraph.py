@@ -11,20 +11,17 @@ as k space-separated 0-based indices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 
 class BudgetExceededError(Exception):
-    """A configured search budget ran out.  Carries partial results."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A configured search budget ran out."""
 
 
 @dataclass(frozen=True)
@@ -402,7 +399,9 @@ def erdos_double_count(H: KPartiteHypergraph, u1: int) -> DoubleCountReport:
 
 
 # ---------------------------------------------------------------------------
-# brute-force extremal numbers (tiny instances)
+# exact extremal numbers (tiny instances)
+
+_EXTREMAL_BUDGET = 10**7  # subset checks one max_edges_avoiding call may make
 
 
 @dataclass(frozen=True)
@@ -411,12 +410,22 @@ class MaxEdgesResult:
     exact: bool
 
 
-def max_edges_avoiding(pat: ForbiddenPattern, part_sizes: Sequence[int],
-                       budget: int = 10**7) -> MaxEdgesResult:
+def max_edges_avoiding(pat: ForbiddenPattern,
+                       part_sizes: Sequence[int]) -> MaxEdgesResult:
     """Exact maximum edge count of a pattern-free hypergraph with the
-    given part sizes, by exhaustive search.  Tiny instances only; when
-    the budget runs out the best count found so far is returned with
-    exact=False.
+    given part sizes, the Zarankiewicz number z(n_1,...,n_k; u_1,...,u_k),
+    by one depth-first search for every k.
+
+    A row is the neighbourhood of one vertex of part 0: a bitmask over
+    the cells of parts 1..k-1 in itertools.product order.  Rows are
+    added in non-increasing integer order, masks with more cells first,
+    and a branch is cut once its edges plus full remaining rows cannot
+    beat the best.  A new row is checked against every (u_1 - 1)-subset
+    of the earlier rows: the AND of the u_1 rows is their common
+    neighbourhood, which must not contain K_{u_2,...,u_k}
+    (contains_complete, memoised per mask; at k = 1 it must be empty).
+    Tiny instances only: after _EXTREMAL_BUDGET subset checks the best
+    count found so far is returned with exact=False.
     """
     k = len(part_sizes)
     if pat.k != k:
@@ -425,87 +434,55 @@ def max_edges_avoiding(pat: ForbiddenPattern, part_sizes: Sequence[int],
         # pattern cannot fit: the complete hypergraph avoids it
         return MaxEdgesResult(math.prod(part_sizes), True)
 
-    if k == 2:
-        return _max_edges_bipartite(pat.u[0], pat.u[1], part_sizes[0],
-                                    part_sizes[1], budget)
+    u1, n1 = pat.u[0], part_sizes[0]
+    rest_sizes = tuple(part_sizes[1:])
+    rest = ForbiddenPattern(pat.u[1:])
+    cells = list(itertools.product(*(range(s) for s in rest_sizes)))
+    width = len(cells)
+    masks = sorted(range(1 << width), key=lambda m: (-m.bit_count(), m))
+    best = 0
+    spent = _EXTREMAL_BUDGET
 
-    cells = list(itertools.product(*(range(s) for s in part_sizes)))
-    total = len(cells)
-    spent = [budget]
+    @functools.cache
+    def holds_rest(common: int) -> bool:
+        if k == 1:
+            return common != 0
+        H = KPartiteHypergraph.build(
+            rest_sizes, (c for i, c in enumerate(cells) if common >> i & 1))
+        return contains_complete(H, rest).found
 
-    # greedy floor: add cells in order, skipping any that completes the pattern
-    greedy: list[tuple[int, ...]] = []
-    for c in cells:
-        trial = KPartiteHypergraph.build(part_sizes, greedy + [c])
-        try:
-            if not contains_complete(trial, pat, budget=max(spent[0], 1)).found:
-                greedy.append(c)
-        except BudgetExceededError:
-            return MaxEdgesResult(len(greedy), False)
-    floor = len(greedy)
-
-    # exhaustive from the top: the first pattern-free size is the answer
-    for m in range(total, floor, -1):
-        for chosen in itertools.combinations(cells, m):
-            spent[0] -= 1
-            if spent[0] < 0:
-                return MaxEdgesResult(floor, False)
-            H = KPartiteHypergraph.build(part_sizes, chosen)
-            try:
-                if not contains_complete(H, pat, budget=spent[0]).found:
-                    return MaxEdgesResult(m, True)
-            except BudgetExceededError:
-                return MaxEdgesResult(floor, False)
-    return MaxEdgesResult(floor, True)
-
-
-def _max_edges_bipartite(u1: int, u2: int, n1: int, n2: int,
-                         budget: int) -> MaxEdgesResult:
-    """Row-by-row DFS with symmetry reduction (rows sorted as integers
-    descending) and an edge-count bound prune."""
-    masks = list(range(2 ** n2))
-    masks.sort(key=lambda m: (-m.bit_count(), m))
-    best = [0]
-    spent = [budget]
-
-    def free_ok(rows: list[int]) -> bool:
+    def pattern_free(rows: list[int]) -> bool:
         # adding rows[-1]: check every u1-subset containing the new row
-        if len(rows) < u1:
-            return True
-        new = rows[-1]
+        nonlocal spent
         for combo in itertools.combinations(rows[:-1], u1 - 1):
-            spent[0] -= 1
-            if spent[0] < 0:
-                raise BudgetExceededError("bipartite oracle budget exhausted")
-            inter = new
+            spent -= 1
+            if spent < 0:
+                raise BudgetExceededError("extremal search budget exhausted")
+            common = rows[-1]
             for r in combo:
-                inter &= r
-            if inter.bit_count() >= u2:
+                common &= r
+            if holds_rest(common):
                 return False
         return True
 
-    def dfs(rows: list[int], edges: int, last_sort_key: int):
-        if edges + (n1 - len(rows)) * n2 <= best[0]:
+    def dfs(rows: list[int], edges: int):
+        nonlocal best
+        if edges + (n1 - len(rows)) * width <= best:
             return
         if len(rows) == n1:
-            best[0] = max(best[0], edges)
+            best = edges
             return
         for m in masks:
             # canonical order: non-increasing as integers
-            if rows and m > last_sort_key:
+            if rows and m > rows[-1]:
                 continue
             rows.append(m)
-            try:
-                ok = free_ok(rows)
-            except BudgetExceededError:
-                rows.pop()
-                raise
-            if ok:
-                dfs(rows, edges + m.bit_count(), m)
+            if pattern_free(rows):
+                dfs(rows, edges + m.bit_count())
             rows.pop()
 
     try:
-        dfs([], 0, 2 ** n2)
+        dfs([], 0)
     except BudgetExceededError:
-        return MaxEdgesResult(best[0], False)
-    return MaxEdgesResult(best[0], True)
+        return MaxEdgesResult(best, False)
+    return MaxEdgesResult(best, True)

@@ -1,14 +1,13 @@
 """CLI surface: every subcommand, file formats, exit codes."""
 
 import json
-import math
 from fractions import Fraction
 
 import pytest
 
 from zarank import experiments
 from zarank.cli import main
-from zarank.geometry import PointConfig, SphereConfig
+from zarank.geometry import PointConfig
 from zarank.hypergraph import KPartiteHypergraph
 
 
@@ -331,6 +330,34 @@ class TestInputErrors:
         msg = self.check(capsys, "build", "--kind", "triangles",
                          "--points", str(pts), *band)
         assert fragment in msg
+
+    @pytest.mark.parametrize("kind, option", [
+        ("minors", "--points"), ("triangles", "--points"),
+        ("spheres", "--spheres")])
+    def test_build_missing_input_file(self, capsys, kind, option):
+        msg = self.check(capsys, "build", "--kind", kind)
+        assert f"--kind {kind} needs {option}" in msg
+
+    def test_bounds_sizes_and_dims_differ(self, capsys):
+        msg = self.check(capsys, "bounds", "--dims", "2,2,2", "--sizes", "5,5")
+        assert "--sizes has 2 values for 3 dims" in msg
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_shatter_trials_below_one(self, tmp_path, capsys, trials):
+        hg = tmp_path / "h.txt"
+        hg.write_text("2 2 2\n0 1\n1 0\n")
+        msg = self.check(capsys, "shatter", "--hypergraph", str(hg), "--z",
+                         "1", "--mode", "sampled", "--trials", trials)
+        assert f"--trials {trials} is not >= 1" in msg
+
+    @pytest.mark.parametrize("command, extra", [
+        ("detect", ["--pattern", "1,1"]), ("shatter", ["--z", "1"])])
+    def test_budget_below_one(self, tmp_path, capsys, command, extra):
+        hg = tmp_path / "h.txt"
+        hg.write_text("2 2 2\n0 1\n1 0\n")
+        msg = self.check(capsys, command, "--hypergraph", str(hg), *extra,
+                         "--budget", "-1")
+        assert "--budget -1 is not >= 1" in msg
 
     def test_experiment_missing_spec(self, tmp_path, capsys):
         msg = self.check(capsys, "experiment", "--spec",

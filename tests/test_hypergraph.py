@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from zarank import hypergraph
 from zarank.hypergraph import (
     BudgetExceededError,
     DetectionResult,
     ForbiddenPattern,
     KPartiteHypergraph,
+    MaxEdgesResult,
     SetSystem,
     contains_complete,
     contains_complete_naive,
@@ -369,6 +371,57 @@ class TestMaxEdges:
     def test_pattern_that_cannot_fit(self):
         res = max_edges_avoiding(ForbiddenPattern((3, 3)), (2, 4))
         assert res.exact and res.value == 8
+
+
+def min_blocking_cells(pat, sizes):
+    """Fewest cells meeting every box U_1 x ... x U_k with |U_i| = u_i, by
+    trying all cell sets in order of size.  Its complement is a largest
+    pattern-free edge set, so z = cells - len(result)."""
+    cells = list(itertools.product(*(range(s) for s in sizes)))
+    bit = {c: 1 << i for i, c in enumerate(cells)}
+    boxes = [sum(bit[c] for c in itertools.product(*classes))
+             for classes in itertools.product(
+                 *(itertools.combinations(range(s), u)
+                   for s, u in zip(sizes, pat.u)))]
+    for m in range(len(cells) + 1):
+        for chosen in itertools.combinations(cells, m):
+            mask = sum(bit[c] for c in chosen)
+            if all(box & mask for box in boxes):
+                return chosen
+
+
+class TestExtremalSearch:
+    """The one search for every k, each value checked by a blocking set."""
+
+    @pytest.mark.parametrize("u, sizes, want", [
+        ((2, 2, 2), (3, 3, 3), 22),
+        ((1, 1, 2), (2, 2, 3), 4),
+        ((2, 1, 1, 2), (2, 2, 2, 2), 12),
+        ((2, 2, 2), (2, 3, 3), 15),
+        ((2, 3), (3, 4), 9),
+        ((2,), (3,), 1),
+    ])
+    def test_value_matches_blocking_set(self, u, sizes, want):
+        pat = ForbiddenPattern(u)
+        res = max_edges_avoiding(pat, sizes)
+        assert res == MaxEdgesResult(want, True)
+        blocking = min_blocking_cells(pat, sizes)
+        assert math.prod(sizes) - len(blocking) == want
+        cells = itertools.product(*(range(s) for s in sizes))
+        H = KPartiteHypergraph.build(
+            sizes, [c for c in cells if c not in blocking])
+        assert H.num_edges == want
+        assert not contains_complete_naive(H, pat)
+
+    @pytest.mark.parametrize("u", [1, 2, 3])
+    def test_one_part_allows_u_minus_one_edges(self, u):
+        res = max_edges_avoiding(ForbiddenPattern((u,)), (3,))
+        assert res == MaxEdgesResult(u - 1, True)
+
+    def test_budget_cut_returns_best_so_far(self, monkeypatch):
+        monkeypatch.setattr(hypergraph, "_EXTREMAL_BUDGET", 50)
+        res = max_edges_avoiding(ForbiddenPattern((2, 2)), (4, 4))
+        assert res == MaxEdgesResult(7, False)
 
 
 class TestFileFormat:

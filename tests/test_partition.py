@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings, strategies as st
 from zarank import partition
 from zarank.geometry import PointConfig
 from zarank.partition import (
-    IncidenceTriple,
     PartitionSearchError,
     _angular_ranks,
     _anchor_sides,
