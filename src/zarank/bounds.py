@@ -17,14 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactnum import (
     ComparisonUndecided,
     PowerProduct,
     PowerSum,
     Rational,
-    product_from_pairs,
+    products_from_terms,
 )
 
 
@@ -109,7 +109,7 @@ class BoundValue:
               ) -> "BoundValue":
         pairs = tuple(tuple((Fraction(b), Fraction(e)) for b, e in term)
                       for term in terms)
-        return BoundValue(_sum_of(product_from_pairs(term) for term in pairs),
+        return BoundValue(PowerSum.from_products(products_from_terms(pairs)),
                           pairs)
 
     def __float__(self) -> float:
@@ -153,32 +153,34 @@ def eval_E(d: DimProfile, n: SizeProfile) -> BoundValue:
     return BoundValue.build([term])
 
 
-def _f_terms(d: DimProfile, n: SizeProfile,
-             eps: Fraction) -> list[list[tuple[Fraction, Fraction]]]:
-    """All terms of the full bound as (base, exponent) lists, k >= 1.
+def _f_terms(d: DimProfile, n: SizeProfile, eps: Fraction
+             ) -> list[tuple[frozenset[int], list[tuple[Fraction, Fraction]]]]:
+    """All terms of the full bound as (index set, (base, exponent) list)
+    pairs, k >= 1.
 
-    Subset terms for |I| >= 2, then the k trailing terms prod_{j != i} n_j
-    (the expansion of (sum 1/n_i) prod n_i).
+    Subset terms for |I| >= 2, with index set I, then the k trailing terms
+    prod_{j != l} n_j (the expansion of (sum 1/n_l) prod n_l), with index
+    set {l}.  A term does not involve i when i is not in its set.
     """
     k = d.k
     sizes = n.sizes
-    terms: list[list[tuple[Fraction, Fraction]]] = []
+    terms = []
     for r in range(2, k + 1):
         for idx in itertools.combinations(range(k), r):
             sub_alphas = exponents(d.subset(idx)).alphas
-            inside = set(idx)
+            inside = frozenset(idx)
             term = []
             for pos, i in enumerate(idx):
                 term.append((Fraction(sizes[i]), sub_alphas[pos] + eps))
             for i in range(k):
                 if i not in inside:
                     term.append((Fraction(sizes[i]), Fraction(1)))
-            terms.append(term)
-    for i in range(k):
-        term = [(Fraction(sizes[j]), Fraction(1)) for j in range(k) if j != i]
+            terms.append((inside, term))
+    for l in range(k):
+        term = [(Fraction(sizes[j]), Fraction(1)) for j in range(k) if j != l]
         if not term:
             term = [(Fraction(1), Fraction(1))]
-        terms.append(term)
+        terms.append((frozenset((l,)), term))
     return terms
 
 
@@ -196,20 +198,7 @@ def eval_F(d: DimProfile, n: SizeProfile, eps: Rational = 0) -> BoundValue:
         raise ValueError("eps must be nonnegative")
     if d.k == 1:
         return BoundValue.build([[(Fraction(n.sizes[0]), Fraction(1))]])
-    return BoundValue.build(_f_terms(d, n, eps))
-
-
-def _f_products(d: DimProfile, n: SizeProfile,
-                eps: Fraction) -> list[PowerProduct]:
-    """The terms of `_f_terms` as power products, in the same order."""
-    return [product_from_pairs(term) for term in _f_terms(d, n, eps)]
-
-
-def _sum_of(products: Iterable[PowerProduct]) -> PowerSum:
-    total = PowerSum.zero()
-    for prod in products:
-        total = total + PowerSum.from_product(prod)
-    return total
+    return BoundValue.build([term for _, term in _f_terms(d, n, eps)])
 
 
 def _at_most(small: PowerSum, large: PowerSum) -> bool:
@@ -282,11 +271,11 @@ def check_scaling_identity(d: DimProfile, n: SizeProfile, r: Rational,
         scale_pow = Fraction(1) if j == i else Fraction(d.dims[j])
         r_exp -= scale_pow * alphas[j]
 
-    lhs = product_from_pairs(
+    lhs, rhs = products_from_terms([
         [(r, lead)]
         + [(Fraction(n.sizes[j]) / r**(1 if j == i else d.dims[j]), alphas[j])
-           for j in range(d.k)])
-    rhs = product_from_pairs(zip(n.sizes, alphas))
+           for j in range(d.k)],
+        zip(n.sizes, alphas)])
     return ScalingReport(i, r, r_exp, lhs, rhs)
 
 
@@ -319,10 +308,13 @@ def check_monotonicity(d: DimProfile, n: SizeProfile, i: int,
     if failed:
         return MonotonicityReport(i, False, failed, None)
 
-    lo_prods = _f_products(d.decrement(i), n, eps)
-    hi_prods = _f_products(d, n, eps)
+    lo_terms = [term for _, term in _f_terms(d.decrement(i), n, eps)]
+    hi_terms = [term for _, term in _f_terms(d, n, eps)]
+    prods = products_from_terms(lo_terms + hi_terms)
+    lo_prods, hi_prods = prods[:len(lo_terms)], prods[len(lo_terms):]
     holds = (all(lo.compare(hi) <= 0 for lo, hi in zip(lo_prods, hi_prods))
-             or _at_most(_sum_of(lo_prods), _sum_of(hi_prods)))
+             or _at_most(PowerSum.from_products(lo_prods),
+                         PowerSum.from_products(hi_prods)))
     return MonotonicityReport(i, True, (), holds)
 
 
@@ -345,35 +337,43 @@ def check_dominance(d: DimProfile, n: SizeProfile,
     terms and, under the hypothesis, each is at most the product term.
     The measured ratio E prod n^eps / F is reported so a sharper
     constant can be read off.
+
+    n_i * F(d w/o i, n w/o i) is exactly the sum of the terms of F(d, n)
+    that do not involve i, so every product is built once, from the
+    terms of F(d, n).  For k = 2 the trailing term n_i is what reduces
+    the hypothesis to the paper-side condition n_j >= n_i^{1/d_i}.
     """
     if d.k != n.k:
         raise ValueError("profile lengths differ")
-    eps = Fraction(eps)
     k = d.k
+    if k < 2:
+        raise ValueError(f"dominance needs at least two dimensions, got {k}")
+    eps = Fraction(eps)
+    alphas = exponents(d).alphas
+    f_terms = _f_terms(d, n, eps)
+    prods = products_from_terms(
+        [term for _, term in f_terms]
+        + [[(n.sizes[i], Fraction(-1, d.dims[i]))]
+           + [(size, 1) for size in n.sizes] for i in range(k)]
+        + [[(size, alpha + eps) for size, alpha in zip(n.sizes, alphas)]])
+    f_prods, lhs_prods, dominant = (prods[:len(f_terms)],
+                                    prods[len(f_terms):-1], prods[-1])
     failed = []
     for i in range(k):
-        lhs = product_from_pairs([(n.sizes[i], Fraction(-1, d.dims[i]))]
-                                 + [(size, 1) for size in n.sizes])
-        # F of the (k-1)-part subprofile, summed literally: for k = 2 its
-        # trailing term (1/n)*n = 1 is what reduces the hypothesis to the
-        # paper-side condition n_j >= n_i^{1/d_i}.
-        sub = _sum_of(_f_products(d.drop(i), n.drop(i), eps))
-        rhs = sub.times_product(PowerProduct.from_rational(n.sizes[i]))
-        if not _at_most(rhs, PowerSum.from_product(lhs)):
+        rhs = PowerSum.from_products(
+            prod for (inside, _), prod in zip(f_terms, f_prods)
+            if i not in inside)
+        if not _at_most(rhs, PowerSum.from_product(lhs_prods[i])):
             failed.append(i)
     constant = Fraction(1, 2 ** (k + 1))
     if failed:
         return DominanceReport(False, tuple(failed), constant, None, None)
 
-    alphas = exponents(d).alphas
-    dominant = product_from_pairs((size, alpha + eps)
-                                  for size, alpha in zip(n.sizes, alphas))
     dominant_sum = PowerSum.from_product(dominant)
-    prods = _f_products(d, n, eps)
-    full = _sum_of(prods)
+    full = PowerSum.from_products(f_prods)
     # Termwise: every term of F is at most the dominant term, hence
     # F <= (2^k - 1) * dominant <= dominant / constant.
-    holds = (all(prod.compare(dominant) <= 0 for prod in prods)
+    holds = (all(prod.compare(dominant) <= 0 for prod in f_prods)
              or _at_most(full.scale(constant), dominant_sum))
     ratio = float(dominant_sum) / float(full)
     return DominanceReport(True, (), constant, holds, ratio)

@@ -132,7 +132,9 @@ def cmd_bounds(args) -> int:
         for name in checks:
             if name not in ("matrix", "scaling", "monotonicity", "dominance"):
                 raise ValueError(f"unknown check {name!r}")
-    except (ValueError, ZeroDivisionError) as err:
+        if "dominance" in checks and d.k < 2:
+            raise ValueError("--check dominance needs at least two dims")
+    except ValueError as err:
         raise InputError(str(err)) from None
     out = {
         "dims": list(dims),
@@ -217,7 +219,7 @@ def cmd_build(args) -> int:
     elif kind == "triangles":
         try:
             lo, hi = parse_rational(args.lo), parse_rational(args.hi)
-        except (ValueError, ZeroDivisionError) as err:
+        except ValueError as err:
             raise InputError(f"--lo/--hi: {err}") from None
         if lo > hi:
             raise InputError("need --lo <= --hi")

@@ -10,9 +10,15 @@ Single power products compare exactly by a filtered test: a float sum of
 e_p * log p with a forward error bound decides the sign whenever the sum
 clears the bound, and otherwise the exponent denominators are cleared and
 big integers compared.  Sums compare exactly when they share the same
-irrational parts (termwise), and otherwise through enclosures in mpmath's
-interval arithmetic (the routines behind mpmath.iv) at escalating
-precision.
+irrational parts (termwise).  Otherwise a float filter of the same kind
+evaluates each term c * exp(sum_p e_p log p) with a forward error bound
+and decides when the two float enclosures are disjoint; sums that it
+cannot separate (near ties, or terms whose floats overflow or underflow)
+fall through to enclosures in mpmath's interval arithmetic (the routines
+behind mpmath.iv) at escalating precision.
+
+Products are built from (base, exponent) terms by `products_from_terms`,
+which factorizes each distinct base once per call.
 """
 
 from __future__ import annotations
@@ -65,9 +71,10 @@ def _prime_exponents(q: Rational) -> dict[int, int]:
     if q <= 0:
         raise ValueError(f"PowerProduct values are positive, got {q}")
     exps = factorize(q.numerator)
-    # Numerator and denominator are coprime, so their primes differ.
-    for p, m in factorize(q.denominator).items():
-        exps[p] = -m
+    if q.denominator != 1:
+        # Numerator and denominator are coprime, so their primes differ.
+        for p, m in factorize(q.denominator).items():
+            exps[p] = -m
     return exps
 
 
@@ -80,6 +87,12 @@ class ComparisonUndecided(Exception):
 # covers exponents or products that underflow.
 _FILTER_EPS = 2.0 ** -48
 _FILTER_TINY = 2.0 ** -960
+# The float filter of PowerSum.compare: the least relative radius of a
+# sum's enclosure, and the range of a term's float log it accepts
+# (exp stays a normal float well inside it).
+_SUM_FILTER_REL = 2.0 ** -40
+_SUM_FILTER_LOG = 700.0
+_SUM_FILTER_NORMAL = 2.0 ** -1000
 # PowerSum.compare doubles its interval precision from 64 bits up to this
 _MAX_PREC = 4096
 
@@ -87,7 +100,9 @@ _MAX_PREC = 4096
 class PowerProduct:
     """An exact positive real ``prod p^e`` with p prime and e rational."""
 
-    __slots__ = ("exps",)
+    # `exps` is never mutated after construction, so the hash is computed
+    # on first use and kept.
+    __slots__ = ("exps", "_hash")
 
     def __init__(self, exps: Mapping[int, Rational] | None = None):
         cleaned = {}
@@ -97,12 +112,14 @@ class PowerProduct:
                 if e != 0:
                     cleaned[p] = e
         self.exps: dict[int, Fraction] = cleaned
+        self._hash: int | None = None
 
     @classmethod
     def _of(cls, exps: dict[int, Fraction]) -> "PowerProduct":
         """Wrap a prime -> nonzero Fraction map as is, without copying."""
         out = object.__new__(cls)
         out.exps = exps
+        out._hash = None
         return out
 
     @classmethod
@@ -147,7 +164,9 @@ class PowerProduct:
         return isinstance(other, PowerProduct) and self.exps == other.exps
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.exps.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.exps.items()))
+        return self._hash
 
     def is_one(self) -> bool:
         return not self.exps
@@ -195,16 +214,10 @@ class PowerProduct:
         diff = self / other
         if diff.is_one():
             return 0
-        total = 0.0
-        size = 0.0
         try:
-            for p, e in diff.exps.items():
-                term = float(e) * math.log(p)
-                total += term
-                size += abs(term)
+            total, bound = _float_log(diff)
         except OverflowError:
             return _compare_exact(diff)
-        bound = (len(diff.exps) + 4) * (_FILTER_EPS * size + _FILTER_TINY)
         # False for an infinite bound or a NaN sum, which fall through.
         if abs(total) > bound:
             return 1 if total > 0 else -1
@@ -226,6 +239,18 @@ class PowerProduct:
         if self.is_one():
             return "1"
         return "*".join(f"{p}^({e})" for p, e in self.base_exp_pairs())
+
+
+def _float_log(prod: PowerProduct) -> tuple[float, float]:
+    """The float sum S of fl(e_p) * fl(log p) over the primes of `prod`,
+    and the bound (n + 4) * (2^-48 * sum_p |term_p| + 2^-960) on
+    |S - log(prod)| derived in PowerProduct.compare."""
+    total = size = 0.0
+    for p, e in prod.exps.items():
+        term = float(e) * math.log(p)
+        total += term
+        size += abs(term)
+    return total, (len(prod.exps) + 4) * (_FILTER_EPS * size + _FILTER_TINY)
 
 
 def _add_exponent(exps: dict[int, Fraction], p: int, e: Fraction) -> None:
@@ -288,6 +313,14 @@ class PowerSum:
     def from_product(cls, prod: PowerProduct, coeff: Rational = 1) -> "PowerSum":
         s = cls()
         s._add(prod, Fraction(coeff))
+        return s
+
+    @classmethod
+    def from_products(cls, products: Iterable[PowerProduct]) -> "PowerSum":
+        """The sum of the products, each with coefficient 1."""
+        s = cls()
+        for prod in products:
+            s._add(prod, Fraction(1))
         return s
 
     @classmethod
@@ -359,17 +392,76 @@ class PowerSum:
         return mpmath.mp.make_mpf(total[0]), mpmath.mp.make_mpf(total[1])
 
     def compare(self, other: "PowerSum") -> int:
-        """Exact three-way comparison, escalating precision as needed.
+        """Exact three-way comparison: a float filter, then intervals.
 
-        Equal sums have equal terms, since terms are keyed by residue;
-        any other pair that _MAX_PREC bits cannot separate raises
-        ComparisonUndecided.
+        Equal sums have equal terms, since terms are keyed by residue.
+        Otherwise each sum's float enclosure (see `_float_enclosure`)
+        decides when the two are disjoint, and any other pair goes to
+        `_compare_intervals`.
         """
         if self.terms == other.terms:
             return 0
         if self.is_rational() and other.is_rational():
             a, b = self.as_rational(), other.as_rational()
             return (a > b) - (a < b)
+        a = b = None
+        try:
+            a = self._float_enclosure()
+            if a is not None:
+                b = other._float_enclosure()
+        except OverflowError:
+            pass
+        if a is not None and b is not None:
+            if a[1] < b[0]:
+                return -1
+            if a[0] > b[1]:
+                return 1
+        return self._compare_intervals(other)
+
+    def _float_enclosure(self) -> tuple[float, float] | None:
+        """Floats lo <= hi with the sum in [lo, hi], or None.
+
+        Term j is c_j * exp(L_j) with L_j = sum_p e_p log p.  Its float
+        log comes from `_float_log`, under the libm assumption of
+        PowerProduct.compare, and is within the bound b_j returned with
+        it.  math.exp is assumed within 4 ulps (relative error 2^-50),
+        and float(c_j) and the product are correctly rounded while they
+        stay normal floats.  Each float term is then within a relative b_j + 2^-49 of its
+        true value, and summing m positive terms adds at most
+        (m - 1) * 2^-53 of the sum, so the sum S of the float terms is
+        within a relative rho = 2 * (max_j b_j + 2^-49 + m * 2^-53) of
+        the true sum while rho is small.  The enclosure is S times
+        1 -+ r with r the larger of 2 * rho (twice, for the rounding of
+        its own endpoints) and 2^-40, so sums within 2^-40 of each other
+        always fall through.  None (or an OverflowError from float()) is
+        returned when r exceeds 2^-20, when a float log leaves
+        [-700, 700], when a coefficient or term is not a normal float
+        (so that underflow never shrinks a term), or when S is not
+        finite.
+        """
+        total = 0.0
+        err = 0.0
+        for residue, coeff in self.terms.items():
+            log, log_err = _float_log(residue)
+            # False for an infinite or NaN log as well.
+            if not -_SUM_FILTER_LOG <= log <= _SUM_FILTER_LOG:
+                return None
+            c = float(coeff)
+            value = c * math.exp(log)
+            if c < _SUM_FILTER_NORMAL or value < _SUM_FILTER_NORMAL:
+                return None
+            total += value
+            err = max(err, log_err)
+        rel = max(4 * (err + 2.0 ** -49 + len(self.terms) * 2.0 ** -53),
+                  _SUM_FILTER_REL)
+        if rel > 2.0 ** -20 or not math.isfinite(total):
+            return None
+        return total * (1 - rel), total * (1 + rel)
+
+    def _compare_intervals(self, other: "PowerSum") -> int:
+        """Compare by interval enclosures, doubling the precision from 64
+        bits; a pair that _MAX_PREC bits cannot separate raises
+        ComparisonUndecided."""
         prec = 64
         while prec <= _MAX_PREC:
             alo, ahi = self.bounds(prec)
@@ -407,10 +499,44 @@ def _interval(q: Fraction, prec: int) -> tuple:
             from_rational(q.numerator, q.denominator, prec, round_ceiling))
 
 
+def products_from_terms(
+        terms: Iterable[Iterable[tuple[Rational, Rational]]]
+) -> list[PowerProduct]:
+    """prod base^exp for each list of (base, exp) pairs, with positive
+    rational bases.
+
+    Each distinct base is factorized once for the whole call.  A term's
+    exponents are added as integer numerators over the lcm of its
+    exponent denominators, so each prime costs one Fraction.  Primes
+    enter the product in the order the pairs bring them in, and one whose
+    exponent cancels to 0 leaves it, as when the pairs' powers are
+    multiplied one by one; so equal terms give products with the same
+    prime order, which the interval enclosures of their sums follow.
+    """
+    primes: dict[Rational, dict[int, int]] = {}
+    out = []
+    for term in terms:
+        term = [(base, Fraction(exp)) for base, exp in term]
+        den = math.lcm(*(exp.denominator for _, exp in term))
+        nums: dict[int, int] = {}
+        for base, exp in term:
+            factors = primes.get(base)
+            if factors is None:
+                factors = primes[base] = _prime_exponents(base)
+            if not exp:
+                continue
+            scale = exp.numerator * (den // exp.denominator)
+            for p, m in factors.items():
+                new = nums.get(p, 0) + m * scale
+                if new:
+                    nums[p] = new
+                else:
+                    del nums[p]
+        out.append(PowerProduct._of({p: Fraction(v, den)
+                                     for p, v in nums.items()}))
+    return out
+
+
 def product_from_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> PowerProduct:
     """Build prod base^exp from (base, exp) pairs with positive rational bases."""
-    exps: dict[int, Fraction] = {}
-    for base, exp in pairs:
-        for p, e in PowerProduct.from_base_exp(base, exp).exps.items():
-            _add_exponent(exps, p, e)
-    return PowerProduct._of(exps)
+    return products_from_terms([pairs])[0]

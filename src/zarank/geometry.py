@@ -37,10 +37,16 @@ from .hypergraph import KPartiteHypergraph
 
 
 def parse_rational(tok: str) -> Fraction:
-    if "/" in tok:
-        num, den = tok.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(tok))
+    """The rational written as an integer "p" or a fraction "p/q"."""
+    num, slash, den = tok.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"{tok!r} is not an integer p or a fraction p/q"
+                         ) from None
+    if den == 0:
+        raise ValueError(f"{tok!r} has denominator 0")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:

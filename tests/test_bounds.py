@@ -7,10 +7,13 @@ small k, and float evaluation cross-checks.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zarank import exactnum
 from zarank.bounds import (
     BoundValue,
     DimProfile,
@@ -23,8 +26,15 @@ from zarank.bounds import (
     eval_E,
     eval_F,
     exponents,
+    _f_terms,
 )
-from zarank.exactnum import ComparisonUndecided, PowerProduct, PowerSum
+from zarank.exactnum import (
+    ComparisonUndecided,
+    PowerProduct,
+    PowerSum,
+    product_from_pairs,
+    products_from_terms,
+)
 
 
 def two_part_alphas(d1, d2):
@@ -293,6 +303,10 @@ class TestDominance:
         assert not rep.hypothesis_met
         assert rep.holds is None
 
+    def test_one_dimension_rejected(self):
+        with pytest.raises(ValueError, match="at least two dimensions"):
+            check_dominance(DimProfile((5,)), SizeProfile((10,)), 0)
+
     def test_seeded_draws(self):
         rng = random.Random(777)
         done = 0
@@ -307,6 +321,68 @@ class TestDominance:
             assert rep.holds, (dims, sizes)
             assert rep.ratio >= float(rep.constant)
             done += 1
+
+
+def _old_hypothesis_side(d, n, eps, i):
+    """n_i * F(d w/o i, n w/o i), built as the dominance check once built
+    it: the (k-1)-part bound's products summed one by one, then
+    multiplied by n_i."""
+    sub = PowerSum.zero()
+    for _, term in _f_terms(d.drop(i), n.drop(i), eps):
+        sub = sub + PowerSum.from_product(product_from_pairs(term))
+    return sub.times_product(PowerProduct.from_rational(n.sizes[i]))
+
+
+@st.composite
+def profiles(draw):
+    k = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)
+                .filter(lambda ds: ds.count(1) <= 1))
+    sizes = draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k))
+    eps = draw(st.builds(Fraction, st.integers(0, 50), st.integers(1, 1000)))
+    return DimProfile(tuple(dims)), SizeProfile(tuple(sizes)), eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(profiles())
+def test_hypothesis_sides_are_sub_sums_of_F(profile):
+    """n_i * F(d w/o i, n w/o i) is the sum of the terms of F(d, n) whose
+    index set leaves out i, the identity check_dominance relies on."""
+    d, n, eps = profile
+    terms = _f_terms(d, n, eps)
+    prods = products_from_terms(term for _, term in terms)
+    for i in range(d.k):
+        sub = PowerSum.from_products(
+            prod for (inside, _), prod in zip(terms, prods)
+            if i not in inside)
+        assert sub == _old_hypothesis_side(d, n, eps, i)
+
+
+class TestFactorizeOnce:
+    """Each check builds all its products in one call, which factorizes
+    every distinct size once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        factorize = exactnum.factorize
+        monkeypatch.setattr(exactnum, "factorize",
+                            lambda m: calls.update([m]) or factorize(m))
+        return calls
+
+    def test_dominance(self, calls):
+        rep = check_dominance(DimProfile((2, 2, 3)),
+                              SizeProfile((10**6, 720720, 10**6)),
+                              Fraction(1, 1000))
+        assert rep.hypothesis_met and rep.holds
+        assert calls == Counter({10**6: 1, 720720: 1})
+
+    def test_monotonicity(self, calls):
+        rep = check_monotonicity(DimProfile((3, 2, 4)),
+                                 SizeProfile((360, 100, 360)), 0,
+                                 Fraction(1, 100))
+        assert rep.hypothesis_met and rep.holds
+        assert calls == Counter({360: 1, 100: 1})
 
 
 class TestSumFallbacks:

@@ -202,6 +202,11 @@ class TestVerifyCmd:
         assert "PASS" in out
 
 
+# Malformed rationals and the message each one gets, wherever it is read.
+BAD_RATIONALS = {"1/0": "'1/0' has denominator 0",
+                 "1/2/3": "'1/2/3' is not an integer p or a fraction p/q"}
+
+
 class TestInputErrors:
     """Malformed input exits with code 4 and one line of JSON, no traceback."""
 
@@ -263,6 +268,33 @@ class TestInputErrors:
         msg = self.check(capsys, "bounds", "--dims", "2,2", "--sizes",
                          "10,10", "--eps", "-1")
         assert "--eps -1 is negative" in msg
+
+    def test_bounds_dominance_with_one_dimension(self, capsys):
+        msg = self.check(capsys, "bounds", "--dims", "5", "--sizes", "10",
+                         "--check", "dominance")
+        assert "--check dominance needs at least two dims" in msg
+
+    @pytest.mark.parametrize("token", sorted(BAD_RATIONALS))
+    def test_bad_rational_in_eps_flag(self, capsys, token):
+        msg = self.check(capsys, "bounds", "--dims", "2,2", "--sizes",
+                         "10,10", "--eps", token)
+        assert msg == BAD_RATIONALS[token]
+
+    @pytest.mark.parametrize("token", sorted(BAD_RATIONALS))
+    def test_bad_rational_in_spec(self, tmp_path, capsys, token):
+        sf = tmp_path / "spec.json"
+        sf.write_text(json.dumps({"kind": "minors", "d": 2,
+                                  "sizes": [20, 40, 80], "eps": token}))
+        msg = self.check(capsys, "experiment", "--spec", str(sf))
+        assert msg == f"{sf}: {BAD_RATIONALS[token]}"
+
+    @pytest.mark.parametrize("token", sorted(BAD_RATIONALS))
+    def test_bad_rational_in_points_file(self, tmp_path, capsys, token):
+        pts = tmp_path / "p.txt"
+        pts.write_text(f"2 3\n0 0\n1 {token}\n2 0\n")
+        msg = self.check(capsys, "partition", "--points", str(pts),
+                         "--r", "2")
+        assert msg == f"{pts}: {BAD_RATIONALS[token]}"
 
     def test_bounds_pattern_size_zero(self, capsys):
         msg = self.check(capsys, "bounds", "--dims", "2,2", "--u", "0")

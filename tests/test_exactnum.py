@@ -247,3 +247,99 @@ def test_sum_bounds_enclose_a_tenfold_precise_value(terms, prec):
         slack = value * mpmath.mpf(2) ** (-9 * prec)
         assert lo <= value + slack and value - slack <= hi
         assert hi - lo <= value * mpmath.mpf(2) ** (24 - prec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(products, products, st.integers(-3, 3))
+def test_equal_products_hash_equal_after_arithmetic(a, b, q):
+    # Hash a and b first, so a kept hash would show if it went stale.
+    hash(a), hash(b)
+    for x, y in (((a * b) / b, a), ((a * b) ** q, a ** q * b ** q),
+                 (a / b, a * b ** -1), (a ** q / a ** q, PowerProduct.one())):
+        assert x == y
+        assert hash(x) == hash(y) == hash(PowerProduct(dict(x.exps)))
+
+
+# ---------------------------------------------------------------------------
+# the float filter of sum comparisons against the interval-only path
+
+
+def _sum(terms) -> PowerSum:
+    s = PowerSum.zero()
+    for coeff, exps in terms:
+        s = s + PowerSum.from_product(PowerProduct(exps), coeff)
+    return s
+
+
+def _agrees_with_intervals(a: PowerSum, b: PowerSum) -> int:
+    want = 0 if a == b else a._compare_intervals(b)
+    assert a.compare(b) == want
+    assert b.compare(a) == -want
+    return want
+
+
+def _overlap(a: PowerSum, b: PowerSum) -> bool:
+    """The float enclosures cannot separate a and b (or do not exist)."""
+    try:
+        ea, eb = a._float_enclosure(), b._float_enclosure()
+    except OverflowError:
+        return True
+    return ea is None or eb is None or not (ea[1] < eb[0] or eb[1] < ea[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_terms, sum_terms)
+def test_sum_filter_matches_intervals(ta, tb):
+    _agrees_with_intervals(_sum(ta), _sum(tb))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sum_terms, st.integers(42, 200), st.booleans())
+def test_sum_near_ties_fall_through(terms, shift, swap):
+    # b exceeds a by about 2^-shift of a, below the filter's least radius.
+    a = _sum(terms)
+    b = a + PowerSum.from_product(
+        PowerProduct.one(), Fraction(float(a)) / 2 ** shift)
+    if swap:
+        a, b = b, a
+    assert _overlap(a, b)
+    assert _agrees_with_intervals(a, b) == (1 if swap else -1)
+
+
+def test_sum_filter_decides_without_intervals(monkeypatch):
+    calls = []
+    bounds = PowerSum.bounds
+    monkeypatch.setattr(PowerSum, "bounds", lambda self, prec: (
+        calls.append(prec) or bounds(self, prec)))
+    root = PowerSum.from_product(PowerProduct.from_base_exp(2, Fraction(1, 2)))
+    cbrt = PowerSum.from_product(PowerProduct.from_base_exp(3, Fraction(1, 3)))
+    assert root.compare(cbrt) == -1
+    assert (root + cbrt).compare(root.scale(2)) == 1
+    assert calls == []
+
+
+ROOT3 = PowerProduct.from_base_exp(3, Fraction(1, 2))
+ROOT15 = PowerProduct({3: Fraction(1, 2), 5: Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("a, b", [
+    # coefficients past the float range: float() overflows
+    (PowerSum.from_product(ROOT3, 2 ** 1100),
+     PowerSum.from_product(PowerProduct.from_base_exp(2, Fraction(1, 2)),
+                           2 ** 1100)),
+    # one normal coefficient whose term overflows to inf
+    (PowerSum.from_product(ROOT15, 2 ** 1023),
+     PowerSum.from_product(ROOT3, 2 ** 1023)),
+    # coefficients that underflow to 0 or a subnormal
+    (PowerSum.from_product(ROOT3, Fraction(1, 2 ** 1100)),
+     PowerSum.from_product(ROOT15, Fraction(1, 2 ** 1100))),
+    (PowerSum.from_product(ROOT3, Fraction(1, 2 ** 1030)),
+     PowerSum.from_product(ROOT15, Fraction(1, 2 ** 1030))),
+    # float logs between 700 and 710, where exp still fits a float
+    (PowerSum.from_product(PowerProduct({10 ** 610 + 1: Fraction(1, 2)})),
+     PowerSum.from_product(PowerProduct({10 ** 610 + 1: Fraction(1, 2),
+                                         2: Fraction(1, 2)}))),
+])
+def test_sum_filter_falls_back_outside_the_float_range(a, b):
+    assert _overlap(a, b)
+    assert _agrees_with_intervals(a, b) != 0

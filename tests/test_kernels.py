@@ -171,13 +171,16 @@ def as_arrays(cols, factor=1):
 def guard_factor(cols):
     """The largest f for which the columns and scales times f stay just
     under the unit-pair kernels' own int64 guard (`kernels._unit_bound`
-    below 2^62) wherever both coordinates occur; at f + 1 they pass it."""
+    below 2^62) wherever both coordinates occur; at f + 1 they pass it.
+    Columns that already reach the guard get f = 1, never 0, which would
+    zero every column."""
     mx = max([1] + [abs(c[0]) for c in cols])
     my = max([1] + [abs(c[1]) for c in cols])
     sm = max([1] + [c[2] for c in cols])
     f = max(1, min(math.isqrt((2**62 - 1) // (2 * mx * my)),
                    math.isqrt(2**62 - 1) // sm))
-    while 2 * (f * mx) * (f * my) >= 2**62 or (f * sm) ** 2 >= 2**62:
+    while f > 1 and (2 * (f * mx) * (f * my) >= 2**62
+                     or (f * sm) ** 2 >= 2**62):
         f -= 1
     return f
 
