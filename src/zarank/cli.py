@@ -167,7 +167,9 @@ def cmd_bounds(args) -> int:
         elif name == "monotonicity":
             rows = []
             for i in range(d.k):
-                if d.dims[i] < 2:
+                # decrementing d_i must leave a profile: d_i >= 2, and no
+                # second dimension equal to 1
+                if d.dims[i] < 2 or (d.dims[i] == 2 and 1 in d.dims):
                     continue
                 rep = check_monotonicity(d, n, i, eps)
                 rows.append({"index": i,

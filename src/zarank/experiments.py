@@ -376,10 +376,11 @@ def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
         note = ("config too large for pattern check"
                 if spec.kind == "st-config" else "")
         return SizeResult(size, cfg.n, count, note=note)
-    # one sweep per size: the hypergraph holds the orderings of each hit
-    # subset (for unit minors the d!/2 with determinant exactly 1, or all
-    # d! for +-1), so the count is read off the hypergraph the pattern
-    # check needs anyway
+    # one sweep per size: the hypergraph's edge array holds the orderings
+    # of each hit subset (for unit minors the d!/2 with determinant
+    # exactly 1, or all d! for +-1), expanded in numpy from the sweep's
+    # (m, k) hit array, so the count is read off the array that the
+    # pattern check searches anyway
     if spec.kind == "triangles":
         H, orderings = almost_unit_area_hypergraph(cfg), math.factorial(k)
     elif spec.kind == "spheres":

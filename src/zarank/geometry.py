@@ -321,13 +321,6 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _all_orders(hits: np.ndarray) -> list[tuple[int, ...]]:
-    """Every ordering of every hit tuple, as tuples of python ints."""
-    k = hits.shape[1]
-    perms = list(itertools.permutations(range(k)))
-    return list(map(tuple, hits[:, perms].reshape(-1, k).tolist()))
-
-
 def det_of_columns(config: PointConfig, idx: Sequence[int]) -> Fraction:
     """Exact determinant of the chosen columns, in the given order."""
     idx = list(idx)
@@ -358,8 +351,7 @@ def unit_minor_hypergraph(M: PointConfig,
     if target is DetTarget.EXACTLY_ONE:
         psign = np.array([_perm_sign(p) for p in perms])
         orders = orders[np.multiply.outer(signs, psign) == 1]
-    return KPartiteHypergraph.build((M.n,) * d,
-                                    list(map(tuple, orders.reshape(-1, d).tolist())))
+    return KPartiteHypergraph.build((M.n,) * d, orders.reshape(-1, d))
 
 
 def _unit_hits(M: PointConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +495,8 @@ def almost_unit_area_hypergraph(P: PointConfig,
     """3 parts, copies of P: ordered (i,j,l), indices distinct, is an edge
     iff the triangle area lies in [lo, hi] (exact integer test)."""
     hits = kernels.area_triple_hits(*_area_band_args(P, lo, hi))
-    return KPartiteHypergraph.build((P.n,) * 3, _all_orders(hits))
+    orders = hits[:, list(itertools.permutations(range(3)))]
+    return KPartiteHypergraph.build((P.n,) * 3, orders.reshape(-1, 3))
 
 
 def count_almost_unit_area(P: PointConfig, lo: Fraction = Fraction(9, 10),
@@ -652,8 +645,10 @@ def sphere_intersection_hypergraph(S: SphereConfig) -> tuple[KPartiteHypergraph,
     degenerate tuples (containing an identical pair) are present and
     flagged."""
     hits, degenerate = _sphere_hits(S)
-    return (KPartiteHypergraph.build((S.n,) * S.dim, _all_orders(hits)),
-            frozenset(_all_orders(hits[degenerate])))
+    d = S.dim
+    orders = hits[:, list(itertools.permutations(range(d)))]
+    return (KPartiteHypergraph.build((S.n,) * d, orders.reshape(-1, d)),
+            frozenset(map(tuple, orders[degenerate].reshape(-1, d).tolist())))
 
 
 def count_sphere_intersections(S: SphereConfig) -> int:

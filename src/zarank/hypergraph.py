@@ -1,7 +1,8 @@
 """k-partite k-uniform hypergraphs and their combinatorial machinery.
 
-Edges are k-tuples taking one 0-based vertex index per part.  Hypergraphs
-are immutable after construction; detection and search routines count
+Edges are k-tuples taking one 0-based vertex index per part, stored as
+the rows of a sorted integer array.  Hypergraphs are immutable after
+construction; detection and search routines count
 their work against an explicit budget and fail loudly (BudgetExceededError)
 rather than run unbounded.
 
@@ -15,37 +16,105 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class BudgetExceededError(Exception):
     """A configured search budget ran out."""
 
 
-@dataclass(frozen=True)
+def _first_of_runs(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries (rows, for a 2-d array) of a sorted array that
+    differ from the one before them."""
+    new = np.ones(len(a), dtype=bool)
+    diff = a[1:] != a[:-1]
+    new[1:] = diff.any(axis=1) if a.ndim > 1 else diff
+    return new
+
+
+def _row_codes(a: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """int64 codes of the rows of `a`, column i in range(sizes[i]), that
+    compare as the rows do lexicographically: mixed-radix codes, or the
+    rows' ranks when those codes would not fit int64."""
+    if math.prod(sizes) < 2**63:
+        strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+        return a @ np.array(strides, dtype=np.int64)
+    order = np.lexsort(a.T[::-1])
+    ranks = np.empty(len(a), dtype=np.int64)
+    ranks[order] = np.cumsum(_first_of_runs(a[order])) - 1
+    return ranks
+
+
+def _edge_error(edges, sizes: tuple[int, ...]) -> ValueError:
+    """The error for the first edge of `edges` that is not a k-tuple of
+    indices inside its parts."""
+    k = len(sizes)
+    for e in edges:
+        e = tuple(e)
+        if len(e) != k:
+            return ValueError(f"edge {e} has arity {len(e)}, expected {k}")
+        for i, v in enumerate(e):
+            if not 0 <= v < sizes[i]:
+                return ValueError(f"edge {e}: index {v} out of part {i}")
+    return ValueError(f"edges must be {k}-tuples of integers")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class KPartiteHypergraph:
+    """A k-partite k-uniform hypergraph, backed by `rows`: its edges as a
+    read-only, lexicographically sorted (E, k) int64 array without
+    repeats.  The constructor takes the edges as an (E, k) integer array
+    or an iterable of k-sequences; repeated edges count once.  `edges`,
+    the same edges as a frozenset of tuples, is made when something
+    first reads it."""
+
     part_sizes: tuple[int, ...]
-    edges: frozenset[tuple[int, ...]]
+    rows: np.ndarray
+    _edges: Optional[frozenset] = field(default=None, init=False)
 
     def __post_init__(self):
-        k = len(self.part_sizes)
+        sizes = tuple(self.part_sizes)
+        k = len(sizes)
         if k < 1:
             raise ValueError("need at least one part")
-        if any(s < 0 for s in self.part_sizes):
+        if any(s < 0 for s in sizes):
             raise ValueError("part sizes must be nonnegative")
-        for e in self.edges:
-            if len(e) != k:
-                raise ValueError(f"edge {e} has arity {len(e)}, expected {k}")
-            for i, v in enumerate(e):
-                if not 0 <= v < self.part_sizes[i]:
-                    raise ValueError(f"edge {e}: index {v} out of part {i}")
+        edges = self.rows
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            rows = np.asarray(edges)
+        except ValueError:  # edges of different lengths
+            raise _edge_error(edges, sizes) from None
+        if rows.size == 0:
+            rows = np.zeros((0, k), dtype=np.int64)
+        if rows.dtype.kind not in "iu" or rows.shape[1:] != (k,):
+            raise _edge_error(edges, sizes)
+        tops = np.array([min(s, 2**63 - 1) for s in sizes], dtype=np.int64)
+        if ((rows < 0) | (rows >= tops)).any():
+            raise _edge_error(rows.tolist(), sizes)
+        rows = rows.astype(np.int64, copy=False)
+        code = _row_codes(rows, sizes)
+        order = np.argsort(code)
+        rows = rows[order[_first_of_runs(code[order])]]
+        rows.flags.writeable = False
+        object.__setattr__(self, "part_sizes", sizes)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def build(cls, part_sizes: Sequence[int],
-              edges: Iterable[Sequence[int]]) -> "KPartiteHypergraph":
-        return cls(tuple(part_sizes), frozenset(tuple(e) for e in edges))
+    def build(cls, part_sizes: Sequence[int], edges) -> "KPartiteHypergraph":
+        return cls(part_sizes, edges)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, ...]]:
+        if self._edges is None:
+            object.__setattr__(self, "_edges",
+                               frozenset(map(tuple, self.rows.tolist())))
+        return self._edges
 
     @property
     def k(self) -> int:
@@ -53,7 +122,20 @@ class KPartiteHypergraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, KPartiteHypergraph):
+            return NotImplemented
+        return (self.part_sizes == other.part_sizes
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self):
+        return hash((self.part_sizes, self.rows.tobytes()))
+
+    def __repr__(self):
+        return (f"KPartiteHypergraph(part_sizes={self.part_sizes}, "
+                f"num_edges={self.num_edges})")
 
     def neighborhood(self, part: int, others: Sequence[int]) -> set[int]:
         """Vertices v of `part` completing `others` (the tuple of vertices
@@ -69,8 +151,7 @@ class KPartiteHypergraph:
 
     def to_text(self) -> str:
         lines = [" ".join(str(x) for x in (self.k,) + self.part_sizes)]
-        for e in sorted(self.edges):
-            lines.append(" ".join(str(v) for v in e))
+        lines.extend(" ".join(map(str, e)) for e in self.rows.tolist())
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -117,76 +198,132 @@ def contains_complete(H: KPartiteHypergraph, pat: ForbiddenPattern,
     vertices of part i such that every transversal tuple is an edge.
     Exhaustive branch-and-bound: parts are processed in order of
     decreasing u_i, vertices below the necessary degree are pruned, and
-    work is counted against `budget` (raising BudgetExceededError when
-    it runs out, never returning a silently wrong answer).
+    work is counted against `budget`, one unit per candidate class tried
+    (raising BudgetExceededError when it runs out, never returning a
+    silently wrong answer); `tests` is the units spent.
+
+    It works on the edge array `H.rows`.  Degrees are one np.bincount
+    per part, and an edge survives pruning if all its vertices do.  The
+    surviving edges, columns in search order, are grouped by their first
+    vertex; that vertex's link (the rest of its edges) is a Python-int
+    bitset over the distinct rest tuples, made when a candidate class
+    first uses it, and a class's common link is the AND of its members'
+    links.  Deeper levels group the common tuples in sets the same way.
     """
     if pat.k != H.k:
         raise ValueError("pattern arity mismatch")
     if any(u > s for u, s in zip(pat.u, H.part_sizes)):
         return DetectionResult(False, None, 0)
-    spent = [budget]
+    k, rows = H.k, H.rows
 
     # degree pruning: a witness vertex of part i lies in at least
-    # prod_{j != i} u_j edges of the witness block
-    deg: list[dict[int, int]] = [dict() for _ in range(H.k)]
-    for e in H.edges:
-        for i, v in enumerate(e):
-            deg[i][v] = deg[i].get(v, 0) + 1
-    needs = [math.prod(pat.u[:i] + pat.u[i + 1:]) for i in range(H.k)]
-    alive = [set(v for v, c in deg[i].items() if c >= needs[i])
-             for i in range(H.k)]
-    if any(len(alive[i]) < pat.u[i] for i in range(H.k)):
-        return DetectionResult(False, None, budget - spent[0])
+    # prod_{j != i} u_j edges of the witness block; indices that reach
+    # past the array's size are counted by rank, so that np.bincount
+    # never allocates more than the edges hold
+    by_rank = rows.size > 0 and rows.max() >= rows.size
+    alive = np.ones(len(rows), dtype=bool)
+    for i in range(k):
+        col = rows[:, i]
+        if by_rank:
+            col = np.unique(col, return_inverse=True)[1]
+        ok = np.bincount(col) >= math.prod(pat.u[:i] + pat.u[i + 1:])
+        if np.count_nonzero(ok) < pat.u[i]:
+            return DetectionResult(False, None, 0)
+        alive &= ok[col]
 
-    order = sorted(range(H.k), key=lambda i: -pat.u[i])
+    order = sorted(range(k), key=lambda i: -pat.u[i])
+    # the common link of a class chosen at this level must hold at least
+    # this many tuples: one witness block of the later parts
+    need = [math.prod(pat.u[p] for p in order[level + 1:])
+            for level in range(k)]
+    spent = 0
 
-    def recurse(level: int, tuples: set[tuple[int, ...]],
-                chosen: list[tuple[int, ...]]) -> Optional[list[tuple[int, ...]]]:
+    def classes(level, verts, link, size):
+        """Yield (class, common link) for every u-subset of `verts`, in
+        lexicographic order, whose common link holds `need[level]`
+        tuples; each subset tried costs one budget unit."""
+        nonlocal spent
+        for combo in itertools.combinations(verts, pat.u[order[level]]):
+            spent += 1
+            if spent > budget:
+                raise BudgetExceededError("pattern search budget exhausted")
+            common = link(combo[0])
+            for v in combo[1:]:
+                common = common & link(v)
+                if size(common) < need[level]:
+                    break
+            else:
+                yield combo, common
+
+    def descend(level, tuples, chosen):
         """tuples: edges (projected to parts order[level:]) common to all
         chosen witness vertices so far."""
-        part = order[level]
-        u = pat.u[part]
-        if level == H.k - 1:
+        u = pat.u[order[level]]
+        if level == k - 1:
             verts = sorted({t[0] for t in tuples})
-            if len(verts) >= u:
-                return chosen + [tuple(verts[:u])]
-            return None
-        # group remaining tuples by this part's vertex
+            return chosen + [tuple(verts[:u])] if len(verts) >= u else None
         byv: dict[int, set[tuple[int, ...]]] = {}
         for t in tuples:
             byv.setdefault(t[0], set()).add(t[1:])
-        need_rest = math.prod(pat.u[order[l]] for l in range(level + 1, H.k))
-        verts = sorted(v for v, rest in byv.items() if len(rest) >= need_rest)
-        if len(verts) < u:
-            return None
-        for combo in itertools.combinations(verts, u):
-            spent[0] -= 1
-            if spent[0] < 0:
-                raise BudgetExceededError("pattern search budget exhausted")
-            common = set(byv[combo[0]])
-            ok = True
-            for v in combo[1:]:
-                common &= byv[v]
-                if len(common) < need_rest:
-                    ok = False
-                    break
-            if ok:
-                hit = recurse(level + 1, common, chosen + [combo])
-                if hit is not None:
-                    return hit
+        verts = sorted(v for v, rest in byv.items() if len(rest) >= need[level])
+        for combo, common in classes(level, verts, byv.__getitem__, len):
+            hit = descend(level + 1, common, chosen + [combo])
+            if hit is not None:
+                return hit
         return None
 
-    start = set()
-    for e in H.edges:
-        if all(e[i] in alive[i] for i in range(H.k)):
-            start.add(tuple(e[i] for i in order))
-    hit = recurse(0, start, [])
+    start = rows if alive.all() else rows[alive]
+    if order != list(range(k)):
+        start = start[:, order]
+    if k == 1:
+        hit = descend(0, set(map(tuple, start.tolist())), [])
+    else:
+        if order[0] != 0:  # group by the first part searched
+            start = start[np.argsort(start[:, 0], kind="stable")]
+        # bit j of a link stands for table[j], the j-th distinct rest tuple
+        code = _row_codes(start[:, 1:], [H.part_sizes[p] for p in order[1:]])
+        by_code = np.argsort(code)
+        runs = _first_of_runs(code[by_code])
+        table = list(map(tuple, start[by_code[runs], 1:].tolist()))
+        bit = np.empty(len(start), dtype=np.int64)
+        bit[by_code] = np.cumsum(runs) - 1
+        nbytes = (len(table) + 7) // 8
+        # span[v]: the rows of start whose first vertex is v, for every v
+        # with enough of them
+        lead = start[:, 0]
+        cuts = np.flatnonzero(_first_of_runs(lead)).tolist() + [len(lead)]
+        span = {v: (lo, hi) for v, lo, hi in zip(lead[cuts[:-1]].tolist(),
+                                                 cuts, cuts[1:])
+                if hi - lo >= need[0]}
+
+        @functools.cache
+        def link(v: int) -> int:
+            lo, hi = span[v]
+            bits = np.zeros(8 * nbytes, dtype=bool)
+            bits[bit[lo:hi]] = True
+            return int.from_bytes(
+                np.packbits(bits, bitorder="little").tobytes(), "little")
+
+        def members(bitset: int) -> set[tuple[int, ...]]:
+            bits = format(bitset, "b")[::-1]  # bit j is bits[j]
+            out = set()
+            j = bits.find("1")
+            while j >= 0:
+                out.add(table[j])
+                j = bits.find("1", j + 1)
+            return out
+
+        hit = None
+        for combo, common in classes(0, list(span), link, int.bit_count):
+            hit = descend(1, members(common), [combo])
+            if hit is not None:
+                break
     if hit is None:
-        return DetectionResult(False, None, budget - spent[0])
-    witness: list = [None] * H.k
+        return DetectionResult(False, None, spent)
+    witness: list = [None] * k
     for pos, part in enumerate(order):
         witness[part] = tuple(sorted(hit[pos]))
-    return DetectionResult(True, tuple(witness), budget - spent[0])
+    return DetectionResult(True, tuple(witness), spent)
 
 
 def contains_complete_naive(H: KPartiteHypergraph,

@@ -1,13 +1,21 @@
 """CLI surface: every subcommand, file formats, exit codes."""
 
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from zarank import experiments
 from zarank.cli import main
-from zarank.geometry import PointConfig
+from zarank.geometry import (
+    PointConfig,
+    SphereConfig,
+    circles_intersect,
+    det_of_columns,
+    triangle_double_area,
+)
 from zarank.hypergraph import KPartiteHypergraph
 
 
@@ -102,6 +110,56 @@ class TestBuildDetect:
         assert code == 0
         H = KPartiteHypergraph.from_text(out)
         assert H.edges == frozenset({(0, 1), (1, 0)})
+
+
+class TestBuildText:
+    """`zarank build` writes the text of the hypergraph built from tuples
+    of the edges that the Fraction predicates find: the header, then the
+    edges in sorted order."""
+
+    @staticmethod
+    def tuple_text(k, n, edges):
+        lines = [" ".join(map(str, (k,) + (n,) * k))]
+        lines += [" ".join(map(str, e)) for e in sorted(edges)]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("kind", ["minors", "triangles", "spheres"])
+    def test_text_of_tuple_built_hypergraph(self, tmp_path, capsys, kind):
+        rng = random.Random(11)
+        n = 14
+        if kind == "spheres":
+            rows = set()
+            while len(rows) < n:
+                rows.add((rng.randint(0, 12), rng.randint(0, 12),
+                          rng.randint(1, 9)))
+            cfg = SphereConfig.from_integers(2, sorted(rows))
+            S = cfg.spheres
+            edges = [(i, j) for i, j in itertools.permutations(range(n), 2)
+                     if circles_intersect(*S[i], *S[j])[0]]
+            k, flag = 2, "--spheres"
+        else:
+            top = 3 if kind == "minors" else 4
+            rows = set()
+            while len(rows) < n:
+                rows.add((rng.randint(-top, top), rng.randint(-top, top)))
+            cfg = PointConfig.from_integers(2, sorted(rows))
+            P = cfg.points
+            if kind == "minors":
+                k = 2
+                edges = [e for e in itertools.permutations(range(n), 2)
+                         if det_of_columns(cfg, e) == 1]
+            else:
+                k = 3
+                edges = [e for e in itertools.permutations(range(n), 3)
+                         if Fraction(9, 5) <= triangle_double_area(
+                             *(P[i] for i in e)) <= Fraction(11, 5)]
+            flag = "--points"
+        src = tmp_path / "in.txt"
+        src.write_text(cfg.to_text())
+        code, out, _ = run(capsys, "build", "--kind", kind, flag, str(src))
+        assert code == 0 and edges
+        assert out == KPartiteHypergraph.build((n,) * k, edges).to_text()
+        assert out == self.tuple_text(k, n, edges)
 
 
 class TestShatter:
@@ -273,6 +331,20 @@ class TestInputErrors:
         msg = self.check(capsys, "bounds", "--dims", "5", "--sizes", "10",
                          "--check", "dominance")
         assert "--check dominance needs at least two dims" in msg
+
+    @pytest.mark.parametrize("dims, checked", [
+        ("1,2", []), ("2,1", []), ("1,2,3", [2]), ("2,2", [0, 1]),
+    ])
+    def test_bounds_monotonicity_skips_undefined_decrements(
+            self, capsys, dims, checked):
+        # decrementing a 2 next to a 1 gives two dimensions equal to 1,
+        # where the bound is undefined: that index is skipped, exit 0
+        sizes = ",".join(["10"] * len(dims.split(",")))
+        code, out, err = run(capsys, "bounds", "--dims", dims, "--sizes",
+                             sizes, "--check", "monotonicity")
+        assert code == 0 and "Traceback" not in err
+        rows = json.loads(out)["checks"]["monotonicity"]
+        assert [row["index"] for row in rows] == checked
 
     @pytest.mark.parametrize("token", sorted(BAD_RATIONALS))
     def test_bad_rational_in_eps_flag(self, capsys, token):

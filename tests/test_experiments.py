@@ -167,6 +167,15 @@ class TestRunExperiment:
         second = report_json(run_experiment(spec))
         assert first == second
 
+    def test_clustered_triangles_report_pinned(self):
+        # every size checks its pattern on the 3! orderings of its hits,
+        # 910,116 edges at n = 160
+        spec = ExperimentSpec(kind="triangles", d=2, sizes=(20, 40, 80, 160),
+                              variant="clusters")
+        text = report_json(run_experiment(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8aeb158fc6eedf3a29979b53e6a40c9f99b6b45423e3262198fa6c2f5cdf7258")
+
     def test_sizes_run_in_order_on_calling_thread(self, monkeypatch):
         calls = []
         run_size = experiments._run_size

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zarank import hypergraph
@@ -48,7 +49,8 @@ class TestDetection:
 
     def test_pattern_larger_than_parts(self):
         H = KPartiteHypergraph.build((2, 2), [(0, 0)])
-        assert not contains_complete(H, ForbiddenPattern((3, 1))).found
+        res = contains_complete(H, ForbiddenPattern((3, 1)))
+        assert res == DetectionResult(False, None, 0)
 
     def test_tripartite_witness(self):
         edges = list(itertools.product(range(2), range(2), range(2)))
@@ -133,12 +135,7 @@ class TestDetection:
 
     @staticmethod
     def minors_hypergraph(size):
-        from zarank import experiments
-        from zarank.geometry import unit_minor_hypergraph
-
-        spec = experiments.ExperimentSpec(kind="minors", d=2,
-                                          sizes=(20, 40, 80))
-        return unit_minor_hypergraph(experiments._config(spec, size)[0])
+        return TestSweepDetection.sweep_hypergraph("minors-2", 0, size)[0]
 
     @staticmethod
     def outcomes(H, patterns):
@@ -161,10 +158,15 @@ class TestDetection:
     @pytest.mark.parametrize("make, u, tests", [
         (lambda: TestDetection.seeded_bipartite(1), (2, 4), 314),
         (lambda: TestDetection.minors_hypergraph(160), (2, 2), 66),
-    ], ids=["random-1", "minors-160"])
+        (lambda: TestSweepDetection.sweep_hypergraph("spheres-3", 1, 80)[0],
+         (2, 2, 2), 730),
+        (lambda: TestSweepDetection.sweep_hypergraph("clusters", 1, 40)[0],
+         (2, 2, 2), 9),
+    ], ids=["random-1", "minors-160", "spheres-3-80", "clusters-40"])
     def test_bipartite_budget_edge_pinned(self, make, u, tests):
-        # one budget unit per level-0 combination: `tests` units suffice,
-        # one fewer raises
+        # one budget unit per candidate class at every level (the
+        # tripartite sweep cases are not bipartite): `tests` units
+        # suffice, one fewer raises
         H, pat = make(), ForbiddenPattern(u)
         assert contains_complete(H, pat, budget=tests).tests == tests
         with pytest.raises(BudgetExceededError):
@@ -189,6 +191,201 @@ class TestDetection:
             smaller = KPartiteHypergraph.build(sizes, smaller_edges)
             if not before:
                 assert not contains_complete(smaller, pat).found
+
+
+class TestSweepDetection:
+    """The detector on the hypergraphs the sweeps build, against
+    (edges, found, witness, tests) recorded from the tuple-set detector
+    that preceded the array one, at every size of the default sweeps."""
+
+    SPECS = {
+        "minors-2": dict(kind="minors", d=2, sizes=(20, 40, 80, 160)),
+        "minors-3": dict(kind="minors", d=3, sizes=(10, 20, 40, 80)),
+        "triangles": dict(kind="triangles", d=2, sizes=(20, 40, 80, 160)),
+        "clusters": dict(kind="triangles", d=2, sizes=(20, 40, 80, 160),
+                         variant="clusters"),
+        "spheres-2": dict(kind="spheres", d=2, sizes=(20, 40, 80, 160)),
+        "spheres-3": dict(kind="spheres", d=3, sizes=(10, 20, 40, 80)),
+    }
+    SWEEP_OUTCOMES = {
+        ("minors-2", 0): [(21, False, None, 0), (42, False, None, 3),
+                          (92, False, None, 21), (161, False, None, 66)],
+        ("minors-2", 1): [(19, False, None, 0), (28, False, None, 0),
+                          (92, False, None, 21), (189, False, None, 105)],
+        ("minors-2", 2): [(21, False, None, 1), (42, False, None, 3),
+                          (90, False, None, 21), (175, False, None, 55)],
+        ("minors-2", 3): [(17, False, None, 0), (43, False, None, 3),
+                          (90, False, None, 21), (181, False, None, 91)],
+        ("minors-3", 0): [(18, False, None, 0), (213, False, None, 153),
+                          (234, False, None, 276), (1869, False, None, 2557)],
+        ("minors-3", 1): [(21, False, None, 0), (90, False, None, 15),
+                          (432, False, None, 379), (1350, False, None, 2279)],
+        ("minors-3", 2): [(3, False, None, 0), (150, False, None, 66),
+                          (279, False, None, 351), (1785, False, None, 2709)],
+        ("minors-3", 3): [(36, False, None, 0), (159, False, None, 120),
+                          (180, False, None, 105), (1749, False, None, 2429)],
+        ("triangles", 0): [(216, False, None, 153), (1044, False, None, 784),
+                           (4386, False, None, 3177),
+                           (13710, False, None, 12744)],
+        ("triangles", 1): [(342, False, None, 190), (1278, False, None, 785),
+                           (4236, False, None, 3170),
+                           (14682, False, None, 12853)],
+        ("triangles", 2): [(216, False, None, 190), (1050, False, None, 781),
+                           (4614, False, None, 3166),
+                           (12714, False, None, 12740)],
+        ("triangles", 3): [(276, False, None, 190), (906, False, None, 783),
+                           (3816, False, None, 3192),
+                           (13830, False, None, 12749)],
+        ("clusters", 0): [(1764, True, ((0, 3), (1, 2), (13, 14)), 4),
+                          (14196, True, ((0, 1), (2, 3), (27, 28)), 2),
+                          (113724, True, ((0, 3), (1, 2), (53, 54)), 4),
+                          (910116, True, ((0, 4), (1, 2), (107, 108)), 5)],
+        ("clusters", 1): [(1764, True, ((0, 3), (1, 2), (13, 14)), 4),
+                          (14196, True, ((0, 8), (1, 2), (27, 28)), 9),
+                          (113724, True, ((0, 3), (1, 2), (53, 54)), 4),
+                          (910116, True, ((0, 1), (2, 3), (107, 108)), 2)],
+        ("clusters", 2): [(1764, True, ((0, 6), (1, 2), (13, 14)), 7),
+                          (14196, True, ((0, 1), (2, 4), (27, 28)), 2),
+                          (113724, True, ((0, 1), (2, 3), (53, 54)), 2),
+                          (910116, True, ((0, 4), (1, 2), (107, 108)), 5)],
+        ("clusters", 3): [(1764, True, ((0, 1), (3, 4), (13, 14)), 2),
+                          (14196, True, ((0, 3), (1, 2), (27, 28)), 4),
+                          (113724, True, ((0, 1), (3, 4), (53, 54)), 2),
+                          (910116, True, ((0, 2), (1, 4), (107, 108)), 3)],
+        ("spheres-2", 0): [(116, True, ((0, 2), (4, 6)), 2),
+                           (374, True, ((0, 2), (3, 5)), 2),
+                           (728, True, ((0, 6), (12, 19)), 5),
+                           (1562, True, ((0, 1), (4, 11)), 1)],
+        ("spheres-2", 1): [(122, True, ((0, 1), (2, 3)), 1),
+                           (356, True, ((0, 1), (2, 5)), 1),
+                           (694, True, ((0, 6), (7, 10)), 6),
+                           (1708, True, ((0, 2), (4, 16)), 2)],
+        ("spheres-2", 2): [(136, True, ((1, 2), (4, 8)), 1),
+                           (266, True, ((0, 3), (8, 9)), 3),
+                           (738, True, ((0, 3), (7, 10)), 3),
+                           (1566, True, ((0, 1), (2, 3)), 1)],
+        ("spheres-2", 3): [(134, True, ((0, 1), (3, 4)), 1),
+                           (284, True, ((0, 2), (1, 6)), 2),
+                           (790, True, ((0, 6), (8, 10)), 6),
+                           (1730, True, ((0, 7), (10, 18)), 7)],
+        ("spheres-3", 0): [(18, False, None, 6), (12, False, None, 0),
+                           (144, False, None, 78),
+                           (354, True, ((35, 52), (38, 48), (44, 46)), 227)],
+        ("spheres-3", 1): [(0, False, None, 0), (12, False, None, 0),
+                           (162, True, ((2, 7), (9, 11), (12, 13)), 4),
+                           (546, True, ((43, 58), (47, 52), (50, 59)), 730)],
+        ("spheres-3", 2): [(6, False, None, 0), (96, False, None, 57),
+                           (96, False, None, 15), (414, False, None, 655)],
+        ("spheres-3", 3): [(72, False, None, 27), (48, False, None, 15),
+                           (180, False, None, 84), (492, False, None, 943)],
+    }
+
+    # contains_complete_naive tries every choice of classes; it runs
+    # where there are at most this many
+    NAIVE_CHOICES = 100_000
+
+    @classmethod
+    def sweep_hypergraph(cls, name, seed, size):
+        from zarank import experiments
+        from zarank.geometry import (
+            almost_unit_area_hypergraph,
+            sphere_intersection_hypergraph,
+            unit_minor_hypergraph,
+        )
+
+        spec = experiments.ExperimentSpec(seed=seed, **cls.SPECS[name])
+        cfg, k = experiments._config(spec, size)
+        if spec.kind == "triangles":
+            return almost_unit_area_hypergraph(cfg), k
+        if spec.kind == "spheres":
+            return sphere_intersection_hypergraph(cfg)[0], k
+        return unit_minor_hypergraph(cfg), k
+
+    @pytest.mark.parametrize("name, seed", sorted(SWEEP_OUTCOMES))
+    def test_outcomes_pinned(self, name, seed):
+        for size, want in zip(self.SPECS[name]["sizes"],
+                              self.SWEEP_OUTCOMES[name, seed]):
+            H, k = self.sweep_hypergraph(name, seed, size)
+            pat = ForbiddenPattern((2,) * k)
+            res = contains_complete(H, pat, budget=2 * 10**6)
+            assert (H.num_edges, res.found, res.witness, res.tests) == want
+            if res.found:  # every tuple of the witness block is a row
+                for t in itertools.product(*res.witness):
+                    assert (H.rows == t).all(axis=1).any()
+            if math.comb(size, 2) ** k <= self.NAIVE_CHOICES:
+                assert contains_complete_naive(H, pat) == res.found
+
+    def test_exactly_one_orientation(self):
+        # det(e1, e2) = det(e1, e1+e2) = det(e1+e2, e2) = 1: each unit
+        # pair is an edge in one order only
+        from zarank.geometry import PointConfig, unit_minor_hypergraph
+
+        M = PointConfig.from_integers(2, [(1, 0), (0, 1), (1, 1)])
+        H = unit_minor_hypergraph(M)
+        assert H.rows.tolist() == [[0, 1], [0, 2], [2, 1]]
+        for u, witness in [((1, 2), ((0,), (1, 2))),
+                           ((2, 1), ((0, 2), (1,))),
+                           ((2, 2), None)]:
+            res = contains_complete(H, ForbiddenPattern(u))
+            assert res.witness == witness
+            assert res.found == contains_complete_naive(H, ForbiddenPattern(u))
+
+    def test_no_edges(self):
+        from zarank.geometry import PointConfig, almost_unit_area_hypergraph
+
+        P = PointConfig.from_integers(2, [(0, 0), (1, 1), (2, 2), (3, 3)])
+        H = almost_unit_area_hypergraph(P)
+        assert H.rows.shape == (0, 3)
+        for u in [(1, 1, 1), (2, 2, 2)]:
+            res = contains_complete(H, ForbiddenPattern(u))
+            assert res == DetectionResult(False, None, 0)
+
+
+class TestEdgeArray:
+    def test_rows_sorted_without_repeats(self):
+        H = KPartiteHypergraph.build((3, 3), [(2, 0), (0, 1), (2, 0), (0, 0)])
+        assert H.rows.tolist() == [[0, 0], [0, 1], [2, 0]]
+        assert H.num_edges == 3
+        assert H.edges == frozenset({(0, 0), (0, 1), (2, 0)})
+
+    def test_array_and_tuples_build_equal_hypergraphs(self):
+        rng = random.Random(7)
+        H = random_hypergraph(rng, (4, 5, 3), 0.4)
+        rows = np.array(sorted(H.edges), dtype=np.int32)[::-1]
+        again = KPartiteHypergraph.build((4, 5, 3), rows)
+        assert again == H and hash(again) == hash(H)
+        assert again.to_text() == H.to_text()
+
+    def test_rows_are_read_only(self):
+        H = KPartiteHypergraph.build((2, 2), [(0, 1)])
+        with pytest.raises(ValueError):
+            H.rows[0, 0] = 1
+        with pytest.raises(AttributeError):
+            H.part_sizes = (3, 3)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 1)], "edge (0, 1, 1) has arity 3, expected 2"),
+        ([(0,), (1, 1)], "edge (0,) has arity 1, expected 2"),
+        ([(0, 1), (1, 2)], "edge (1, 2): index 2 out of part 1"),
+        ([(-1, 0)], "edge (-1, 0): index -1 out of part 0"),
+        ([(2**70, 0)], f"edge ({2**70}, 0): index {2**70} out of part 0"),
+        ([(0.5, 1)], "edges must be 2-tuples of integers"),
+    ], ids=["arity", "ragged", "index", "negative", "huge", "float"])
+    def test_bad_edges_rejected(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            KPartiteHypergraph.build((2, 2), edges)
+        assert str(err.value) == message
+
+    def test_indices_past_the_edge_count(self):
+        # part sizes whose codes do not fit int64, and indices far past
+        # the number of edges: ranks stand in for both
+        big = 2**40
+        block = [(a, b, c) for a in (0, 5) for b in (1, big - 1)
+                 for c in (2, 2**39)]
+        H = KPartiteHypergraph.build((big,) * 3, block + [(3, 3, 3)])
+        res = contains_complete(H, ForbiddenPattern((2, 2, 2)))
+        assert res.witness == ((0, 5), (1, big - 1), (2, 2**39))
+        assert H.rows.tolist()[0] == [0, 1, 2]
 
 
 class TestNeighborhood:
