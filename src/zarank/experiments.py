@@ -398,11 +398,11 @@ def _run_size(spec: ExperimentSpec, size: int) -> SizeResult:
 
 def _naive_recount(spec: ExperimentSpec, size: int) -> Optional[int]:
     """Independently coded counter for the oracle cross-check: the
-    `Fraction` oracles of `geometry`, which share no code with the integer
-    sweeps.  None for partition sweeps and for configurations with more
-    than _ORACLE_SUBSETS k-subsets.  The cap bounds the subsets an oracle
-    may visit; the d=3 sphere oracle tests only the triples whose three
-    pairs meet."""
+    `*_naive` oracles of `geometry`, brute-force loops on python ints
+    that share no code with the integer sweeps.  None for partition
+    sweeps and for configurations with more than _ORACLE_SUBSETS
+    k-subsets.  The cap bounds the subsets an oracle may visit; the d=3
+    sphere oracle tests only the triples whose three pairs meet."""
     if spec.kind == "partition":
         return None
     cfg, k = _config(spec, size)
@@ -421,7 +421,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     Per size: build the configuration, count exactly, verify the
     pattern-freeness precondition where it applies (skipped with a note
     when the budget trips).  The two smallest completed sizes within the
-    oracle's cap are recounted by an independent `Fraction` oracle
+    oracle's cap are recounted by an independent brute-force oracle
     (`_naive_recount`), and a mismatch raises.  The slope of the log-log
     fit is compared against the predicted exponent.
     """

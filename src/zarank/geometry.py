@@ -13,9 +13,12 @@ over the common-denominator form, the area band and polynomial sign
 tests in squared radii for spheres.  The sweeps in `kernels` decide each
 family for d <= 3 and pick their own integer width; the Bareiss loop
 `_unit_minors` decides unit minors for d >= 4.  No floating point is
-consulted for any edge decision.  The `Fraction` views (`points`,
-`spheres`) are built on first use, for the independent `*_naive` oracles
-and text output.
+consulted for any edge decision.  The independent `*_naive` oracles
+loop on python ints over the same stored integers, without the kernels
+or the common-denominator form.  The `Fraction` views (`points`,
+`spheres`) are built on first use, for text output and for the two
+oracle steps that divide: Gaussian elimination for unit minors at
+d >= 4 and the radical planes of three spheres.
 
 Both file formats (`to_text`, `from_text`) are a first line `d n`, then
 n lines of rationals (`p/q` or integer): a point's (matrix column's) d
@@ -230,8 +233,9 @@ class PointConfig(_RationalRows):
     storage of a d x n matrix (points are the columns).
 
     Point i is numerators[i] / denominators[i], the column cleared of its
-    denominators, which is what the exact predicates read.  `points` is
-    the `Fraction` view, for the independent oracles and text output.
+    denominators, which is what the exact predicates and the
+    independent oracles read.  `points` is the `Fraction` view, for text
+    output and the d >= 4 unit-minor oracle.
     """
 
     __slots__ = ()
@@ -421,24 +425,33 @@ def count_unit_minors(M: PointConfig) -> int:
 
 
 def count_unit_minors_naive(M: PointConfig) -> int:
-    """Independent oracle: the `Fraction` determinant of every d-subset of
-    columns, by cofactors for d in {2, 3} (each pair's cross product
-    taken once for all its third columns), else by Gaussian
-    elimination."""
-    d, cols = M.dim, M.points
-    if d == 2:
-        return sum(1 for (a, b), (c, e) in itertools.combinations(cols, 2)
-                   if abs(a * e - b * c) == 1)
-    if d != 3:
-        return sum(1 for combo in itertools.combinations(cols, d)
+    """Independent oracle: the determinant of every d-subset of columns.
+
+    For d in {2, 3} column i is numerators[i] / denominators[i], so a
+    subset's rational determinant is +-1 exactly when the integer
+    determinant of its numerators is +-(the product of its
+    denominators); that determinant is taken by cofactors on python ints,
+    each pair's cross product once for all its third columns at d = 3.
+    For d >= 4 it is the `Fraction` determinant by Gaussian elimination.
+    """
+    d = M.dim
+    if d not in (2, 3):
+        return sum(1 for combo in itertools.combinations(M.points, d)
                    if abs(_det_fraction_gauss(
                        [[c[r] for c in combo] for r in range(d)])) == 1)
+    cols = list(zip(M.numerators.tolist(), M.denominators.tolist()))
+    if d == 2:
+        return sum(1 for ((a, b), s), ((c, e), t)
+                   in itertools.combinations(cols, 2)
+                   if abs(a * e - b * c) == s * t)
     count = 0
-    for i, u in enumerate(cols):
+    for i, (u, s) in enumerate(cols):
         for j in range(i + 1, len(cols)):
-            w0, w1, w2 = _cross3(u, cols[j])
-            count += sum(1 for x, y, z in cols[j + 1:]
-                         if abs(w0 * x + w1 * y + w2 * z) == 1)
+            v, t = cols[j]
+            w0, w1, w2 = _cross3(u, v)
+            st = s * t
+            count += sum(1 for (x, y, z), q in cols[j + 1:]
+                         if abs(w0 * x + w1 * y + w2 * z) == st * q)
     return count
 
 
@@ -476,14 +489,20 @@ def triangle_double_area(p, q, r) -> Fraction:
     return abs(cross)
 
 
-def _area_band_args(P: PointConfig, lo, hi) -> tuple:
-    """Arguments of the area-band kernels: coordinates over the common
-    denominator L and the band with scale L^2."""
+def _area_band(P: PointConfig, lo, hi) -> tuple[Fraction, Fraction]:
+    """The band [lo, hi] as `Fraction`s, once P is planar and lo <= hi."""
     if P.dim != 2:
         raise ValueError("triangle areas live in the plane")
     lo, hi = (q if isinstance(q, Fraction) else Fraction(q) for q in (lo, hi))
     if lo > hi:
         raise ValueError("need lo <= hi")
+    return lo, hi
+
+
+def _area_band_args(P: PointConfig, lo, hi) -> tuple:
+    """Arguments of the area-band kernels: coordinates over the common
+    denominator L and the band with scale L^2."""
+    lo, hi = _area_band(P, lo, hi)
     L, X = P.common_denominator()
     return (X[:, 0], X[:, 1],
             lo.numerator, lo.denominator, hi.numerator, hi.denominator, L * L)
@@ -507,10 +526,19 @@ def count_almost_unit_area(P: PointConfig, lo: Fraction = Fraction(9, 10),
 
 def count_almost_unit_area_naive(P: PointConfig, lo=Fraction(9, 10),
                                  hi=Fraction(11, 10)) -> int:
-    """Independent oracle: direct rational triple loop, over each anchor's
-    `Fraction` differences to the later points."""
-    lo2, hi2 = 2 * Fraction(lo), 2 * Fraction(hi)
-    pts = P.points
+    """Independent oracle: direct triple loop on python ints, over each
+    anchor's differences to the later points.  The coordinates are taken
+    over the lcm L of the stored denominators, so a triangle's doubled
+    area is |cross| / L^2 for an integer cross product, and lo <= area
+    <= hi exactly when ceil(2 lo L^2) <= |cross| <= floor(2 hi L^2)."""
+    lo, hi = _area_band(P, lo, hi)
+    dens = P.denominators.tolist()
+    L = math.lcm(*dens)
+    L2 = L * L
+    lo2 = -(-2 * lo.numerator * L2 // lo.denominator)
+    hi2 = 2 * hi.numerator * L2 // hi.denominator
+    pts = [(x * (L // q), y * (L // q))
+           for (x, y), q in zip(P.numerators.tolist(), dens)]
     count = 0
     for i, (px, py) in enumerate(pts):
         rel = [(qx - px, qy - py) for qx, qy in pts[i + 1:]]
@@ -657,16 +685,29 @@ def count_sphere_intersections(S: SphereConfig) -> int:
 
 
 def count_sphere_intersections_naive(S: SphereConfig) -> int:
-    """Independent oracle: the rational predicates on every pair (d=2),
-    or (d=3) on every triple whose three pairs meet, since spheres that
-    share a point meet pairwise.  `circles_intersect` tests the pairs:
-    its squared-distance form holds in any dimension."""
-    spheres = S.spheres
-    later = [{j for j in range(i + 1, len(spheres))
-              if circles_intersect(*spheres[i], *spheres[j])[0]}
-             for i in range(len(spheres))]
-    if S.dim == 2:
+    """Independent oracle: the pair test on every pair (d=2), or (d=3)
+    the rational predicate `spheres_triple_intersect` on every triple
+    whose three pairs meet, since spheres that share a point meet
+    pairwise.  The pair test is the squared-distance form of
+    `circles_intersect`, which holds in any dimension, on python ints:
+    sphere i is numerators[i] / q_i, and multiplying D, a and b by
+    (q_i q_j)^2 clears both denominators."""
+    d = S.dim
+    rows = [(row[:d], row[d], q)
+            for row, q in zip(S.numerators.tolist(), S.denominators.tolist())]
+    later = []
+    for i, (c, r, q) in enumerate(rows):
+        nbrs = set()
+        for j in range(i + 1, len(rows)):
+            e, s, p = rows[j]
+            D = sum((x * p - y * q) ** 2 for x, y in zip(c, e))
+            a, b = r * q * p * p, s * p * q * q
+            if (D - a - b) ** 2 <= 4 * a * b:
+                nbrs.add(j)
+        later.append(nbrs)
+    if d == 2:
         return sum(map(len, later))
+    spheres = S.spheres
     return sum(1 for i, nbrs in enumerate(later)
                for j in sorted(nbrs) for l in sorted(nbrs & later[j])
                if spheres_triple_intersect(spheres[i], spheres[j],

@@ -10,11 +10,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zarank import geometry, kernels
 from zarank.experiments import (
     ExperimentSpec,
+    _random_matrix,
     _random_spheres,
     _random_triangle_points,
 )
@@ -345,6 +346,16 @@ class TestAlmostUnitArea:
         cfg = PointConfig(2, frac_points([(0, 0), (2, 0), (0, 1)]))
         with pytest.raises(ValueError):
             count_almost_unit_area(cfg, Fraction(2), Fraction(1))
+
+    @pytest.mark.parametrize("count", [count_almost_unit_area,
+                                       count_almost_unit_area_naive])
+    def test_count_and_oracle_reject_the_same_input(self, count):
+        plane = PointConfig(2, frac_points([(0, 0), (2, 0), (0, 1)]))
+        with pytest.raises(ValueError, match="need lo <= hi"):
+            count(plane, Fraction(2), Fraction(1))
+        space = PointConfig(3, frac_points([(0, 0, 0), (2, 0, 0), (0, 1, 0)]))
+        with pytest.raises(ValueError, match="live in the plane"):
+            count(space)
 
 
 class TestSpheres:
@@ -974,11 +985,8 @@ class TestIntegerConstructor:
             assert twin.to_text() == cfg.to_text()
 
 
-def test_sweeps_on_generator_output_build_no_fraction(monkeypatch):
-    """The unit-minor count, the area band and the sphere sweeps read the
-    stored integers of generator output; no `Fraction` is made."""
-    specs = [ExperimentSpec(kind=kind, d=d, sizes=(10, 20, 30))
-             for kind, d in (("triangles", 2), ("spheres", 2), ("spheres", 3))]
+def fractions_made(monkeypatch) -> list:
+    """The argument tuples of every `Fraction` built from now on."""
     made = []
     original = Fraction.__new__
 
@@ -987,6 +995,15 @@ def test_sweeps_on_generator_output_build_no_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", spy)
+    return made
+
+
+def test_sweeps_on_generator_output_build_no_fraction(monkeypatch):
+    """The unit-minor count, the area band and the sphere sweeps read the
+    stored integers of generator output; no `Fraction` is made."""
+    specs = [ExperimentSpec(kind=kind, d=d, sizes=(10, 20, 30))
+             for kind, d in (("triangles", 2), ("spheres", 2), ("spheres", 3))]
+    made = fractions_made(monkeypatch)
     assert count_unit_minors(st_lower_bound_minor_config(2, 16)) > 0
     P = _random_triangle_points(specs[0], 40)
     assert count_almost_unit_area(P) * 6 \
@@ -999,3 +1016,90 @@ def test_sweeps_on_generator_output_build_no_fraction(monkeypatch):
     assert made == []
     Fraction(1, 3)
     assert made == [(1, 3)]
+
+
+def test_oracles_on_generator_output_build_no_fraction(monkeypatch):
+    """The unit-minor oracle (d = 2, 3), the area oracle and the circle
+    oracle run on python ints read from the stored integers; only the
+    d = 3 sphere oracle's triple predicate divides."""
+    triangles = ExperimentSpec(kind="triangles", d=2, sizes=(10, 20, 30))
+    minors = ExperimentSpec(kind="minors", d=3, sizes=(10, 20, 40))
+    circles = ExperimentSpec(kind="spheres", d=2, sizes=(10, 20, 30))
+    configs = (st_lower_bound_minor_config(2, 4),
+               _random_matrix(minors, 40),
+               _random_triangle_points(triangles, 40),
+               _random_spheres(circles, 40))
+    made = fractions_made(monkeypatch)
+    assert count_unit_minors_naive(configs[0]) == 452
+    assert count_unit_minors_naive(configs[1]) > 0
+    assert count_almost_unit_area_naive(configs[2]) > 0
+    assert count_sphere_intersections_naive(configs[3]) > 0
+    assert made == []
+
+
+# unit pairs and triples whose entries straddle 2^63, over a denominator
+# q: (2^63, 1)/q and (2^63 - 1, 1)*q have determinant 1, and with a last
+# row (0, 0, 1) so do they and (2^63, 2^63 - 1, 1)
+def straddling_unit_columns(d, q):
+    nums = [(2**63, 1, 0), ((2**63 - 1) * q, q, 0), (2**63, 2**63 - 1, 1)]
+    return [row[:d] for row in nums[:d]], [q, 1, 1][:d]
+
+
+# circles (d = 2) or spheres (d = 3) with centres near 2^63 / q and
+# squared radii 1/q^2: the first two touch at (2^63 - 1)/q on the first
+# axis, and the third passes through that point
+def straddling_spheres(d, q):
+    rows = [(2**63 * q, 0, 0, 1), ((2**63 - 2) * q, 0, 0, 1),
+            ((2**63 - 1) * q, q, 0, 1)]
+    return [row[:d] + row[3:] for row in rows[:d]], [q * q] * d
+
+
+class TestOraclesPastInt64:
+    """The oracles on entries and denominators near and past 2^63, where
+    the kernels run on object arrays: each oracle equals its `Fraction`
+    loop and the kernel's count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), denominator, st.data())
+    def test_unit_minors(self, d, q, data):
+        nums, dens = straddling_unit_columns(d, q)
+        _, more, more_dens = data.draw(integer_rows(d, d))
+        M = PointConfig.from_integers(d, nums + more, dens + more_dens)
+        assume(not M.has_repeats())
+        count, dtypes = kernel_dtypes(lambda: count_unit_minors(M))
+        assert np.dtype(object) in dtypes
+        assert count_unit_minors_naive(M) == unit_minors_loop(M) == count
+        assert count >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(denominator, st.data())
+    def test_almost_unit_area(self, q, data):
+        """The hand-made unit pair and the origin make a triangle of area
+        1/2; the band's ends are triangle areas."""
+        nums, dens = straddling_unit_columns(2, q)
+        _, more, more_dens = data.draw(integer_rows(2, 2))
+        P = PointConfig.from_integers(2, [(0, 0)] + nums + more,
+                                      [1] + dens + more_dens)
+        areas = sorted({triangle_double_area(*t) / 2
+                        for t in itertools.combinations(P.points, 3)})
+        lo = data.draw(st.sampled_from(areas))
+        hi = data.draw(st.sampled_from([a for a in areas if a >= lo]))
+        for band in ((lo, hi), (Fraction(1, 2), Fraction(1, 2)), ()):
+            count, dtypes = kernel_dtypes(
+                lambda: count_almost_unit_area(P, *band))
+            assert np.dtype(object) in dtypes
+            assert count_almost_unit_area_naive(P, *band) == count \
+                == area_loop(P, *(band or (Fraction(9, 10),
+                                           Fraction(11, 10))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), denominator, st.data())
+    def test_sphere_intersections(self, d, q, data):
+        nums, dens = straddling_spheres(d, q)
+        _, more, more_dens = data.draw(
+            integer_rows(d + 1, d + 1, positive_last=True))
+        S = SphereConfig.from_integers(d, nums + more, dens + more_dens)
+        count, dtypes = kernel_dtypes(lambda: count_sphere_intersections(S))
+        assert np.dtype(object) in dtypes
+        assert count_sphere_intersections_naive(S) == sphere_loop(S) == count
+        assert count >= 1
