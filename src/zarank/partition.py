@@ -11,17 +11,26 @@ staying exactly computable.
 
 At d = 2, while there are at most two parts, the search tries the lines
 through two points, scored exactly by a rotational sweep around each
-point on cleared integers (O(n^2 log n)).  Otherwise, or when no such
-line is acceptable, it fits a polynomial by soft-sign Gauss-Newton in
-the monomial basis, seeded from lifted-point subsets.  Every search
-hands back an exact `MultiPoly` (or None), and one integer gate,
-`_ExactEvaluator.signs`, clears it and decides its signs, so a returned
-partition is correct regardless of how the search behaved;
-`verify_partition` re-checks it by its own integer evaluation.  The
-searches share one candidate budget, `_CANDIDATE_BUDGET` per partition,
-and consume candidates in a seeded canonical order, so results are
-reproducible.  Linear-time ham-sandwich cuts (Lo, Matousek and Steiger,
-DCG 1994) would serve larger n at the two line levels.
+point on cleared integers (O(n^2 log n)).  The sweep sorts the
+directions from every point once per partition; the second line level
+reads those angular ranks at its active points instead of sorting again.
+Otherwise, or when no such line is acceptable, it fits a polynomial by
+soft-sign Gauss-Newton in the monomial basis, seeded from lifted-point
+subsets.  Every search hands back an exact `MultiPoly` (or None), and one
+gate, `_ExactEvaluator.signs`, clears it and decides its signs, so a
+returned partition is correct regardless of how the search behaved.  The
+gate evaluates the cleared polynomial in floats first, with a forward
+error bound on the result: a point whose float value clears the bound
+takes its sign from it, and the rest (points on the zero set among them,
+and every point when a coordinate or the common denominator is past the
+float range) are decided by the exact python-int sum.
+`verify_partition` re-checks the signs by its own integer evaluation and
+checks the contract from them: the factor count, every level's side
+bounds, the census and the cell bound.  The searches share one candidate
+budget, `_CANDIDATE_BUDGET` per partition, and consume candidates in a
+seeded canonical order, so results are reproducible.  Linear-time
+ham-sandwich cuts (Lo, Matousek and Steiger, DCG 1994) would serve larger
+n at the two line levels.
 """
 
 from __future__ import annotations
@@ -108,54 +117,171 @@ def level_degree(dim: int, level: int) -> int:
 # exact sign evaluation on cleared integers
 
 
+# the float filter sends a call with a scaled coefficient below this
+# (the least normal float) to the exact sum
+_FLOAT_NORMAL = 2.0 ** -1022
+
+
 class _ExactEvaluator:
-    """Signs of rational polynomials at rational points via big integers.
+    """Signs of rational polynomials at rational points, decided exactly.
 
     Points are scaled by their common denominator L (the configuration's
     `common_denominator`), giving integer points X.  A polynomial of
     degree D is cleared by the lcm of its coefficient denominators into
-    integer coefficients C_e over `monomials_upto(dim, D)`, and
-        sign g(x) = sign sum_e C_e * X^e * L^(D - |e|).
-    The table of X^e * L^(D - |e|) is built once per degree.  This is the
-    one place where a factor's integer form is made.
+    integer coefficients C_e over the V monomials `monomials_upto(dim, D)`,
+    and
+        sign g(x) = sign v,   v = sum_e C_e * X^e * L^(D - |e|).
+    This is the one place where a factor's integer form is made.
+
+    A float filter decides most signs.  Per degree the evaluator keeps one
+    table T[i, e] = fl(X_i)^e * fl(L)^(D - |e|), each entry a product of D
+    correctly rounded factors formed by D - 1 float multiplications.  A
+    call scales the coefficients to c_e = C_e / 2^s, correctly rounded,
+    with 2^s the least power of two above every |C_e| (so ints past the
+    float range convert), and computes w = T[idx] @ c and S = |T[idx]| @
+    |c|.  With u = 2^-53 and gamma_k = k u / (1 - k u): input rounding
+    and the table products put each entry within gamma_2D of its true
+    value, each coefficient is within u, and a dot product of V terms in
+    any summation order is within gamma_V of the sum of its terms'
+    magnitudes, which S underestimates by at most gamma_V.  So
+    |w - v / 2^s| <= (V + 2D) u S to first order, and a point's sign is
+    read off w when w is finite and |w| > (V + 2D + 2) 2^-52 S; the
+    factor of two covers the higher-order terms and the rounding of the
+    test itself.  The other points, those on the zero set among them, get
+    the exact python-int sum, whose integer terms are formed for those
+    points only.  So does every point of a call whose table has a
+    non-finite entry (coordinates or L past the float range) or whose
+    scaled coefficients leave the normal float range.
+
+    At d = 2 the evaluator also keeps the line sweep's dense angular
+    ranks of every point seen from every other (`sweep_order`), built on
+    first use and read by every line level.
     """
 
     def __init__(self, P: PointConfig):
         L, X = P.common_denominator()
         self.dim = P.dim
+        self.n = P.n
         self.L = L
+        self.coords = X
         self.X = X.tolist()
-        self._tables: dict[int, tuple[list, list[list[int]]]] = {}
+        self._tables: dict[int, tuple[list, Optional[np.ndarray]]] = {}
+        self._sweep: Optional[tuple[np.ndarray, np.ndarray]] = None
 
-    def _table(self, degree: int) -> tuple[list, list[list[int]]]:
+    def _table(self, degree: int) -> tuple[list, Optional[np.ndarray]]:
+        """The degree's monomials and float table, None when an entry is
+        not a finite float."""
         if degree not in self._tables:
             monos = monomials_upto(self.dim, degree)
-            tab = []
-            for X in self.X:
-                row = []
-                for e in monos:
-                    v = self.L ** (degree - sum(e))
-                    for x, p in zip(X, e):
-                        if p:
-                            v *= x**p
-                    row.append(v)
-                tab.append(row)
-            self._tables[degree] = monos, tab
+            try:
+                Xf = self.coords.astype(float)
+                Lf = float(self.L)
+            except OverflowError:
+                table = None
+            else:
+                table = np.ones((self.n, len(monos)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for col, e in enumerate(monos):
+                        for axis, p in enumerate(e):
+                            for _ in range(p):
+                                table[:, col] *= Xf[:, axis]
+                        for _ in range(degree - sum(e)):
+                            table[:, col] *= Lf
+                if not np.isfinite(table).all():
+                    table = None
+            self._tables[degree] = monos, table
         return self._tables[degree]
 
-    def signs(self, poly: MultiPoly, idx: Sequence[int]) -> list[int]:
-        monos, tab = self._table(poly.degree)
+    def signs(self, poly: MultiPoly, idx: Sequence[int]) -> np.ndarray:
+        """Signs (int8: -1, 0, +1) of `poly` at the points idx."""
+        monos, table = self._table(poly.degree)
         k = math.lcm(*(c.denominator for c in poly.terms.values()))
-        ints = [int(poly.terms.get(e, 0) * k) for e in monos]
+        ints = [0] * len(monos)
+        for e, c in poly.terms.items():
+            ints[monos.index(e)] = c.numerator * (k // c.denominator)
+        idx = np.asarray(idx, dtype=np.intp)
+        out = np.zeros(len(idx), dtype=np.int8)
+        s = max(map(abs, ints)).bit_length()
+        coeffs = np.array([c / (1 << s) for c in ints])
+        if table is None or any(c and abs(f) < _FLOAT_NORMAL
+                                for c, f in zip(ints, coeffs)):
+            undecided = np.arange(len(idx))
+        else:
+            rows = table[idx]
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = rows @ coeffs
+                bound = (np.abs(rows) @ np.abs(coeffs)) \
+                    * ((len(monos) + 2 * poly.degree + 2) * 2.0 ** -52)
+            # False for a NaN or infinite w and for an infinite bound
+            sure = (np.abs(w) > bound) & np.isfinite(w)
+            out[sure] = np.sign(w[sure])
+            undecided = np.flatnonzero(~sure)
+        if len(undecided):
+            terms = [(c * self.L ** (poly.degree - sum(e)), e)
+                     for c, e in zip(ints, monos) if c]
+            out[undecided] = self._exact_signs(terms, idx[undecided])
+        return out
+
+    def _exact_signs(self, terms, idx) -> list[int]:
+        """Signs of sum (C_e L^(D - |e|)) X^e by python ints at the points
+        idx; `terms` holds the nonzero (C_e L^(D - |e|), e)."""
         out = []
         for i in idx:
-            row = tab[i]
+            X = self.X[i]
             v = 0
-            for c, t in zip(ints, row):
-                if c:
-                    v += c * t
+            for c, e in terms:
+                for x, p in zip(X, e):
+                    if p:
+                        c *= x ** p
+                v += c
             out.append((v > 0) - (v < 0))
         return out
+
+    def sweep_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The d = 2 line sweep's orders of the points, built on first use.
+
+        ranks[a, t] is the dense rank of the direction from point a to
+        point t among all directions from a, folded into the angles
+        [0, pi) (`_angular_ranks`), built in blocks of about `_SWEEP_BLOCK`
+        directions and stored as int16 below 2^15 points, int32 otherwise.
+        lex[t] is the dense rank of point t in (y, x) order, so the
+        direction from a to t is folded exactly when lex[t] < lex[a] and is
+        zero exactly when lex[t] == lex[a].  Ranks read at any subset of
+        the points keep their order and their ties, which is all the sweep
+        needs."""
+        if self._sweep is None:
+            n = self.n
+            by_yx = sorted(range(n), key=lambda i: self.X[i][::-1])
+            lex = np.empty(n, dtype=np.intp)
+            rank = -1
+            for pos, i in enumerate(by_yx):
+                if not pos or self.X[i] != self.X[by_yx[pos - 1]]:
+                    rank += 1
+                lex[i] = rank
+            # coordinates less their minima: int64 while 2x2 cross
+            # products of differences stay inside int64, else python ints;
+            # `shift` drops low bits from the float angle keys only, so
+            # that huge python ints still convert
+            cols = [[row[c] for row in self.X] for c in (0, 1)]
+            lows = [min(col) for col in cols]
+            span = max(max(col) - lo for col, lo in zip(cols, lows))
+            dtype = np.int64 if span < _INT64_SPAN else object
+            ax, ay = (np.array([v - lo for v in col], dtype=dtype)
+                      for col, lo in zip(cols, lows))
+            shift = max(0, span.bit_length() - 1000)
+            ranks = np.empty((n, n), dtype=np.int16 if n < 2 ** 15
+                             else np.int32)
+            block = max(1, _SWEEP_BLOCK // n)
+            for lo in range(0, n, block):
+                anchors = np.arange(lo, min(lo + block, n))
+                flip = lex[None, :] < lex[anchors, None]
+                fx = ax[None, :] - ax[anchors, None]
+                fy = ay[None, :] - ay[anchors, None]
+                np.negative(fx, out=fx, where=flip)
+                np.negative(fy, out=fy, where=flip)
+                ranks[anchors] = _angular_ranks(fx, fy, shift)[0]
+            self._sweep = ranks, lex
+        return self._sweep
 
 
 def _rationalize_coeffs(coeffs: np.ndarray, shifts: Sequence[int],
@@ -187,12 +313,9 @@ def _side_limits(parts: Sequence[Sequence[int]], slack: int) -> list[int]:
 
 
 def _accept(signs_by_part, limits) -> bool:
-    for signs, limit in zip(signs_by_part, limits):
-        plus = sum(1 for s in signs if s > 0)
-        minus = sum(1 for s in signs if s < 0)
-        if plus > limit or minus > limit:
-            return False
-    return True
+    return all(np.count_nonzero(signs > 0) <= limit
+               and np.count_nonzero(signs < 0) <= limit
+               for signs, limit in zip(signs_by_part, limits))
 
 
 # direction components below this keep 2x2 cross products inside int64
@@ -241,8 +364,18 @@ def _angular_ranks(fx: np.ndarray, fy: np.ndarray,
     return rank, zero
 
 
-def _anchor_sides(X: Sequence[Sequence[int]], parts):
-    """Rotational sweep around every active point, on integer points X.
+def _active(parts, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the parts in increasing order, and each one's part."""
+    label = np.full(n, -1, dtype=np.intp)
+    for p, part in enumerate(parts):
+        label[part] = p
+    act = np.flatnonzero(label >= 0)
+    return act, label[act]
+
+
+def _anchor_sides(evaluator: _ExactEvaluator, parts):
+    """Rotational sweep around every active point, on the evaluator's
+    integer points.
 
     Active points are numbered 0..m-1 in increasing index order.  Yields
     (anchors, on_anchor, left, right) per block of anchors: left[b, p, t] /
@@ -252,46 +385,41 @@ def _anchor_sides(X: Sequence[Sequence[int]], parts):
     equal to the anchor, which span no line (their counts mean nothing).
 
     The directions from an anchor are folded into one half-plane and
-    ranked by angle (`_angular_ranks`); a point of rank r, folded or not,
+    ranked by angle; the ranks are the evaluator's `sweep_order` of all
+    points, read at the active ones.  A point of rank r, folded or not,
     lies on a side of the line of rank R fixed by the sign of r - R, so
     prefix sums of a per-part, per-half rank histogram give every line's
-    counts.  O(m log m) per anchor."""
-    act = sorted(set().union(*parts))
+    counts.  O(m log m) per anchor for the first sweep of a partition,
+    O(n) per anchor after it."""
+    act, labels = _active(parts, evaluator.n)
     m = len(act)
-    label = {i: p for p, part in enumerate(parts) for i in part}
-    labels = np.array([label[i] for i in act], dtype=np.intp)
-    cols = [[X[i][c] for i in act] for c in (0, 1)]
-    lows = [min(col) for col in cols]
-    span = max(max(col) - lo for col, lo in zip(cols, lows))
-    dtype = np.int64 if span < _INT64_SPAN else object
-    ax, ay = (np.array([v - lo for v in col], dtype=dtype)
-              for col, lo in zip(cols, lows))
-    shift = max(0, int(span).bit_length() - 1000)
+    ranks, lex = evaluator.sweep_order()
+    n = len(ranks)  # rank bins
+    lex = lex[act]
     groups = 2 * len(parts)  # (part, folded); copies of the anchor go past
     block = max(1, _SWEEP_BLOCK // m)
     for lo in range(0, m, block):
         anchors = np.arange(lo, min(lo + block, m))
-        dx = ax[None, :] - ax[anchors, None]
-        dy = ay[None, :] - ay[anchors, None]
-        flip = (dy < 0) | ((dy == 0) & (dx < 0))
-        fx, fy = np.where(flip, -dx, dx), np.where(flip, -dy, dy)
-        rank, on_anchor = _angular_ranks(fx, fy, shift)
+        flip = lex[None, :] < lex[anchors, None]
+        on_anchor = lex[None, :] == lex[anchors, None]
+        rank = ranks[act[anchors]][:, act]
         group = np.where(on_anchor, groups, 2 * labels + flip)
         rows = np.arange(len(anchors))[:, None]
-        hist = np.bincount(((rows * (groups + 1) + group) * m + rank).ravel(),
-                           minlength=len(anchors) * (groups + 1) * m)
-        hist = hist.reshape(len(anchors), groups + 1, m)[:, :groups]
-        below = np.cumsum(hist, axis=2) - hist
-        above = hist.sum(axis=2, keepdims=True) - below - hist
-        # left of a folded direction: unfolded points above it and folded
-        # points below it; a folded partner reverses the line
-        at = (rows[:, None] * len(parts) + np.arange(len(parts))[:, None]) * m \
+        hist = np.bincount(((rows * (groups + 1) + group) * n + rank).ravel(),
+                           minlength=len(anchors) * (groups + 1) * n)
+        hist = hist.reshape(len(anchors), groups + 1, n)
+        unfolded, folded = hist[:, 0:groups:2], hist[:, 1:groups:2]
+        # per bin: folded less unfolded points of rank at most the bin's
+        net = np.cumsum(folded - unfolded, axis=2)
+        at = (rows[:, None] * len(parts) + np.arange(len(parts))[:, None]) * n \
             + rank[:, None, :]
-        ccw = np.take(above[:, 0::2] + below[:, 1::2], at)
-        cw = np.take(below[:, 0::2] + above[:, 1::2], at)
-        folded = flip[:, None, :]
-        yield anchors, on_anchor, np.where(folded, cw, ccw), \
-            np.where(folded, ccw, cw)
+        # left of an unfolded direction of rank R: unfolded points above R
+        # and folded points below it; a folded partner reverses the line
+        ccw = unfolded.sum(axis=2, keepdims=True) + np.take(net - folded, at)
+        cw = folded.sum(axis=2, keepdims=True) - np.take(net + unfolded, at)
+        flip = flip[:, None, :]
+        yield anchors, on_anchor, np.where(flip, cw, ccw), \
+            np.where(flip, ccw, cw)
 
 
 def _search_line(parts, limits, evaluator, counter) -> Optional[MultiPoly]:
@@ -309,13 +437,11 @@ def _search_line(parts, limits, evaluator, counter) -> Optional[MultiPoly]:
     before it is accepted, so the accepted cut is the most balanced
     acceptable one.  A pair of coincident points spans no line: it scores
     0 and is skipped.  Deterministic for a fixed input."""
-    active = sorted(set().union(*parts)) if parts else []
+    active, labels = _active(parts, evaluator.n)
     if len(active) < 2:
         return None
-    label = {i: p for p, part in enumerate(parts) for i in part}
-    labels = np.array([label[i] for i in active], dtype=np.intp)
     kept = []
-    for anchors, on_anchor, left, right in _anchor_sides(evaluator.X, parts):
+    for anchors, on_anchor, left, right in _anchor_sides(evaluator, parts):
         score = np.where(on_anchor, 0, np.maximum(left, right).max(axis=1))
         row, second = np.nonzero(score <= max(limits))
         first = anchors[row]
@@ -338,8 +464,7 @@ def _search_line(parts, limits, evaluator, counter) -> Optional[MultiPoly]:
         a, b = Fraction(yp - yq, L), Fraction(xq - xp, L)
         poly = MultiPoly(2, {(0, 0): -(a * xp + b * yp) / L, (1, 0): a,
                              (0, 1): b})
-        if _accept([evaluator.signs(poly, sorted(pp)) for pp in parts],
-                   limits):
+        if _accept([evaluator.signs(poly, pp) for pp in parts], limits):
             return poly
     return None
 
@@ -356,8 +481,8 @@ def _search_soft_sign(parts, limits, degree, evaluator, rng,
     points_f = np.array([[x / evaluator.L for x in p] for p in evaluator.X])
     monos = monomials_upto(evaluator.dim, degree)
     V = len(monos)
-    pts_active = sorted(set().union(*parts)) if parts else []
-    if not pts_active:
+    pts_active, _ = _active(parts, evaluator.n)
+    if not len(pts_active):
         return None
     M_full = np.empty((points_f.shape[0], V))
     for col, e in enumerate(monos):
@@ -372,12 +497,11 @@ def _search_soft_sign(parts, limits, degree, evaluator, rng,
     shifts = [int(math.ceil(math.log2(s))) if s > 0 else 0 for s in raw]
     scale = np.array([2.0 ** k for k in shifts])
     M = M_full / scale
-    part_rows = [np.array(sorted(p)) for p in parts]
 
     def float_pass(c) -> bool:
         vals = M @ c
         tol = 1e-7 * (np.max(np.abs(vals[pts_active])) + 1e-30)
-        for rows, limit in zip(part_rows, limits):
+        for rows, limit in zip(parts, limits):
             v = vals[rows]
             if (np.count_nonzero(v > tol) > limit
                     or np.count_nonzero(v < -tol) > limit):
@@ -387,7 +511,7 @@ def _search_soft_sign(parts, limits, degree, evaluator, rng,
     def exact_check(c) -> Optional[MultiPoly]:
         poly = _rationalize_coeffs(c, shifts, monos)
         if poly.terms and _accept([evaluator.signs(poly, rows)
-                                   for rows in part_rows], limits):
+                                   for rows in parts], limits):
             return poly
         return None
 
@@ -415,10 +539,10 @@ def _search_soft_sign(parts, limits, degree, evaluator, rng,
             # the Jacobian never saturates away
             h = max(float(np.quantile(np.abs(v[pts_active]), 0.25)), 1e-12)
             t = np.tanh(v / h)
-            F = np.array([t[rows].sum() for rows in part_rows])
+            F = np.array([t[rows].sum() for rows in parts])
             W = (1.0 - t * t) / h
             J = np.stack([(W[rows, None] * M[rows]).sum(axis=0)
-                          for rows in part_rows])
+                          for rows in parts])
             try:
                 delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
             except np.linalg.LinAlgError:
@@ -440,13 +564,16 @@ def _search_soft_sign(parts, limits, degree, evaluator, rng,
     return None
 
 
-def _cut_1d(values: list[Fraction]) -> Fraction:
-    vs = sorted(values)
+def _cut_1d(xs: np.ndarray, L: int) -> Fraction:
+    """The median cut of the values xs / L, given by their integer
+    numerators: midway between the two middle values, or one below a
+    single value."""
+    vs = np.sort(xs)
     s = len(vs)
     if s == 1:
-        return vs[0] - 1
+        return Fraction(int(vs[0]) - L, L)
     mid = -(-s // 2)  # ceil(s/2)
-    return (vs[mid - 1] + vs[mid]) / 2
+    return Fraction(int(vs[mid - 1]) + int(vs[mid]), 2 * L)
 
 
 def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
@@ -474,8 +601,8 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
 
     factors: list[MultiPoly] = []
     levels: list[LevelReport] = []
-    signs_acc: list[list[int]] = [[] for _ in range(n)]
-    parts: list[list[int]] = [list(range(n))]
+    sign_cols = np.zeros((n, m), dtype=np.int8)
+    parts: list[np.ndarray] = [np.arange(n)]
     counter = [0]
 
     for level in range(1, m + 1):
@@ -483,13 +610,13 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
         limits = _side_limits(parts, slack)
         if not parts:
             # everything already on some zero set: any factor verifies
-            shift = min(p[0] for p in P.points) - 1
+            low = int(evaluator.coords[:, 0].min())
             poly = MultiPoly.linear([Fraction(1)] + [Fraction(0)] * (d - 1),
-                                    -shift)
+                                    -Fraction(low - evaluator.L, evaluator.L))
         elif d == 1:
             poly = MultiPoly.constant(1, 1)
             for part in parts:
-                cval = _cut_1d([P.points[i][0] for i in part])
+                cval = _cut_1d(evaluator.coords[part, 0], evaluator.L)
                 poly = poly * MultiPoly(1, {(1,): Fraction(1), (0,): -cval})
         else:
             try:
@@ -504,17 +631,14 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
             if poly is None:
                 raise PartitionSearchError(
                     f"no acceptable factor at level {level}", factors)
-        all_signs = evaluator.signs(poly, range(n))
-        for i in range(n):
-            signs_acc[i].append(all_signs[i])
+        all_signs = evaluator.signs(poly, np.arange(n))
+        sign_cols[:, level - 1] = all_signs
         new_parts = []
         max_side = 0
         for part in parts:
-            plus = [i for i in part if all_signs[i] > 0]
-            minus = [i for i in part if all_signs[i] < 0]
-            for side in (plus, minus):
+            for side in (part[all_signs[part] > 0], part[all_signs[part] < 0]):
                 max_side = max(max_side, len(side))
-                if side:
+                if len(side):
                     new_parts.append(side)
         levels.append(LevelReport(level, poly.degree, cap, len(parts),
                                   max_side, max(limits, default=0),
@@ -524,7 +648,7 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
 
     census: dict[tuple[int, ...], int] = {}
     boundary = 0
-    signs = tuple(tuple(sv) for sv in signs_acc)
+    signs = tuple(map(tuple, sign_cols.tolist()))
     for sv in signs:
         if 0 in sv:
             boundary += 1
@@ -573,23 +697,56 @@ def _sign_oracle(polys: Sequence[MultiPoly],
 
 def verify_partition(P: PointConfig, part: Partition) -> bool:
     """Independent pass: recompute every sign by integer evaluation over
-    this pass's own common denominator and rebuild the census; everything
-    must match."""
+    this pass's own common denominator, and check from those signs the
+    contract `stone_tukey_partition` promises.
+
+    There must be max(1, ceil(log2 r)) factors and one sign vector per
+    point, equal to the recomputed one.  At every level j each part (a
+    class of points with the same nonzero signs under the first j - 1
+    factors) has at most ceil(|part| / 2) + slack points on either side
+    of factor j.  The census and the boundary count must match, and no
+    cell may exceed ceil(n / r) * (1 + slack)^levels, which must be the
+    stated cell bound.  Each failure raises an AssertionError that names
+    it."""
+    levels = max(1, math.ceil(math.log2(part.target_r)))
+    if len(part.factors) != levels:
+        raise AssertionError(f"factor count {len(part.factors)} != {levels} "
+                             f"for r = {part.target_r}")
+    if len(part.signs) != P.n:
+        raise AssertionError(f"sign list length {len(part.signs)} != "
+                             f"{P.n} points")
     signs_at = _sign_oracle(part.factors,
                             (c for p in P.points for c in p))
+    signs = []
     census: dict[tuple[int, ...], int] = {}
     boundary = 0
     for idx, p in enumerate(P.points):
         sv = signs_at(p)
         if sv != part.signs[idx]:
             raise AssertionError(f"sign mismatch at point {idx}")
+        signs.append(sv)
         if 0 in sv:
             boundary += 1
         else:
             census[sv] = census.get(sv, 0) + 1
+    for level in range(levels):
+        sides: dict[tuple[int, ...], list[int]] = {}
+        for sv in signs:
+            if 0 not in sv[:level]:
+                count = sides.setdefault(sv[:level], [0, 0, 0])
+                count[sv[level]] += 1  # [zero, plus, minus]
+        for prefix, (zero, plus, minus) in sides.items():
+            limit = -(-(zero + plus + minus) // 2) + part.slack
+            if max(plus, minus) > limit:
+                raise AssertionError(
+                    f"level {level + 1} side count {max(plus, minus)} > "
+                    f"{limit} in part {prefix}")
     if census != part.cell_census or boundary != part.boundary_count:
         raise AssertionError("census mismatch")
-    if part.max_cell > part.cell_bound:
+    bound = -(-P.n // part.target_r) * (1 + part.slack) ** levels
+    if part.cell_bound != bound:
+        raise AssertionError(f"cell bound {part.cell_bound} != {bound}")
+    if part.max_cell > bound:
         raise AssertionError("cell bound violated")
     return True
 

@@ -3,6 +3,7 @@ product grids, sign patterns, incidence classes."""
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from zarank import partition
 from zarank.geometry import PointConfig
 from zarank.partition import (
+    Partition,
     PartitionSearchError,
     _angular_ranks,
     _anchor_sides,
@@ -204,7 +206,7 @@ def assert_sides_match(points, parts, block=2 ** 18):
     act = sorted(set().union(*parts))
     swept = []
     with mock.patch.object(partition, "_SWEEP_BLOCK", block):
-        blocks = list(_anchor_sides(_ExactEvaluator(PointConfig(2, points)).X,
+        blocks = list(_anchor_sides(_ExactEvaluator(PointConfig(2, points)),
                                     parts))
     for anchors, on_anchor, left, right in blocks:
         for b, a in enumerate(anchors):
@@ -251,6 +253,78 @@ class TestLineSweep:
         assert resort.called
         assert rank[0].tolist() == [sorted(set(es)).index(e) for e in es]
         assert not zero.any()
+
+
+def sweep_table(evaluator, parts):
+    """The sweep's per-part (left, right) counts by (anchor, point), in
+    active numbering, and the pairs it marks as coincident."""
+    counts, coincident = {}, set()
+    for anchors, on_anchor, left, right in _anchor_sides(evaluator, parts):
+        for b, a in enumerate(anchors.tolist()):
+            for t in range(on_anchor.shape[1]):
+                if on_anchor[b, t]:
+                    coincident.add((a, t))
+                else:
+                    counts[a, t] = (left[b, :, t].tolist(),
+                                    right[b, :, t].tolist())
+    return counts, coincident
+
+
+def fresh_sweep(points, parts):
+    """The sweep of the active points alone, on a new evaluator."""
+    act = sorted(set().union(*parts))
+    where = {i: t for t, i in enumerate(act)}
+    sub = PointConfig(2, tuple(points[i] for i in act))
+    return sweep_table(_ExactEvaluator(sub),
+                       [[where[i] for i in part] for part in parts])
+
+
+def rank_reuse_inputs():
+    inputs = selection_inputs()
+    # a span past 2^31 puts the sweep on python ints
+    inputs["object"] = PointConfig(2, tuple(
+        (x * 2 ** 40 + 1, y * 2 ** 33)
+        for x, y in inputs["three_lines"].points))
+    return inputs
+
+
+class TestRankReuse:
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_inputs())
+    def test_stored_ranks_match_a_fresh_sweep_of_the_active_points(self, data):
+        points, parts, block = data
+        with mock.patch.object(partition, "_SWEEP_BLOCK", block):
+            stored = sweep_table(_ExactEvaluator(PointConfig(2, points)),
+                                 parts)
+            assert stored == fresh_sweep(points, parts)
+
+    @pytest.mark.parametrize("block", [1, 2 ** 18])
+    @pytest.mark.parametrize("name", ["doubled", "three_lines", "grid",
+                                      "object"])
+    def test_level_two_counts_from_the_level_one_ranks(self, name, block):
+        # coincident points, collinear triples and the python-int sweep;
+        # level 2 reads the ranks level 1 built and sorts nothing
+        pts = rank_reuse_inputs()[name]
+        whole = [np.arange(pts.n)]
+        first = partition._search_line(whole, [pts.n], _ExactEvaluator(pts),
+                                       [0])
+        col = [first.sign_at(p) for p in pts.points]
+        parts = [[i for i in range(pts.n) if col[i] > 0],
+                 [i for i in range(pts.n) if col[i] < 0]]
+        with mock.patch.object(partition, "_SWEEP_BLOCK", block):
+            evaluator = _ExactEvaluator(pts)
+            level_one = sweep_table(evaluator, [list(range(pts.n))])
+            assert level_one == fresh_sweep(pts.points, [list(range(pts.n))])
+            with mock.patch.object(partition, "_angular_ranks") as sort:
+                level_two = sweep_table(evaluator, parts)
+            assert not sort.called
+            assert level_two == fresh_sweep(pts.points, parts)
+
+    def test_ranks_are_int16_below_2_to_15_points(self):
+        ranks, lex = _ExactEvaluator(rank_reuse_inputs()["doubled"]) \
+            .sweep_order()
+        assert ranks.dtype == np.int16 and ranks.shape == (32, 32)
+        assert sorted(set(lex.tolist())) == list(range(16))
 
 
 def brute_line(points, parts, slack):
@@ -332,6 +406,39 @@ class TestLineSelectionRule:
                      if side]
 
 
+def criterion_9_points(seed, d):
+    """The point set criterion 9 partitions at this seed and dimension."""
+    rng = random.Random(20240609 + seed * 7 + d)
+    n = (64, 128, 256, 512)[seed % 4]
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(Fraction(rng.randint(-10**4, 10**4)) for _ in range(d)))
+    return PointConfig(d, tuple(sorted(pts)))
+
+
+# sha256 of the factors, signs and per-level candidates tried of the
+# criterion-9 partitions with d in (1, 2) and r in (4, 16), by seed
+CRITERION_9_PINS = {
+    0: "80348da20535f6943ae71586765983f5d725815e8a8a9b3ecdcc0a2ea7c14e8a",
+    1: "59c8fdc2fc40690b24b86c9933e2707b95e25c100d1c3ed00006f62d11b0d17e",
+    2: "2c8740153f3f9ad4c2277669f3d538811c49b0b9f2c3d0e4a2e69a7440794d79",
+    3: "4395b142c0678821f08cb91344899a2dc53a84608cc57b5c2a8957e3e280a4fe",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CRITERION_9_PINS))
+def test_criterion_9_partitions_pinned(seed):
+    digest = hashlib.sha256()
+    for d in (1, 2):
+        for r in (4, 16):
+            part = stone_tukey_partition(criterion_9_points(seed, d), r,
+                                         seed=seed, slack=1)
+            digest.update(repr((
+                [sorted(f.terms.items()) for f in part.factors], part.signs,
+                [lv.candidates_tried for lv in part.levels])).encode())
+    assert digest.hexdigest() == CRITERION_9_PINS[seed]
+
+
 class TestVerification:
     def partition(self):
         pts = grid_free_points(random.Random(31), 40)
@@ -359,6 +466,52 @@ class TestVerification:
         bad = dataclasses.replace(part,
                                   boundary_count=part.boundary_count + 1)
         with pytest.raises(AssertionError, match="census mismatch"):
+            verify_partition(pts, bad)
+
+    def test_constant_factor_raises(self):
+        # one constant factor: census {(1,): 40} within the cell bound 40,
+        # but r = 4 needs two factors
+        pts = grid_free_points(random.Random(31), 40)
+        one = MultiPoly.constant(1, 2)
+        bad = Partition(2, 4, 1, (one,), ((1,),) * 40, {(1,): 40}, 0, 40)
+        with pytest.raises(AssertionError, match="factor count 1 != 2"):
+            verify_partition(pts, bad)
+
+    def test_unbalanced_level_raises(self):
+        # two factors, but the first leaves all 40 points on one side
+        pts = grid_free_points(random.Random(31), 40)
+        one = MultiPoly.constant(1, 2)
+        bad = Partition(2, 4, 1, (one, one), ((1, 1),) * 40, {(1, 1): 40},
+                        0, 40)
+        with pytest.raises(AssertionError,
+                           match=r"level 1 side count 40 > 21 in part \(\)"):
+            verify_partition(pts, bad)
+
+    def test_unbalanced_second_level_raises(self):
+        pts, part = self.partition()
+        keep = part.factors[0]
+        bad = dataclasses.replace(
+            part, factors=(keep, MultiPoly.constant(1, 2)),
+            signs=tuple((sv[0], 1) for sv in part.signs))
+        census = {}
+        for sv in bad.signs:
+            if 0 not in sv:
+                census[sv] = census.get(sv, 0) + 1
+        bad = dataclasses.replace(bad, cell_census=census)
+        with pytest.raises(AssertionError, match="level 2 side count"):
+            verify_partition(pts, bad)
+
+    def test_short_sign_list_raises(self):
+        pts, part = self.partition()
+        bad = dataclasses.replace(part, signs=part.signs[:-1])
+        with pytest.raises(AssertionError,
+                           match="sign list length 39 != 40 points"):
+            verify_partition(pts, bad)
+
+    def test_wrong_cell_bound_raises(self):
+        pts, part = self.partition()
+        bad = dataclasses.replace(part, cell_bound=part.cell_bound + 1)
+        with pytest.raises(AssertionError, match="cell bound 41 != 40"):
             verify_partition(pts, bad)
 
     def test_edited_grid_census_raises(self):
@@ -397,6 +550,100 @@ class TestVerification:
         for i, p in enumerate(points):
             assert signs_at(p) == tuple(f.sign_at(p) for f in polys)
             assert signs_at(p) == tuple(col[i] for col in columns)
+
+
+def exact_sum_spy():
+    """A patch of `_ExactEvaluator._exact_signs` that records the points
+    each call decides by python ints."""
+    calls = []
+    real = _ExactEvaluator._exact_signs
+
+    def spy(self, terms, idx):
+        calls.append(idx.tolist())
+        return real(self, terms, idx)
+    return calls, mock.patch.object(_ExactEvaluator, "_exact_signs", spy)
+
+
+def scaled(poly, k):
+    return MultiPoly(poly.num_vars, {e: c * k for e, c in poly.terms.items()})
+
+
+class TestSignFilter:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_signs_match_rational_evaluation_at_the_edges(self, data):
+        # points on the zero set (lines through two data points, d = 1
+        # cuts at data points and midpoints), coordinates past 2^53 and
+        # past the float range, coefficients past 2^1100, and denominators
+        # whose lcm is past the float range
+        nv = data.draw(st.integers(1, 2))
+        big = data.draw(st.sampled_from([1, 2 ** 53 + 1, 3 ** 70,
+                                         2 ** 1030]))
+        den = data.draw(st.sampled_from([1, 7, 2 ** 1030 + 1]))
+        coord = st.builds(lambda a, b: Fraction(a * big + b, den),
+                          st.integers(-3, 3), st.integers(-20, 20))
+        points = data.draw(st.lists(st.tuples(*[coord] * nv), min_size=2,
+                                    max_size=10))
+        if nv == 2:
+            i, j = data.draw(st.lists(st.integers(0, len(points) - 1),
+                                      min_size=2, max_size=2))
+            poly = line_through(points[i], points[j])
+        else:
+            xs = sorted({p[0] for p in points})
+            cuts = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+            poly = MultiPoly.constant(1, 1)
+            for c in data.draw(st.lists(st.sampled_from(cuts), min_size=1,
+                                        max_size=4)):
+                poly = poly * MultiPoly(1, {(1,): 1, (0,): -c})
+        poly = scaled(poly, data.draw(st.sampled_from([1, 2 ** 1100 + 1])))
+        got = _ExactEvaluator(PointConfig(nv, points)).signs(
+            poly, range(len(points)))
+        assert got.tolist() == [poly.sign_at(p) for p in points]
+
+    @pytest.mark.parametrize("k", [1, 2 ** 1100 + 1],
+                             ids=["small", "past-2^1100"])
+    def test_exact_sum_runs_only_on_the_zero_set(self, k):
+        # integer points off the line through two of them are at least 1
+        # from it in cleared units, far outside the filter's bound, also
+        # with coefficients past 2^1100
+        pts = grid_free_points(random.Random(41), 64)
+        (px, py), (qx, qy) = pts.points[3], pts.points[10]
+        collinear = PointConfig(2, pts.points + ((3 * px - 2 * qx,
+                                                  3 * py - 2 * qy),))
+        line = scaled(line_through(pts.points[3], pts.points[10]), k)
+        want = [line.sign_at(p) for p in collinear.points]
+        calls, spy = exact_sum_spy()
+        with spy:
+            got = _ExactEvaluator(collinear).signs(line, range(collinear.n))
+        assert got.tolist() == want
+        assert calls == [[i for i, s in enumerate(want) if s == 0]]
+        assert len(calls[0]) >= 3
+
+    def test_generic_soft_sign_candidate_needs_no_exact_sum(self):
+        rng = np.random.default_rng(5)
+        monos = monomials_upto(2, 3)
+        poly = _rationalize_coeffs(rng.standard_normal(len(monos)),
+                                   [int(k) for k in rng.integers(-8, 8,
+                                                                 len(monos))],
+                                   monos)
+        pts = grid_free_points(random.Random(43), 256)
+        calls, spy = exact_sum_spy()
+        with spy:
+            got = _ExactEvaluator(pts).signs(poly, range(pts.n))
+        assert calls == []
+        assert got.tolist() == [poly.sign_at(p) for p in pts.points]
+
+    def test_lcm_past_float_range_takes_the_exact_path(self):
+        den = 2 ** 1030 + 1
+        pts = PointConfig(2, tuple((Fraction(x, den), Fraction(y, den))
+                                   for x, y in ((0, 0), (1, 2), (3, 1),
+                                                (2, 4))))
+        line = line_through(pts.points[0], pts.points[1])
+        calls, spy = exact_sum_spy()
+        with spy:
+            got = _ExactEvaluator(pts).signs(line, [3, 1, 2])
+        assert got.tolist() == [0, 0, -1]
+        assert calls == [[3, 1, 2]]
 
 
 class TestProductPartition:
