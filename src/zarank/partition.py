@@ -24,23 +24,27 @@ error bound on the result: a point whose float value clears the bound
 takes its sign from it, and the rest (points on the zero set among them,
 and every point when a coordinate or the common denominator is past the
 float range) are decided by the exact python-int sum.
-`verify_partition` re-checks the signs by its own integer evaluation and
-checks the contract from them: the factor count, every level's side
-bounds, the census and the cell bound.  The searches share one candidate
-budget, `_CANDIDATE_BUDGET` per partition, and consume candidates in a
-seeded canonical order, so results are reproducible.  Linear-time
-ham-sandwich cuts (Lo, Matousek and Steiger, DCG 1994) would serve larger
-n at the two line levels.
+`verify_partition`, `verify_product_partition` (on the materialised
+grid, at every size) and `sign_pattern_count` take their signs from one
+independent oracle, `_sign_oracle`, which sums python ints read from the
+stored integers and builds no `Fraction`.  From those signs
+`verify_partition` checks the factor count, every level's side bounds,
+the census and the cell bound.
+The searches share one candidate budget, `_CANDIDATE_BUDGET` per
+partition, and consume candidates in a seeded canonical order, so results
+are reproducible.  Linear-time ham-sandwich cuts (Lo, Matousek and
+Steiger, DCG 1994) would serve larger n at the two line levels.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -98,10 +102,7 @@ class Partition:
 
     def cell_assignment(self) -> list[Optional[tuple[int, ...]]]:
         """Per point: its cell key, or None if it lies on the zero set."""
-        out = []
-        for sv in self.signs:
-            out.append(None if 0 in sv else sv)
-        return out
+        return [None if 0 in sv else sv for sv in self.signs]
 
 
 def level_degree(dim: int, level: int) -> int:
@@ -167,6 +168,12 @@ class _ExactEvaluator:
         self.X = X.tolist()
         self._tables: dict[int, tuple[list, Optional[np.ndarray]]] = {}
         self._sweep: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @functools.cached_property
+    def points_f(self) -> np.ndarray:
+        """The points as floats; x / L is correctly rounded, so each
+        equals float() of its coordinate."""
+        return np.array([[x / self.L for x in p] for p in self.X])
 
     def _table(self, degree: int) -> tuple[list, Optional[np.ndarray]]:
         """The degree's monomials and float table, None when an entry is
@@ -477,8 +484,7 @@ def _search_soft_sign(parts, limits, degree, evaluator, rng,
     near-balance is then checked exactly.  Starts alternate between
     random directions and null vectors of lifted point subsets.
     """
-    # x / L is correctly rounded, so this equals float() of each coordinate
-    points_f = np.array([[x / evaluator.L for x in p] for p in evaluator.X])
+    points_f = evaluator.points_f
     monos = monomials_upto(evaluator.dim, degree)
     V = len(monos)
     pts_active, _ = _active(parts, evaluator.n)
@@ -646,14 +652,9 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
         parts = new_parts
         factors.append(poly)
 
-    census: dict[tuple[int, ...], int] = {}
-    boundary = 0
     signs = tuple(map(tuple, sign_cols.tolist()))
-    for sv in signs:
-        if 0 in sv:
-            boundary += 1
-        else:
-            census[sv] = census.get(sv, 0) + 1
+    census = dict(collections.Counter(sv for sv in signs if 0 not in sv))
+    boundary = n - sum(census.values())
     bound = (-(-n // r)) * (1 + slack) ** m
     part_obj = Partition(d, r, slack, tuple(factors), signs, census,
                          boundary, bound, levels)
@@ -663,42 +664,37 @@ def stone_tukey_partition(P: PointConfig, r: int, seed: int = 0,
     return part_obj
 
 
-def _sign_oracle(polys: Sequence[MultiPoly],
-                 coords) -> Callable[[Sequence[Fraction]], tuple[int, ...]]:
-    """Exact sign vectors of `polys` by integer evaluation, independent of
-    the search's evaluator.
+def _sign_oracle(polys: Sequence[MultiPoly], numerators,
+                 denominators) -> np.ndarray:
+    """The (n, len(polys)) int8 signs of `polys` at the points
+    numerators[i] / denominators[i], independent of the search's evaluator.
 
-    Points may use any coordinates from `coords`; L is the lcm of their
-    denominators.  A factor f of degree D with coefficients cleared by the
-    lcm k of their denominators satisfies
-        sign f(x) = sign sum_e (k c_e) L^(D - |e|) (L x)^e."""
-    L = math.lcm(*(c.denominator for c in coords))
-    cleared = []
-    for f in polys:
+    With L the lcm of the denominators and X = numerators * (L //
+    denominator), a factor f of degree D whose coefficients are cleared by
+    the lcm k of their denominators has
+        sign f(x) = sign sum_e (k c_e) L^(D - |e|) X^e,
+    summed column-wise on object arrays of python ints."""
+    dens = np.asarray(denominators).astype(object)
+    L = math.lcm(*set(dens.tolist()))
+    X = np.asarray(numerators).astype(object) * (L // dens)[:, None]
+    top = max((f.degree for f in polys), default=0)
+    powers = [[x ** p for p in range(top + 1)] for x in X.T]
+    out = np.empty((len(X), len(polys)), dtype=np.int8)
+    for j, f in enumerate(polys):
         k = math.lcm(*(c.denominator for c in f.terms.values()))
-        cleared.append([(c.numerator * (k // c.denominator)
-                         * L ** (f.degree - sum(e)), e)
-                        for e, c in f.terms.items()])
-
-    def signs(point):
-        X = [x.numerator * (L // x.denominator) for x in point]
-        out = []
-        for terms in cleared:
-            v = 0
-            for c, e in terms:
-                for x, p in zip(X, e):
-                    if p:
-                        c *= x ** p
-                v += c
-            out.append((v > 0) - (v < 0))
-        return tuple(out)
-    return signs
+        v = np.zeros(len(X), dtype=object)
+        for e, c in f.terms.items():
+            v += math.prod((powers[t][p] for t, p in enumerate(e) if p),
+                           start=c.numerator * (k // c.denominator)
+                           * L ** (f.degree - sum(e)))
+        out[:, j] = (v > 0).astype(np.int8) - (v < 0)
+    return out
 
 
 def verify_partition(P: PointConfig, part: Partition) -> bool:
-    """Independent pass: recompute every sign by integer evaluation over
-    this pass's own common denominator, and check from those signs the
-    contract `stone_tukey_partition` promises.
+    """Independent pass: recompute every sign with `_sign_oracle` on the
+    stored integers `P.numerators` and `P.denominators`, and check from
+    those signs the contract `stone_tukey_partition` promises.
 
     There must be max(1, ceil(log2 r)) factors and one sign vector per
     point, equal to the recomputed one.  At every level j each part (a
@@ -715,20 +711,12 @@ def verify_partition(P: PointConfig, part: Partition) -> bool:
     if len(part.signs) != P.n:
         raise AssertionError(f"sign list length {len(part.signs)} != "
                              f"{P.n} points")
-    signs_at = _sign_oracle(part.factors,
-                            (c for p in P.points for c in p))
-    signs = []
-    census: dict[tuple[int, ...], int] = {}
-    boundary = 0
-    for idx, p in enumerate(P.points):
-        sv = signs_at(p)
-        if sv != part.signs[idx]:
+    signs = list(map(tuple, _sign_oracle(part.factors, P.numerators,
+                                         P.denominators).tolist()))
+    for idx, (sv, stored) in enumerate(zip(signs, part.signs)):
+        if sv != stored:
             raise AssertionError(f"sign mismatch at point {idx}")
-        signs.append(sv)
-        if 0 in sv:
-            boundary += 1
-        else:
-            census[sv] = census.get(sv, 0) + 1
+    census = collections.Counter(sv for sv in signs if 0 not in sv)
     for level in range(levels):
         sides: dict[tuple[int, ...], list[int]] = {}
         for sv in signs:
@@ -741,7 +729,8 @@ def verify_partition(P: PointConfig, part: Partition) -> bool:
                 raise AssertionError(
                     f"level {level + 1} side count {max(plus, minus)} > "
                     f"{limit} in part {prefix}")
-    if census != part.cell_census or boundary != part.boundary_count:
+    if census != part.cell_census \
+            or P.n - census.total() != part.boundary_count:
         raise AssertionError("census mismatch")
     bound = -(-P.n // part.target_r) * (1 + part.slack) ** levels
     if part.cell_bound != bound:
@@ -753,10 +742,6 @@ def verify_partition(P: PointConfig, part: Partition) -> bool:
 
 # ---------------------------------------------------------------------------
 # product partitions over grids
-
-
-# grids up to this many points are re-signed point by point on verification
-_MATERIALIZE_BUDGET = 200_000
 
 
 @dataclass
@@ -778,12 +763,8 @@ class ProductPartition:
 
     def grid_cell_assignment(self) -> list[Optional[tuple]]:
         """Cell key per grid point (canonical product order), None on Z(h)."""
-        assigns = [b.cell_assignment() for b in self.blocks]
-        out = []
-        for combo in itertools.product(*(range(len(a)) for a in assigns)):
-            keys = tuple(assigns[b][i] for b, i in enumerate(combo))
-            out.append(None if any(k is None for k in keys) else keys)
-        return out
+        return [None if None in keys else keys for keys in
+                itertools.product(*(b.cell_assignment() for b in self.blocks))]
 
 
 def _trivial_partition(P: PointConfig) -> Partition:
@@ -801,26 +782,16 @@ def product_partition(blocks: Sequence[tuple[PointConfig, int]],
     cells, and the verified bound is
     prod ceil(n_i/r_i) * (1+slack)^(sum levels).
     """
-    parts = []
-    for bi, (cfg, r) in enumerate(blocks):
-        if r <= 1:
-            parts.append(_trivial_partition(cfg))
-        else:
-            parts.append(stone_tukey_partition(cfg, r, seed=seed + bi,
-                                               slack=slack))
+    parts = [_trivial_partition(cfg) if r <= 1 else
+             stone_tukey_partition(cfg, r, seed=seed + bi, slack=slack)
+             for bi, (cfg, r) in enumerate(blocks)]
     dims = tuple(cfg.dim for cfg, _ in blocks)
-    total = sum(dims)
-    factors = []
-    offset = 0
-    for p, dim in zip(parts, dims):
-        for f in p.factors:
-            factors.append(f.shift_vars(offset, total))
-        offset += dim
-    census: dict[tuple, int] = {}
-    keys = [list(p.cell_census.items()) for p in parts]
-    for combo in itertools.product(*keys):
-        key = tuple(k for k, _ in combo)
-        census[key] = math.prod(c for _, c in combo)
+    factors = [f.shift_vars(offset, sum(dims)) for p, offset in
+               zip(parts, itertools.accumulate(dims, initial=0))
+               for f in p.factors]
+    census = {tuple(k for k, _ in combo): math.prod(c for _, c in combo)
+              for combo in itertools.product(*(p.cell_census.items()
+                                               for p in parts))}
     n_grid = math.prod(cfg.n for cfg, _ in blocks)
     boundary = n_grid - sum(census.values())
     bound = math.prod(-(-cfg.n // max(r, 1)) for cfg, r in blocks)
@@ -829,45 +800,68 @@ def product_partition(blocks: Sequence[tuple[PointConfig, int]],
     pp = ProductPartition(tuple(parts), dims, tuple(factors), census,
                           boundary, bound)
     if pp.max_cell > bound:
-        raise PartitionSearchError(f"grid cell bound violated")
+        raise PartitionSearchError("grid cell bound violated")
     return pp
 
 
 def verify_product_partition(blocks: Sequence[tuple[PointConfig, int]],
                              pp: ProductPartition) -> bool:
-    """Independent verification.  Small grids are materialized and every
-    concatenated grid point is re-signed against the shifted factors;
-    larger grids re-verify each block independently and recheck the
-    product census."""
+    """Independent verification on the materialised grid, at every size.
+
+    The block count and `block_dims` must match, and every block with
+    target r > 1 must pass `verify_partition`.  `_sign_oracle` signs every
+    factor at every grid point (canonical product order); each sign must
+    be the stored sign of the factor's block there.  The boundary count
+    is recounted on the grid, and the census from the blocks' cell keys.
+    The cell bound must be prod ceil(n_b / max(r_b, 1)) * prod over r_b > 1
+    of (1 + slack_b)^(block b's factor count), and no cell may exceed it.
+    Each failure raises an AssertionError that names it."""
+    if len(pp.blocks) != len(blocks):
+        raise AssertionError(f"block count {len(pp.blocks)} != "
+                             f"{len(blocks)}")
+    dims = tuple(cfg.dim for cfg, _ in blocks)
+    if pp.block_dims != dims:
+        raise AssertionError(f"block dims {pp.block_dims} != {dims}")
     for (cfg, _), block in zip(blocks, pp.blocks):
         if block.target_r > 1:
             verify_partition(cfg, block)
-    n_grid = math.prod(cfg.n for cfg, _ in blocks)
-    if n_grid <= _MATERIALIZE_BUDGET:
-        census: dict[tuple, int] = {}
-        boundary = 0
-        block_assigns = [b.cell_assignment() for b in pp.blocks]
-        signs_at = _sign_oracle(pp.factors, (c for cfg, _ in blocks
-                                             for p in cfg.points for c in p))
-        for combo in itertools.product(*(range(cfg.n) for cfg, _ in blocks)):
-            point = tuple(itertools.chain.from_iterable(
-                blocks[b][0].points[i] for b, i in enumerate(combo)))
-            signs = signs_at(point)
-            if 0 in signs:
-                boundary += 1
-                continue
-            keys = tuple(block_assigns[b][i] for b, i in enumerate(combo))
-            census[keys] = census.get(keys, 0) + 1
-        if census != pp.grid_census or boundary != pp.boundary_count:
-            raise AssertionError("grid census mismatch")
-    else:
-        recount = {}
-        keysets = [list(p.cell_census.items()) for p in pp.blocks]
-        for combo in itertools.product(*keysets):
-            key = tuple(k for k, _ in combo)
-            recount[key] = math.prod(c for _, c in combo)
-        if recount != pp.grid_census:
-            raise AssertionError("grid census mismatch")
+    sizes = tuple(cfg.n for cfg, _ in blocks)
+    n_grid = math.prod(sizes)
+    grid = np.indices(sizes).reshape(len(sizes), n_grid)
+    L = math.lcm(*{q for cfg, _ in blocks for q in cfg.denominators.tolist()})
+    widths = [len(block.factors) for block in pp.blocks]
+    if len(pp.factors) != sum(widths):
+        raise AssertionError(f"grid factor count {len(pp.factors)} != "
+                             f"{sum(widths)}")
+    nums = [np.zeros((n_grid, 0), dtype=object)]
+    want = [np.zeros((n_grid, 0), dtype=np.int8)]
+    for (cfg, _), block, width, at in zip(blocks, pp.blocks, widths, grid):
+        scale = L // cfg.denominators.astype(object)
+        nums.append((cfg.numerators.astype(object) * scale[:, None])[at])
+        want.append(np.array(block.signs, dtype=np.int8)
+                    .reshape(cfg.n, width)[at])
+    signs = _sign_oracle(pp.factors, np.concatenate(nums, axis=1),
+                         np.full(n_grid, L, dtype=object))
+    wrong = np.flatnonzero((signs != np.concatenate(want, axis=1))
+                           .any(axis=1))
+    if len(wrong):
+        raise AssertionError(f"grid sign mismatch at grid point {wrong[0]}")
+    # the stored block signs are the grid's signs, so the grid points off
+    # the zero set with cell keys (k_1, ..., k_B) number prod_b #{k_b}
+    counts = [collections.Counter(b.cell_assignment()) for b in pp.blocks]
+    census = {keys: math.prod(c[k] for c, k in zip(counts, keys))
+              for keys in itertools.product(*(c.keys() - {None}
+                                              for c in counts))}
+    boundary = np.count_nonzero((signs == 0).any(axis=1))
+    if census != pp.grid_census or boundary != pp.boundary_count:
+        raise AssertionError("grid census mismatch")
+    bound = math.prod(-(-cfg.n // max(r, 1)) for cfg, r in blocks)
+    bound *= math.prod((1 + block.slack) ** len(block.factors)
+                       for (_, r), block in zip(blocks, pp.blocks) if r > 1)
+    if pp.cell_bound != bound:
+        raise AssertionError(f"grid cell bound {pp.cell_bound} != {bound}")
+    if pp.max_cell > bound:
+        raise AssertionError("grid cell bound violated")
     return True
 
 
@@ -880,10 +874,8 @@ def sign_pattern_count(polys: Sequence[MultiPoly], P: PointConfig) -> int:
     lower bound on the number of realizable sign patterns."""
     if any(f.num_vars != P.dim for f in polys):
         raise ValueError("arity mismatch")
-    seen = set()
-    for p in P.points:
-        seen.add(tuple(f.sign_at(p) for f in polys))
-    return len(seen)
+    signs = _sign_oracle(polys, P.numerators, P.denominators)
+    return len(np.unique(signs, axis=0))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from zarank import partition
+from zarank import geometry, partition
 from zarank.geometry import PointConfig
 from zarank.partition import (
     Partition,
@@ -544,12 +544,45 @@ class TestVerification:
                  _rationalize_coeffs(coeffs, [0] * len(monos), monos)]
         points = data.draw(st.lists(st.tuples(*[frac] * nv), min_size=1,
                                     max_size=8))
-        signs_at = _sign_oracle(polys, [c for p in points for c in p])
-        evaluator = _ExactEvaluator(PointConfig(nv, points))
+        cfg = PointConfig(nv, points)
+        signs = _sign_oracle(polys, cfg.numerators, cfg.denominators)
+        evaluator = _ExactEvaluator(cfg)
         columns = [evaluator.signs(f, range(len(points))) for f in polys]
         for i, p in enumerate(points):
-            assert signs_at(p) == tuple(f.sign_at(p) for f in polys)
-            assert signs_at(p) == tuple(col[i] for col in columns)
+            assert tuple(signs[i]) == tuple(f.sign_at(p) for f in polys)
+            assert tuple(signs[i]) == tuple(col[i] for col in columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_oracle_signs_past_int64_with_mixed_denominators(self, data):
+        # numerators past 2^63, a different denominator per point, and a
+        # factor that vanishes at some of the points (a line through two
+        # of them at d = 2, cuts at their coordinates at d = 1)
+        nv = data.draw(st.integers(1, 2))
+        big = data.draw(st.sampled_from([1, 2 ** 63 + 1, 3 ** 50]))
+        coord = st.builds(lambda a, b, q: Fraction(a * big + b, q),
+                          st.integers(-3, 3), st.integers(-20, 20),
+                          st.sampled_from([1, 2, 9, 2 ** 64 + 1]))
+        points = data.draw(st.lists(st.tuples(*[coord] * nv), min_size=2,
+                                    max_size=10))
+        on = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=2,
+                                max_size=2))
+        if nv == 2:
+            zero = line_through(points[on[0]], points[on[1]])
+        else:
+            zero = MultiPoly.constant(1, 1)
+            for i in on:
+                zero = zero * MultiPoly(1, {(1,): 1, (0,): -points[i][0]})
+        frac = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
+        other = MultiPoly(nv, data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * nv), frac, max_size=6)))
+        polys = [zero, scaled(zero, 2 ** 70 + 1), other]
+        cfg = PointConfig(nv, points)
+        signs = _sign_oracle(polys, cfg.numerators, cfg.denominators)
+        assert signs.dtype == np.int8 and signs.shape == (len(points), 3)
+        assert signs.tolist() == [[f.sign_at(p) for f in polys]
+                                  for p in points]
+        assert signs[on, :2].tolist() == [[0, 0], [0, 0]]
 
 
 def exact_sum_spy():
@@ -566,6 +599,45 @@ def exact_sum_spy():
 
 def scaled(poly, k):
     return MultiPoly(poly.num_vars, {e: c * k for e, c in poly.terms.items()})
+
+
+def fractions_made(monkeypatch) -> list:
+    """The argument tuples of every `Fraction` built from now on."""
+    made = []
+    original = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    return made
+
+
+def test_checks_on_stored_integers_build_no_fraction(monkeypatch):
+    """The three checks read the stored integers of a fresh configuration:
+    no common denominator, no search evaluator and no `Fraction`."""
+    rng = random.Random(44)
+    nums = rng.sample(range(-10 ** 6, 10 ** 6), 80)
+    plane = PointConfig.from_integers(2, list(zip(nums[::2], nums[1::2])),
+                                      [rng.randint(1, 9) for _ in range(40)])
+    line = PointConfig.from_integers(1, [[i] for i in range(12)], [3] * 12)
+    part = stone_tukey_partition(plane, 4, seed=1)
+    pp = product_partition([(plane, 4), (line, 2)], seed=2)
+    plane, line = (PointConfig.from_integers(cfg.dim, cfg.numerators,
+                                             cfg.denominators)
+                   for cfg in (plane, line))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a check read the search's integer form")
+
+    monkeypatch.setattr(geometry._RationalRows, "common_denominator", never)
+    monkeypatch.setattr(partition, "_ExactEvaluator", never)
+    made = fractions_made(monkeypatch)
+    assert verify_partition(plane, part)
+    assert verify_product_partition([(plane, 4), (line, 2)], pp)
+    assert sign_pattern_count(part.factors, plane) == len(set(part.signs))
+    assert made == []
 
 
 class TestSignFilter:
@@ -675,16 +747,97 @@ class TestProductPartition:
         assert sum(pp.grid_census.values()) + pp.boundary_count == 20
 
     def test_grid_assignment_matches_census(self):
-        a = PointConfig(1, tuple((Fraction(i),) for i in range(9)))
-        b = PointConfig(1, tuple((Fraction(3 * i + 1),) for i in range(7)))
-        blocks = [(a, 2), (b, 2)]
-        pp = product_partition(blocks, slack=0)
+        _, pp = nine_by_seven()
         assign = pp.grid_cell_assignment()
         recount = {}
         for key in assign:
             if key is not None:
                 recount[key] = recount.get(key, 0) + 1
         assert recount == pp.grid_census
+
+
+    def test_understated_cell_bound_raises(self):
+        blocks, pp = nine_by_seven()
+        assert pp.max_cell == pp.cell_bound == 20
+        with pytest.raises(AssertionError, match="grid cell bound 1 != 20"):
+            verify_product_partition(blocks,
+                                     dataclasses.replace(pp, cell_bound=1))
+
+    def test_cell_past_the_bound_raises(self):
+        # checked against r = 4 for the first block, which was partitioned
+        # for r = 2: each block still verifies on its own and the stated
+        # bound is the recomputed 3 * 4, but a grid cell holds 20 points
+        blocks, pp = nine_by_seven()
+        wider = [(blocks[0][0], 4), blocks[1]]
+        with pytest.raises(AssertionError, match="grid cell bound violated"):
+            verify_product_partition(wider,
+                                     dataclasses.replace(pp, cell_bound=12))
+
+    def test_extra_block_raises(self):
+        blocks, pp = nine_by_seven()
+        with pytest.raises(AssertionError, match="block count 2 != 3"):
+            verify_product_partition(blocks + [blocks[1]], pp)
+
+    def test_wrong_block_dims_raise(self):
+        blocks, pp = nine_by_seven()
+        with pytest.raises(AssertionError,
+                           match=r"block dims \(1, 2\) != \(1, 1\)"):
+            verify_product_partition(
+                blocks, dataclasses.replace(pp, block_dims=(1, 2)))
+
+    def test_missing_factor_raises(self):
+        blocks, pp = nine_by_seven()
+        with pytest.raises(AssertionError, match="grid factor count 1 != 2"):
+            verify_product_partition(
+                blocks, dataclasses.replace(pp, factors=pp.factors[:1]))
+
+    def test_empty_product_verifies(self):
+        pp = product_partition([])
+        assert (pp.grid_census, pp.boundary_count, pp.cell_bound) \
+            == ({(): 1}, 0, 1)
+        assert verify_product_partition([], pp)
+
+
+def nine_by_seven():
+    a = PointConfig(1, tuple((Fraction(i),) for i in range(9)))
+    b = PointConfig(1, tuple((Fraction(3 * i + 1),) for i in range(7)))
+    blocks = [(a, 2), (b, 2)]
+    return blocks, product_partition(blocks, slack=0)
+
+
+class TestLargeProductGrid:
+    """A 600 x 400 grid of d = 1 blocks: all 240,000 points are signed."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        a = PointConfig(1, tuple((Fraction(i, 3),) for i in range(600)))
+        b = PointConfig(1, tuple((Fraction(7 * i + 1, 2),)
+                                 for i in range(400)))
+        blocks = [(a, 4), (b, 2)]
+        return blocks, product_partition(blocks, seed=1)
+
+    def test_verifies(self, grid):
+        assert verify_product_partition(*grid)
+
+    def test_constant_factors_raise(self, grid):
+        blocks, pp = grid
+        ones = tuple(MultiPoly.constant(1, 2) for _ in pp.factors)
+        with pytest.raises(AssertionError, match="grid sign mismatch"):
+            verify_product_partition(blocks,
+                                     dataclasses.replace(pp, factors=ones))
+
+    def test_wrong_boundary_count_raises(self, grid):
+        blocks, pp = grid
+        bad = dataclasses.replace(pp, boundary_count=pp.boundary_count + 5)
+        with pytest.raises(AssertionError, match="grid census mismatch"):
+            verify_product_partition(blocks, bad)
+
+    def test_zero_cell_bound_raises(self, grid):
+        blocks, pp = grid
+        with pytest.raises(AssertionError,
+                           match="grid cell bound 0 != 240000"):
+            verify_product_partition(blocks,
+                                     dataclasses.replace(pp, cell_bound=0))
 
 
 class TestSignPatterns:
