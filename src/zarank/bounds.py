@@ -1,10 +1,10 @@
 """Bound calculus: the extremal bound functions and their exact identities.
 
-Everything here is exact.  Exponents are Fractions computed in a cleared
-form that never divides by zero when some dimension equals 1, values are
-PowerProducts/PowerSums (see exactnum), and every identity check reports
-rational residuals or exact power-product comparisons rather than float
-differences.
+Everything here is exact.  Exponents are Fractions built from a cleared
+integer form that never divides by zero when some dimension equals 1,
+values are PowerProducts/PowerSums (see exactnum), and every identity
+check reports rational residuals or exact power-product comparisons
+rather than float differences.
 
 Conventions for k = 1: the product bound E is identically 1, the full
 bound F and the classical counting bound degenerate to n_1 (every vertex
@@ -48,9 +48,6 @@ class DimProfile:
     def drop(self, i: int) -> "DimProfile":
         return DimProfile(self.dims[:i] + self.dims[i + 1:])
 
-    def subset(self, idx: Sequence[int]) -> "DimProfile":
-        return DimProfile(tuple(self.dims[i] for i in idx))
-
     def decrement(self, i: int) -> "DimProfile":
         if self.dims[i] < 2:
             raise ValueError(f"d_{i} = {self.dims[i]} cannot be decremented")
@@ -79,9 +76,6 @@ class SizeProfile:
     def drop(self, i: int) -> "SizeProfile":
         return SizeProfile(self.sizes[:i] + self.sizes[i + 1:])
 
-    def subset(self, idx: Sequence[int]) -> "SizeProfile":
-        return SizeProfile(tuple(self.sizes[i] for i in idx))
-
 
 @dataclass(frozen=True)
 class ExponentVector:
@@ -109,7 +103,7 @@ class BoundValue:
               ) -> "BoundValue":
         pairs = tuple(tuple((Fraction(b), Fraction(e)) for b, e in term)
                       for term in terms)
-        return BoundValue(PowerSum.from_products(products_from_terms(pairs)),
+        return BoundValue(PowerSum.from_products(products_from_terms(terms)),
                           pairs)
 
     def __float__(self) -> float:
@@ -127,21 +121,25 @@ def exponents(d: DimProfile) -> ExponentVector:
     two or more dimensions equal to 1 the cleared form is 0/0 and the
     directional limits disagree, so that case is rejected.
     """
-    dims = d.dims
-    k = d.k
-    if k >= 2 and sum(1 for x in dims if x == 1) >= 2:
+    return ExponentVector(_alphas(d.dims))
+
+
+def _alphas(dims: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The exponents of `exponents` for a dims tuple, each built as
+    Fraction(D - P_i, D) from the cleared integers D and P_i."""
+    k = len(dims)
+    if k >= 2 and dims.count(1) >= 2:
         raise ValueError(
             f"exponents undefined for {dims}: more than one d_i equals 1")
-    prod_all = math.prod(x - 1 for x in dims)
-    partials = []
-    for i in range(k):
-        partials.append(math.prod(dims[l] - 1 for l in range(k) if l != i))
-    denom = (k - 1) * prod_all + sum(partials)
-    alphas = tuple(1 - Fraction(partials[i], denom) for i in range(k))
-    for a in alphas:
-        if not 0 <= a <= 1:
-            raise AssertionError(f"exponent {a} out of [0,1] for {dims}")
-    return ExponentVector(alphas)
+    partials = [math.prod(dims[l] - 1 for l in range(k) if l != i)
+                for i in range(k)]
+    denom = (k - 1) * math.prod(x - 1 for x in dims) + sum(partials)
+    for part in partials:
+        # alpha_i = 1 - P_i / D lies in [0, 1] iff 0 <= P_i <= D, as D > 0.
+        if not 0 <= part <= denom:
+            raise AssertionError(f"exponent {1 - Fraction(part, denom)} "
+                                 f"out of [0,1] for {dims}")
+    return tuple(Fraction(denom - part, denom) for part in partials)
 
 
 def eval_E(d: DimProfile, n: SizeProfile) -> BoundValue:
@@ -154,7 +152,7 @@ def eval_E(d: DimProfile, n: SizeProfile) -> BoundValue:
 
 
 def _f_terms(d: DimProfile, n: SizeProfile, eps: Fraction
-             ) -> list[tuple[frozenset[int], list[tuple[Fraction, Fraction]]]]:
+             ) -> list[tuple[frozenset[int], list[tuple[int, Rational]]]]:
     """All terms of the full bound as (index set, (base, exponent) list)
     pairs, k >= 1.
 
@@ -163,24 +161,19 @@ def _f_terms(d: DimProfile, n: SizeProfile, eps: Fraction
     set {l}.  A term does not involve i when i is not in its set.
     """
     k = d.k
-    sizes = n.sizes
+    dims, sizes = d.dims, n.sizes
     terms = []
     for r in range(2, k + 1):
         for idx in itertools.combinations(range(k), r):
-            sub_alphas = exponents(d.subset(idx)).alphas
+            sub_alphas = _alphas(tuple(dims[i] for i in idx))
             inside = frozenset(idx)
-            term = []
-            for pos, i in enumerate(idx):
-                term.append((Fraction(sizes[i]), sub_alphas[pos] + eps))
-            for i in range(k):
-                if i not in inside:
-                    term.append((Fraction(sizes[i]), Fraction(1)))
+            term = [(sizes[i], alpha + eps if eps else alpha)
+                    for i, alpha in zip(idx, sub_alphas)]
+            term += [(sizes[i], 1) for i in range(k) if i not in inside]
             terms.append((inside, term))
     for l in range(k):
-        term = [(Fraction(sizes[j]), Fraction(1)) for j in range(k) if j != l]
-        if not term:
-            term = [(Fraction(1), Fraction(1))]
-        terms.append((frozenset((l,)), term))
+        term = [(sizes[j], 1) for j in range(k) if j != l]
+        terms.append((frozenset((l,)), term or [(1, 1)]))
     return terms
 
 
@@ -222,14 +215,18 @@ class MatrixIdentityReport:
 
 
 def check_matrix_identity(d: DimProfile) -> MatrixIdentityReport:
-    """Verify alpha_i = sum_{j != i} d_j (1 - alpha_j) in exact rationals."""
+    """Verify alpha_i = sum_{j != i} d_j (1 - alpha_j) in exact rationals.
+
+    With alpha_j = N_j / D over one denominator D, residual i is
+    (N_i - sum_{j != i} d_j (D - N_j)) / D, summed on integers.
+    """
     alphas = exponents(d).alphas
-    residuals = []
-    for i in range(d.k):
-        rhs = sum((d.dims[j] * (1 - alphas[j]) for j in range(d.k) if j != i),
-                  Fraction(0))
-        residuals.append(alphas[i] - rhs)
-    return MatrixIdentityReport(d.dims, alphas, tuple(residuals))
+    den = math.lcm(*(a.denominator for a in alphas))
+    nums = [a.numerator * (den // a.denominator) for a in alphas]
+    total = sum(dj * (den - nj) for dj, nj in zip(d.dims, nums))
+    residuals = tuple(Fraction(ni - total + di * (den - ni), den)
+                      for di, ni in zip(d.dims, nums))
+    return MatrixIdentityReport(d.dims, alphas, residuals)
 
 
 @dataclass(frozen=True)
@@ -375,7 +372,9 @@ def check_dominance(d: DimProfile, n: SizeProfile,
     # F <= (2^k - 1) * dominant <= dominant / constant.
     holds = (all(prod.compare(dominant) <= 0 for prod in f_prods)
              or _at_most(full.scale(constant), dominant_sum))
-    ratio = float(dominant_sum) / float(full)
+    # Both enclosures read one prime-log table; the floats stay the same.
+    logs: dict = {}
+    ratio = dominant_sum.to_float(logs) / full.to_float(logs)
     return DominanceReport(True, (), constant, holds, ratio)
 
 

@@ -18,7 +18,10 @@ fall through to enclosures in mpmath's interval arithmetic (the routines
 behind mpmath.iv) at escalating precision.
 
 Products are built from (base, exponent) terms by `products_from_terms`,
-which factorizes each distinct base once per call.
+which factorizes each distinct base once per call and takes int and
+Fraction bases and exponents as they are.  A product keeps its split into
+rational part and residue, so a term shared by several sums splits once,
+and sums enclosed at one precision may share one prime-log table.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ def factorize(n: int) -> dict[int, int]:
 
 def _prime_exponents(q: Rational) -> dict[int, int]:
     """Prime -> integer exponent map of a positive rational."""
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q <= 0:
         raise ValueError(f"PowerProduct values are positive, got {q}")
     exps = factorize(q.numerator)
@@ -100,9 +104,10 @@ _MAX_PREC = 4096
 class PowerProduct:
     """An exact positive real ``prod p^e`` with p prime and e rational."""
 
-    # `exps` is never mutated after construction, so the hash is computed
-    # on first use and kept.
-    __slots__ = ("exps", "_hash")
+    # `exps` is never mutated after construction, so the hash and the
+    # split into rational part and residue are computed on first use and
+    # kept.
+    __slots__ = ("exps", "_hash", "_split")
 
     def __init__(self, exps: Mapping[int, Rational] | None = None):
         cleaned = {}
@@ -112,14 +117,14 @@ class PowerProduct:
                 if e != 0:
                     cleaned[p] = e
         self.exps: dict[int, Fraction] = cleaned
-        self._hash: int | None = None
+        self._hash = self._split = None
 
     @classmethod
     def _of(cls, exps: dict[int, Fraction]) -> "PowerProduct":
         """Wrap a prime -> nonzero Fraction map as is, without copying."""
         out = object.__new__(cls)
         out.exps = exps
-        out._hash = None
+        out._hash = out._split = None
         return out
 
     @classmethod
@@ -184,6 +189,8 @@ class PowerProduct:
 
     def split_rational(self) -> tuple[Fraction, "PowerProduct"]:
         """Factor into (rational part, residue with exponents in [0,1))."""
+        if self._split is not None:
+            return self._split
         num = den = 1
         residue: dict[int, Fraction] = {}
         for p, e in self.exps.items():
@@ -194,7 +201,8 @@ class PowerProduct:
                 den *= p**-whole
             if rem:
                 residue[p] = e if whole == 0 else Fraction(rem, e.denominator)
-        return Fraction(num, den), PowerProduct._of(residue)
+        self._split = Fraction(num, den), PowerProduct._of(residue)
+        return self._split
 
     def compare(self, other: "PowerProduct") -> int:
         """Exact three-way comparison: -1, 0 or +1.
@@ -301,7 +309,8 @@ class PowerSum:
         if coeff == 0:
             return
         extra, residue = prod.split_rational()
-        c = self.terms.get(residue, Fraction(0)) + coeff * extra
+        old = self.terms.get(residue)
+        c = coeff * extra if old is None else old + coeff * extra
         if c == 0:
             self.terms.pop(residue, None)
         else:
@@ -367,16 +376,19 @@ class PowerSum:
             key=lambda t: repr(t[1]),
         )
 
-    def bounds(self, prec: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    def bounds(self, prec: int, logs: dict | None = None
+               ) -> tuple[mpmath.mpf, mpmath.mpf]:
         """Rigorous enclosure [lo, hi] of the sum by `prec`-bit intervals.
 
         The intervals are mpmath's (the libmpi routines behind mpmath.iv,
         which round every endpoint outward): an interval log per prime,
         integer exponent numerators over one denominator per term, an
         interval exp per term and each rational coefficient as the
-        interval of its two directed roundings.
+        interval of its two directed roundings.  `logs`, a prime ->
+        interval log table at `prec` bits, is read and filled when given,
+        so sums enclosed at one precision can share it.
         """
-        logs = {}
+        logs = {} if logs is None else logs
         total = _point(0)
         for residue, coeff in self.terms.items():
             den = math.lcm(*(e.denominator for e in residue.exps.values()))
@@ -477,8 +489,13 @@ class PowerSum:
         return self.compare(other) <= 0
 
     def __float__(self) -> float:
+        return self.to_float()
+
+    def to_float(self, logs: dict | None = None) -> float:
+        """The midpoint of the sum's 80-bit enclosure, the same float
+        whether or not `logs` (see `bounds`) is shared."""
         with mpmath.workprec(80):
-            lo, hi = self.bounds(80)
+            lo, hi = self.bounds(80, logs)
             return float((lo + hi) / 2)
 
     def __repr__(self) -> str:
@@ -516,7 +533,8 @@ def products_from_terms(
     primes: dict[Rational, dict[int, int]] = {}
     out = []
     for term in terms:
-        term = [(base, Fraction(exp)) for base, exp in term]
+        term = [(base, exp if isinstance(exp, (int, Fraction))
+                 else Fraction(exp)) for base, exp in term]
         den = math.lcm(*(exp.denominator for _, exp in term))
         nums: dict[int, int] = {}
         for base, exp in term:

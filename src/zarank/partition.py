@@ -28,8 +28,9 @@ float range) are decided by the exact python-int sum.
 grid, at every size) and `sign_pattern_count` take their signs from one
 independent oracle, `_sign_oracle`, which sums python ints read from the
 stored integers and builds no `Fraction`.  From those signs
-`verify_partition` checks the factor count, every level's side bounds,
-the census and the cell bound.
+`verify_partition` checks the factor count, every level's side bounds
+(counted per part on the (n, levels) sign array with `np.unique` and
+`np.bincount`), the census and the cell bound.
 The searches share one candidate budget, `_CANDIDATE_BUDGET` per
 partition, and consume candidates in a seeded canonical order, so results
 are reproducible.  Linear-time ham-sandwich cuts (Lo, Matousek and
@@ -711,24 +712,32 @@ def verify_partition(P: PointConfig, part: Partition) -> bool:
     if len(part.signs) != P.n:
         raise AssertionError(f"sign list length {len(part.signs)} != "
                              f"{P.n} points")
-    signs = list(map(tuple, _sign_oracle(part.factors, P.numerators,
-                                         P.denominators).tolist()))
+    table = _sign_oracle(part.factors, P.numerators, P.denominators)
+    signs = list(map(tuple, table.tolist()))
     for idx, (sv, stored) in enumerate(zip(signs, part.signs)):
         if sv != stored:
             raise AssertionError(f"sign mismatch at point {idx}")
     census = collections.Counter(sv for sv in signs if 0 not in sv)
+    # The rows with no zero among the signs of the levels so far, in point
+    # order, and a key per row that is equal exactly within a part.
+    rows, keys = table, np.zeros(P.n, dtype=np.int64)
     for level in range(levels):
-        sides: dict[tuple[int, ...], list[int]] = {}
-        for sv in signs:
-            if 0 not in sv[:level]:
-                count = sides.setdefault(sv[:level], [0, 0, 0])
-                count[sv[level]] += 1  # [zero, plus, minus]
-        for prefix, (zero, plus, minus) in sides.items():
-            limit = -(-(zero + plus + minus) // 2) + part.slack
-            if max(plus, minus) > limit:
-                raise AssertionError(
-                    f"level {level + 1} side count {max(plus, minus)} > "
-                    f"{limit} in part {prefix}")
+        _, first, group = np.unique(keys, return_index=True,
+                                    return_inverse=True)
+        side = rows[:, level]
+        plus = np.bincount(group[side > 0], minlength=len(first))
+        minus = np.bincount(group[side < 0], minlength=len(first))
+        limit = -(-np.bincount(group, minlength=len(first)) // 2) + part.slack
+        worst = np.maximum(plus, minus)
+        bad = np.flatnonzero(worst > limit)
+        if bad.size:
+            # The part whose first point comes first, as a point loop finds it.
+            g = bad[np.argmin(first[bad])]
+            prefix = tuple(rows[first[g], :level].tolist())
+            raise AssertionError(f"level {level + 1} side count {worst[g]} > "
+                                 f"{limit[g]} in part {prefix}")
+        kept = side != 0
+        rows, keys = rows[kept], 2 * group[kept] + (side[kept] > 0)
     if census != part.cell_census \
             or P.n - census.total() != part.boundary_count:
         raise AssertionError("census mismatch")

@@ -5,6 +5,8 @@ alpha_1 = 1 - (d2-1)/(d1 d2 - 1), hand expansions of the full bound for
 small k, and float evaluation cross-checks.
 """
 
+import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zarank import exactnum
+from zarank import bounds, exactnum
 from zarank.bounds import (
     BoundValue,
     DimProfile,
@@ -85,6 +87,45 @@ class TestExponents:
             rep = check_matrix_identity(DimProfile(dims))
             assert rep.ok
             assert all(r == 0 for r in rep.residuals)
+
+    def test_every_small_profile_matches_formula(self):
+        """alpha_i = 1 - (1/(d_i-1)) / (k-1 + sum_l 1/(d_l-1)) in Fractions,
+        for every profile with d_i in 2..7 and k <= 4."""
+        for k in range(1, 5):
+            for dims in itertools.product(range(2, 8), repeat=k):
+                inv = [Fraction(1, x - 1) for x in dims]
+                want = tuple(1 - v / (k - 1 + sum(inv)) for v in inv)
+                assert exponents(DimProfile(dims)).alphas == want, dims
+
+    def test_single_one_dimension_is_the_limit(self):
+        """With d_i = 1 the cleared form gives alpha_i = 0 and 1 elsewhere,
+        the limit of the formula as d_i falls to 1 (d_i = 1 + 1/m)."""
+        for k in range(1, 5):
+            for rest in itertools.product(range(2, 8), repeat=k - 1):
+                for i in range(k):
+                    dims = rest[:i] + (1,) + rest[i:]
+                    got = exponents(DimProfile(dims)).alphas
+                    assert got == tuple(Fraction(j != i) for j in range(k))
+                    for m in (10**3, 10**6):
+                        inv = [Fraction(1, x - 1) if j != i else Fraction(m)
+                               for j, x in enumerate(dims)]
+                        near = [1 - v / (k - 1 + sum(inv)) for v in inv]
+                        assert all(abs(a - b) <= Fraction(2 * k, m)
+                                   for a, b in zip(near, got)), (dims, m)
+
+    @pytest.mark.parametrize("perturb", [
+        lambda al: (al[0] + Fraction(1, 1000),) + al[1:],
+        lambda al: al[::-1],
+    ], ids=["shifted", "reversed"])
+    def test_matrix_identity_catches_wrong_exponents(self, monkeypatch,
+                                                     perturb):
+        """The integer residuals still check the exponents they are given."""
+        real = bounds.exponents
+        monkeypatch.setattr(
+            bounds, "exponents",
+            lambda d: bounds.ExponentVector(perturb(real(d).alphas)))
+        for dims in ((2, 3), (2, 3, 5), (1, 4, 6), (3, 4, 5, 7)):
+            assert not check_matrix_identity(DimProfile(dims)).ok, dims
 
     def test_matrix_identity_examples(self):
         rep = check_matrix_identity(DimProfile((2, 3)))
@@ -447,3 +488,51 @@ class TestErdosBound:
     def test_k1_convention(self):
         v = erdos_bound(1, (3,), SizeProfile((12,)))
         assert v.value.as_rational() == 12
+
+
+def _parity_reports(seed):
+    """The reprs of bound reports and values on inputs drawn from `seed`:
+    matrix identities (a single d_i = 1 among them), scaling identities
+    with E and F, monotonicity, and dominance with its float ratio."""
+    rng = random.Random(f"parity:{seed}")
+    out = []
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        dims = [rng.randint(2, 9) for _ in range(k)]
+        if k >= 2 and rng.random() < 0.25:
+            dims[rng.randrange(k)] = 1
+        out.append(check_matrix_identity(DimProfile(tuple(dims))))
+    for _ in range(6):
+        k = rng.randint(1, 4)
+        d = DimProfile(tuple(rng.randint(2, 7) for _ in range(k)))
+        n = SizeProfile(tuple(rng.randint(1, 10**4) for _ in range(k)))
+        r = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        out += [check_scaling_identity(d, n, r, i) for i in range(k)]
+        out += [eval_E(d, n), eval_F(d, n, Fraction(rng.randint(0, 3), 100))]
+    for t in range(12):
+        k = 2 + t % 3
+        d = DimProfile(tuple(rng.randint(2, 6) for _ in range(k)))
+        n = SizeProfile(tuple(rng.randint(2, 10**3) for _ in range(k)))
+        out.append(check_monotonicity(d, n, rng.randrange(k),
+                                      Fraction(rng.randint(0, 2), 100)))
+    for t in range(8):
+        k = 2 + t % 2
+        d = DimProfile(tuple(rng.randint(2, 4) for _ in range(k)))
+        n = SizeProfile(tuple(rng.randint(10**3, 10**6) for _ in range(k)))
+        out.append(check_dominance(d, n, Fraction(1, 1000)))
+    return "\n".join(map(repr, out))
+
+
+# sha256 of _parity_reports(seed): every report, down to the bits of each
+# dominance ratio, stays as the bound checks first computed it.
+PARITY_DIGESTS = {
+    0: "a4e75b18e2e83ac0583cd4da732d7e8f81a229dd98a9f2172272cf9d71bb7792",
+    1: "9d00d5920d694aad802ecae620ab39c7d35c21fb734bce0896aa6b45612161b9",
+    2: "36255340ee90a028c04e852e1acc23ea0548c7e2873c0799a9df28d577118fb2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PARITY_DIGESTS))
+def test_report_parity(seed):
+    text = _parity_reports(seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == PARITY_DIGESTS[seed]

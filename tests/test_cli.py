@@ -1,5 +1,6 @@
 """CLI surface: every subcommand, file formats, exit codes."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -35,6 +36,17 @@ class TestBounds:
         assert doc["alphas"] == ["7/9", "7/9", "8/9"]
         assert doc["checks"]["matrix"]["ok"]
         assert all(row["ok"] for row in doc["checks"]["scaling"])
+
+    def test_full_check_run_bytes(self, capsys):
+        """The whole report, down to the dominance ratio's last bit."""
+        code, out, _ = run(capsys, "bounds", "--dims", "2,2,3",
+                           "--sizes", "100,100,100", "--eps", "1/100",
+                           "--check", "matrix,scaling,monotonicity,dominance")
+        assert code == 0
+        assert json.loads(out)["checks"]["dominance"]["ratio"] == \
+            0.28848022609098106
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0eeb0a618c235dd2b32c9b70286b03a730d87eb663aa893a5f3dbb1e9571213c")
 
     def test_exact_strings_and_floats(self, capsys):
         code, out, _ = run(capsys, "bounds", "--dims", "2,2",

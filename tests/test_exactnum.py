@@ -271,6 +271,27 @@ def _sum(terms) -> PowerSum:
     return s
 
 
+@settings(max_examples=50, deadline=None)
+@given(sum_terms, sum_terms)
+def test_shared_log_table_keeps_the_enclosures(ta, tb):
+    """Sums enclosed against one prime-log table give the enclosures and
+    floats they give alone, and the table holds each of their primes."""
+    a, b = _sum(ta), _sum(tb)
+    logs = {}
+    assert a.bounds(80, logs) == a.bounds(80)
+    assert (a.to_float(logs), b.to_float(logs)) == (float(a), float(b))
+    assert set(logs) == {p for s in (a, b) for r in s.terms for p in r.exps}
+
+
+@settings(max_examples=50, deadline=None)
+@given(products)
+def test_split_is_kept(a):
+    first = a.split_rational()
+    assert a.split_rational() is first
+    assert first == PowerProduct(dict(a.exps)).split_rational()
+    assert first[1].split_rational() == (1, first[1])
+
+
 def _agrees_with_intervals(a: PowerSum, b: PowerSum) -> int:
     want = 0 if a == b else a._compare_intervals(b)
     assert a.compare(b) == want

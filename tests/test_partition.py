@@ -439,7 +439,54 @@ def test_criterion_9_partitions_pinned(seed):
     assert digest.hexdigest() == CRITERION_9_PINS[seed]
 
 
+def _loop_side_failure(signs, levels, slack):
+    """The first side-count failure of a loop over the points, part by
+    part in order of first point and level by level, or None."""
+    for level in range(levels):
+        sides = {}
+        for sv in signs:
+            if 0 not in sv[:level]:
+                count = sides.setdefault(sv[:level], [0, 0, 0])
+                count[sv[level]] += 1  # [zero, plus, minus]
+        for prefix, (zero, plus, minus) in sides.items():
+            limit = -(-(zero + plus + minus) // 2) + slack
+            if max(plus, minus) > limit:
+                return (f"level {level + 1} side count {max(plus, minus)} > "
+                        f"{limit} in part {prefix}")
+    return None
+
+
 class TestVerification:
+    def test_side_counts_match_the_point_loop(self):
+        """On reordered or constant factors with slack 0, verify_partition
+        raises the side-count failure the point loop finds, or none."""
+        rng = random.Random(5)
+        outcomes = set()
+        for t in range(24):
+            if t % 2:
+                pts, r = line_points(rng, 48), rng.choice((4, 8, 16))
+            else:
+                pts, r = grid_free_points(rng, 48), rng.choice((4, 8))
+            part = stone_tukey_partition(pts, r, seed=t)
+            factors = list(part.factors)
+            rng.shuffle(factors)
+            if t % 3 == 0:
+                factors[rng.randrange(len(factors))] = \
+                    MultiPoly.constant(1, pts.dim)
+            signs = tuple(map(tuple, _sign_oracle(
+                factors, pts.numerators, pts.denominators).tolist()))
+            bad = dataclasses.replace(part, factors=tuple(factors),
+                                      signs=signs, slack=0)
+            want = _loop_side_failure(signs, len(factors), 0)
+            try:
+                verify_partition(pts, bad)
+                got = None
+            except AssertionError as exc:
+                got = str(exc) if str(exc).startswith("level") else None
+            assert got == want, t
+            outcomes.add(want and want[:7])
+        assert {None, "level 1", "level 2"} <= outcomes
+
     def partition(self):
         pts = grid_free_points(random.Random(31), 40)
         return pts, stone_tukey_partition(pts, 4, seed=1)
