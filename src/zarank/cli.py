@@ -5,8 +5,9 @@ verify.  JSON goes to stdout; exact rationals are rendered as "p/q"
 strings next to float approximations.  Exit codes: 0 all verdicts pass,
 2 a verdict failed, 3 a search budget was exhausted, 4 malformed input
 (a usage error, an option value out of range, an unreadable or
-ill-formed input file or experiment spec, or arguments the bound
-calculus rejects), reported as one line of JSON with an "error" key.
+ill-formed input file or experiment spec, an output path that cannot be
+written, or arguments the bound calculus rejects), reported as one line
+of JSON with an "error" key.
 
 `experiment` exits 3 only when a size is skipped (a partition search
 failed).  A pattern check that runs out of its `kfree_budget` does not
@@ -195,11 +196,16 @@ def cmd_bounds(args) -> int:
 
 
 def _write_out(text: str, path) -> None:
-    if path:
+    """Write `text` to `path` (stdout if none); an unwritable path is an
+    InputError."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise InputError(f"{path}: {err}") from None
 
 
 def cmd_build(args) -> int:
@@ -243,9 +249,8 @@ def cmd_build(args) -> int:
             raise InputError(str(err)) from None
         _write_out(cfg.to_text(), args.out)
         if args.hypergraph:
-            H = unit_minor_hypergraph(cfg, target)
-            with open(args.hypergraph, "w", encoding="utf-8") as fh:
-                fh.write(H.to_text())
+            _write_out(unit_minor_hypergraph(cfg, target).to_text(),
+                       args.hypergraph)
         return EXIT_OK
     _write_out(H.to_text(), args.out)
     if degenerate:

@@ -3,19 +3,23 @@
 The bound formulas evaluate to products and sums of rational powers of
 positive rationals (e.g. 8^(2/3) * 5^(1/2)).  Floats cannot compare such
 values reliably, so every value is kept in a canonical prime-factored
-form: a PowerProduct is a map prime -> rational exponent, and a PowerSum
-is a rational-coefficient combination of PowerProducts.
+form: a PowerProduct stores its exponents cleared over one denominator,
+a prime -> int numerator map `nums` and an int `den` coprime to them, and
+a PowerSum is a rational-coefficient combination of PowerProducts.  Every
+reader works on those integers; no exponent denominator is cleared twice.
 
 Single power products compare exactly by a filtered test: a float sum of
-e_p * log p with a forward error bound decides the sign whenever the sum
-clears the bound, and otherwise the exponent denominators are cleared and
-big integers compared.  Sums compare exactly when they share the same
-irrational parts (termwise).  Otherwise a float filter of the same kind
-evaluates each term c * exp(sum_p e_p log p) with a forward error bound
-and decides when the two float enclosures are disjoint; sums that it
-cannot separate (near ties, or terms whose floats overflow or underflow)
-fall through to enclosures in mpmath's interval arithmetic (the routines
-behind mpmath.iv) at escalating precision.
+(m_p / den) * log p with a forward error bound decides the sign whenever
+the sum clears the bound, and otherwise big integers compare the positive
+and negative powers p^|m_p|.  Sums compare exactly when they share the
+same irrational parts (termwise).  Otherwise a float filter of the same
+kind evaluates each term c * exp(sum_p (m_p / den) log p) with a forward
+error bound and decides when the two float enclosures are disjoint; sums
+that it cannot separate (near ties, or terms whose floats overflow or
+underflow) fall through to enclosures in mpmath's interval arithmetic
+(the routines behind mpmath.iv) at escalating precision.  mpmath is
+imported on the first enclosure, so code that never needs one does not
+load it.
 
 Products are built from (base, exponent) terms by `products_from_terms`,
 which factorizes each distinct base once per call and takes int and
@@ -29,19 +33,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
-
-import mpmath
-from mpmath.libmp import (
-    from_int,
-    from_rational,
-    mpi_add,
-    mpi_div,
-    mpi_exp,
-    mpi_log,
-    mpi_mul,
-    round_ceiling,
-    round_floor,
-)
 
 Rational = Union[int, Fraction]
 
@@ -102,28 +93,36 @@ _MAX_PREC = 4096
 
 
 class PowerProduct:
-    """An exact positive real ``prod p^e`` with p prime and e rational."""
+    """An exact positive real ``prod p^(m_p / den)`` with p prime.
 
-    # `exps` is never mutated after construction, so the hash and the
-    # split into rational part and residue are computed on first use and
-    # kept.
-    __slots__ = ("exps", "_hash", "_split")
+    The exponents are stored cleared over one denominator: `nums` maps
+    each prime to its nonzero int numerator m_p, in the order the primes
+    came in, and `den` is an int >= 1 with gcd(den, m_p, ...) = 1, so
+    equal values store equal integers.  `exps` views them as Fractions.
+    """
 
-    def __init__(self, exps: Mapping[int, Rational] | None = None):
-        cleaned = {}
-        if exps:
-            for p, e in exps.items():
-                e = Fraction(e)
-                if e != 0:
-                    cleaned[p] = e
-        self.exps: dict[int, Fraction] = cleaned
-        self._hash = self._split = None
+    # `nums` and `den` are never mutated after construction, so the hash
+    # and the split into rational part and residue are computed on first
+    # use and kept.
+    __slots__ = ("nums", "den", "_hash", "_split")
+
+    def __new__(cls, exps: Mapping[int, Rational] | None = None):
+        pairs = [(p, Fraction(e)) for p, e in (exps or {}).items()]
+        den = math.lcm(*(e.denominator for _, e in pairs))
+        return cls._of({p: e.numerator * (den // e.denominator)
+                        for p, e in pairs if e}, den)
 
     @classmethod
-    def _of(cls, exps: dict[int, Fraction]) -> "PowerProduct":
-        """Wrap a prime -> nonzero Fraction map as is, without copying."""
+    def _of(cls, nums: dict[int, int], den: int) -> "PowerProduct":
+        """prod p^(nums[p] / den) from a prime -> nonzero int map, which
+        it keeps (divided by the common gcd with den, if any)."""
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {p: m // g for p, m in nums.items()}
+            den //= g
         out = object.__new__(cls)
-        out.exps = exps
+        out.nums = nums
+        out.den = den
         out._hash = out._split = None
         return out
 
@@ -133,29 +132,37 @@ class PowerProduct:
 
     @classmethod
     def from_rational(cls, q: Rational) -> "PowerProduct":
-        return cls._of({p: Fraction(m)
-                        for p, m in _prime_exponents(q).items()})
+        return product_from_pairs([(q, 1)])
 
     @classmethod
     def from_base_exp(cls, base: Rational, exp: Rational) -> "PowerProduct":
         """base**exp for a positive rational base and rational exponent."""
-        primes = _prime_exponents(base)
-        exp = Fraction(exp)
-        if not exp:
-            return cls()
-        return cls._of({p: exp * m for p, m in primes.items()})
+        return product_from_pairs([(base, exp)])
+
+    @property
+    def exps(self) -> dict[int, Fraction]:
+        """Prime -> rational exponent, a fresh dict."""
+        return {p: Fraction(m, self.den) for p, m in self.nums.items()}
+
+    def _combine(self, other: "PowerProduct", sign: int) -> "PowerProduct":
+        """self * other**sign over lcm(self.den, other.den): the primes of
+        self first, then those new in other, and a cancelled one leaves."""
+        den = math.lcm(self.den, other.den)
+        scale, other_scale = den // self.den, sign * (den // other.den)
+        nums = {p: m * scale for p, m in self.nums.items()}
+        for p, m in other.nums.items():
+            new = nums.get(p, 0) + m * other_scale
+            if new:
+                nums[p] = new
+            else:
+                del nums[p]
+        return PowerProduct._of(nums, den)
 
     def __mul__(self, other: "PowerProduct") -> "PowerProduct":
-        exps = dict(self.exps)
-        for p, e in other.exps.items():
-            _add_exponent(exps, p, e)
-        return PowerProduct._of(exps)
+        return self._combine(other, 1)
 
     def __truediv__(self, other: "PowerProduct") -> "PowerProduct":
-        exps = dict(self.exps)
-        for p, e in other.exps.items():
-            _add_exponent(exps, p, -e)
-        return PowerProduct._of(exps)
+        return self._combine(other, -1)
 
     def __pow__(self, q: Rational) -> "PowerProduct":
         if q == 1:
@@ -163,58 +170,59 @@ class PowerProduct:
         if q == 0:
             return PowerProduct()
         q = Fraction(q)
-        return PowerProduct._of({p: e * q for p, e in self.exps.items()})
+        return PowerProduct._of({p: m * q.numerator
+                                 for p, m in self.nums.items()},
+                                self.den * q.denominator)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PowerProduct) and self.exps == other.exps
+        return (isinstance(other, PowerProduct) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self.exps.items()))
+            self._hash = hash((self.den, frozenset(self.nums.items())))
         return self._hash
 
     def is_one(self) -> bool:
-        return not self.exps
+        return not self.nums
 
     def is_rational(self) -> bool:
-        return all(e.denominator == 1 for e in self.exps.values())
+        return self.den == 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        val = Fraction(1)
-        for p, e in self.exps.items():
-            val *= Fraction(p) ** int(e)
-        return val
+        return self.split_rational()[0]
 
     def split_rational(self) -> tuple[Fraction, "PowerProduct"]:
         """Factor into (rational part, residue with exponents in [0,1))."""
         if self._split is not None:
             return self._split
         num = den = 1
-        residue: dict[int, Fraction] = {}
-        for p, e in self.exps.items():
-            whole, rem = divmod(e.numerator, e.denominator)
+        residue: dict[int, int] = {}
+        for p, m in self.nums.items():
+            whole, rem = divmod(m, self.den)
             if whole > 0:
                 num *= p**whole
             elif whole < 0:
                 den *= p**-whole
             if rem:
-                residue[p] = e if whole == 0 else Fraction(rem, e.denominator)
-        self._split = Fraction(num, den), PowerProduct._of(residue)
+                residue[p] = rem
+        self._split = Fraction(num, den), PowerProduct._of(residue, self.den)
         return self._split
 
     def compare(self, other: "PowerProduct") -> int:
         """Exact three-way comparison: -1, 0 or +1.
 
-        The sign of log(self / other) = sum_p e_p log p is first read off
-        the float sum S = sum_p fl(e_p) * fl(log p).  float(Fraction) is
-        correctly rounded; the bound assumes math.log(p) is within 4 ulps
-        (relative error 2^-50) of log p.  glibc's log is within 1 ulp,
-        and CPython's reduction of integers past the float range stays
-        within 4.  Each term is then within 2^-49 of its true value, and
-        summing n terms adds at most (n - 1) * 2^-53 of the sum of their
-        magnitudes, so |S - log(self / other)| is below
+        The sign of log(self / other) = sum_p (m_p / den) log p is first
+        read off the float sum S = sum_p fl(m_p / den) * fl(log p).  The
+        int quotient m_p / den is correctly rounded; the bound assumes
+        math.log(p) is within 4 ulps (relative error 2^-50) of log p.
+        glibc's log is within 1 ulp, and CPython's reduction of integers
+        past the float range stays within 4.  Each term is then within
+        2^-49 of its true value, and summing n terms adds at most
+        (n - 1) * 2^-53 of the sum of their magnitudes, so
+        |S - log(self / other)| is below
         (n + 4) * (2^-48 * sum_p |term_p| + 2^-960).  When |S| exceeds
         that bound its sign is the answer; otherwise, or when an exponent
         does not fit a float, the big-integer test decides.
@@ -250,38 +258,24 @@ class PowerProduct:
 
 
 def _float_log(prod: PowerProduct) -> tuple[float, float]:
-    """The float sum S of fl(e_p) * fl(log p) over the primes of `prod`,
-    and the bound (n + 4) * (2^-48 * sum_p |term_p| + 2^-960) on
+    """The float sum S of fl(m_p / den) * fl(log p) over the primes of
+    `prod`, and the bound (n + 4) * (2^-48 * sum_p |term_p| + 2^-960) on
     |S - log(prod)| derived in PowerProduct.compare."""
     total = size = 0.0
-    for p, e in prod.exps.items():
-        term = float(e) * math.log(p)
+    den = prod.den
+    for p, m in prod.nums.items():
+        term = m / den * math.log(p)
         total += term
         size += abs(term)
-    return total, (len(prod.exps) + 4) * (_FILTER_EPS * size + _FILTER_TINY)
-
-
-def _add_exponent(exps: dict[int, Fraction], p: int, e: Fraction) -> None:
-    """exps[p] += e, dropping p when its exponent cancels to zero."""
-    old = exps.get(p)
-    if old is None:
-        exps[p] = e
-        return
-    new = old + e
-    if new:
-        exps[p] = new
-    else:
-        del exps[p]
+    return total, (len(prod.nums) + 4) * (_FILTER_EPS * size + _FILTER_TINY)
 
 
 def _compare_exact(diff: PowerProduct) -> int:
-    """Sign of log(diff) by big integers: clear the exponent denominators
-    and compare the products of the positive and negative powers."""
-    lcm = math.lcm(*(e.denominator for e in diff.exps.values()))
+    """Sign of log(diff) by big integers: compare the products of the
+    positive and negative powers p^|m_p| of the cleared numerators."""
     hi = 1
     lo = 1
-    for p, e in diff.exps.items():
-        m = int(e * lcm)
+    for p, m in diff.nums.items():
         if m > 0:
             hi *= p**m
         else:
@@ -299,11 +293,8 @@ class PowerSum:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[PowerProduct, Fraction] | None = None):
+    def __init__(self):
         self.terms: dict[PowerProduct, Fraction] = {}
-        if terms:
-            for prod, coeff in terms.items():
-                self._add(prod, Fraction(coeff))
 
     def _add(self, prod: PowerProduct, coeff: Fraction) -> None:
         if coeff == 0:
@@ -370,37 +361,40 @@ class PowerSum:
             raise ValueError("sum has irrational terms")
         return sum(self.terms.values(), Fraction(0))
 
-    def term_list(self) -> list[tuple[Fraction, PowerProduct]]:
-        return sorted(
-            ((c, r) for r, c in self.terms.items()),
-            key=lambda t: repr(t[1]),
-        )
-
-    def bounds(self, prec: int, logs: dict | None = None
-               ) -> tuple[mpmath.mpf, mpmath.mpf]:
-        """Rigorous enclosure [lo, hi] of the sum by `prec`-bit intervals.
+    def bounds(self, prec: int, logs: dict | None = None) -> tuple:
+        """Rigorous enclosure [lo, hi] of the sum by `prec`-bit intervals,
+        as two mpmath mpf.
 
         The intervals are mpmath's (the libmpi routines behind mpmath.iv,
-        which round every endpoint outward): an interval log per prime,
-        integer exponent numerators over one denominator per term, an
-        interval exp per term and each rational coefficient as the
-        interval of its two directed roundings.  `logs`, a prime ->
-        interval log table at `prec` bits, is read and filled when given,
-        so sums enclosed at one precision can share it.
+        which round every endpoint outward), imported on first use: an
+        interval log per prime, each residue's cleared numerators over its
+        denominator, an interval exp per term and each rational
+        coefficient as the interval of its two directed roundings.
+        `logs`, a prime -> interval log table at `prec` bits, is read and
+        filled when given, so sums enclosed at one precision can share it.
         """
+        import mpmath
+        from mpmath.libmp import (from_int, from_rational, mpi_add, mpi_div,
+                                  mpi_exp, mpi_log, mpi_mul, round_ceiling,
+                                  round_floor)
+
+        def point(n: int) -> tuple:
+            x = from_int(n)
+            return x, x
+
         logs = {} if logs is None else logs
-        total = _point(0)
+        total = point(0)
         for residue, coeff in self.terms.items():
-            den = math.lcm(*(e.denominator for e in residue.exps.values()))
-            log = _point(0)
-            for p, e in residue.exps.items():
+            log = point(0)
+            for p, m in residue.nums.items():
                 if p not in logs:
-                    logs[p] = mpi_log(_point(p), prec)
-                m = _point(e.numerator * (den // e.denominator))
-                log = mpi_add(log, mpi_mul(m, logs[p], prec), prec)
-            value = mpi_exp(mpi_div(log, _point(den), prec), prec)
-            total = mpi_add(total, mpi_mul(_interval(coeff, prec), value,
-                                           prec), prec)
+                    logs[p] = mpi_log(point(p), prec)
+                log = mpi_add(log, mpi_mul(point(m), logs[p], prec), prec)
+            value = mpi_exp(mpi_div(log, point(residue.den), prec), prec)
+            a, b = coeff.numerator, coeff.denominator
+            c = (from_rational(a, b, prec, round_floor),
+                 from_rational(a, b, prec, round_ceiling))
+            total = mpi_add(total, mpi_mul(c, value, prec), prec)
         return mpmath.mp.make_mpf(total[0]), mpmath.mp.make_mpf(total[1])
 
     def compare(self, other: "PowerSum") -> int:
@@ -494,6 +488,8 @@ class PowerSum:
     def to_float(self, logs: dict | None = None) -> float:
         """The midpoint of the sum's 80-bit enclosure, the same float
         whether or not `logs` (see `bounds`) is shared."""
+        import mpmath
+
         with mpmath.workprec(80):
             lo, hi = self.bounds(80, logs)
             return float((lo + hi) / 2)
@@ -501,19 +497,8 @@ class PowerSum:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{r!r}" for c, r in self.term_list())
-
-
-def _point(n: int) -> tuple:
-    """The exact interval [n, n] of an integer."""
-    x = from_int(n)
-    return x, x
-
-
-def _interval(q: Fraction, prec: int) -> tuple:
-    """`q` rounded down and up to `prec` bits."""
-    return (from_rational(q.numerator, q.denominator, prec, round_floor),
-            from_rational(q.numerator, q.denominator, prec, round_ceiling))
+        terms = sorted(self.terms.items(), key=lambda t: repr(t[0]))
+        return " + ".join(f"{c}*{r!r}" for r, c in terms)
 
 
 def products_from_terms(
@@ -524,7 +509,7 @@ def products_from_terms(
 
     Each distinct base is factorized once for the whole call.  A term's
     exponents are added as integer numerators over the lcm of its
-    exponent denominators, so each prime costs one Fraction.  Primes
+    exponent denominators, which become the product's cleared form.  Primes
     enter the product in the order the pairs bring them in, and one whose
     exponent cancels to 0 leaves it, as when the pairs' powers are
     multiplied one by one; so equal terms give products with the same
@@ -550,8 +535,7 @@ def products_from_terms(
                     nums[p] = new
                 else:
                     del nums[p]
-        out.append(PowerProduct._of({p: Fraction(v, den)
-                                     for p, v in nums.items()}))
+        out.append(PowerProduct._of(nums, den))
     return out
 
 

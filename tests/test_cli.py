@@ -305,6 +305,26 @@ class TestInputErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, flag", [
+        ("build", "--out"), ("build", "--hypergraph"),
+        ("experiment", "--out"), ("experiment", "--csv"),
+        ("experiment", "--svg"),
+    ])
+    def test_unwritable_output_path(self, tmp_path, capsys, command, flag):
+        # every other output goes to a writable file, so that stdout holds
+        # only the error line
+        bad = tmp_path / "missing" / "x.txt"
+        if command == "build":
+            argv = ["build", "--kind", "st-config"]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"kind": "minors", "d": 2,
+                                        "sizes": [20, 40, 80]}))
+            argv = ["experiment", "--spec", str(spec)]
+        outs = {"--out": str(tmp_path / "out.txt"), flag: str(bad)}
+        msg = self.check(capsys, *argv, *itertools.chain(*outs.items()))
+        assert msg.startswith(f"{bad}: ")
+
     def test_empty_hypergraph_file(self, tmp_path, capsys):
         hg = tmp_path / "h.txt"
         hg.write_text("")

@@ -1,13 +1,18 @@
 """Exact power-product arithmetic sanity checks."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zarank
 from zarank import exactnum
 from zarank.exactnum import (
     PowerProduct,
@@ -249,15 +254,65 @@ def test_sum_bounds_enclose_a_tenfold_precise_value(terms, prec):
         assert hi - lo <= value * mpmath.mpf(2) ** (24 - prec)
 
 
+def _assert_canonical(x: PowerProduct) -> None:
+    assert x.den >= 1 and math.gcd(x.den, *x.nums.values()) == 1
+    assert all(type(m) is int and m for m in x.nums.values())
+
+
 @settings(max_examples=100, deadline=None)
 @given(products, products, st.integers(-3, 3))
 def test_equal_products_hash_equal_after_arithmetic(a, b, q):
     # Hash a and b first, so a kept hash would show if it went stale.
     hash(a), hash(b)
+    root2 = PowerProduct({2: Fraction(1, 2)})
     for x, y in (((a * b) / b, a), ((a * b) ** q, a ** q * b ** q),
-                 (a / b, a * b ** -1), (a ** q / a ** q, PowerProduct.one())):
+                 (a / b, a * b ** -1), (a ** q / a ** q, PowerProduct.one()),
+                 (root2 ** 2, PowerProduct.from_rational(2)),
+                 (a ** 2 * root2 ** 4 / a ** 2, PowerProduct.from_rational(4))):
         assert x == y
         assert hash(x) == hash(y) == hash(PowerProduct(dict(x.exps)))
+        assert (x.nums, x.den) == (y.nums, y.den)
+        _assert_canonical(x)
+    assert (root2 ** 2).den == 1
+
+
+PRIMES_TO_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+small_exps = st.dictionaries(
+    st.sampled_from(PRIMES_TO_50),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    max_size=6)
+
+
+def _reference_product(a: dict, b: dict, sign: int) -> dict:
+    """a * b**sign on prime -> Fraction maps: the primes of a first, then
+    those new in b, without the ones that cancel."""
+    out = dict(a)
+    for p, e in b.items():
+        out[p] = out.get(p, 0) + sign * e
+    return {p: e for p, e in out.items() if e}
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_exps, small_exps,
+       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)))
+def test_cleared_form_matches_a_fraction_reference(ea, eb, q):
+    a, b = PowerProduct(ea), PowerProduct(eb)
+    ra = {p: e for p, e in ea.items() if e}
+    cases = [(a, ra), (a * b, _reference_product(ra, eb, 1)),
+             (a / b, _reference_product(ra, eb, -1)),
+             (a ** q, {p: e * q for p, e in ra.items() if e * q})]
+    for x, want in cases:
+        # the same exponents, primes in the same order, stored canonically
+        assert list(x.exps.items()) == list(want.items())
+        _assert_canonical(x)
+        rational, residue = x.split_rational()
+        assert rational == math.prod(
+            (Fraction(p) ** math.floor(e) for p, e in want.items()),
+            start=Fraction(1))
+        assert list(residue.exps.items()) == [
+            (p, e - math.floor(e)) for p, e in want.items()
+            if e.denominator != 1]
+        _assert_canonical(residue)
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +419,23 @@ ROOT15 = PowerProduct({3: Fraction(1, 2), 5: Fraction(1, 2)})
 def test_sum_filter_falls_back_outside_the_float_range(a, b):
     assert _overlap(a, b)
     assert _agrees_with_intervals(a, b) != 0
+
+
+# ---------------------------------------------------------------------------
+# mpmath is loaded on the first interval enclosure
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # A fresh interpreter: this module has imported mpmath already.
+    script = "\n".join([
+        "import sys, zarank.cli",
+        "from zarank.exactnum import PowerSum, product_from_pairs",
+        "print('mpmath' in sys.modules)",
+        "float(PowerSum.from_product(product_from_pairs([(2, 1 / 2)])))",
+        "print('mpmath' in sys.modules)",
+    ])
+    path = [str(Path(zarank.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
