@@ -8,17 +8,17 @@ integers, nothing more; the unit-minor builders reject repeated columns
 themselves.
 
 Builders produce k-partite hypergraphs from those integers using only
-exact predicates: fraction-free determinants of the stored columns, and,
-over the common-denominator form, the area band and polynomial sign
-tests in squared radii for spheres.  The sweeps in `kernels` decide each
-family for d <= 3 and pick their own integer width; the Bareiss loop
-`_unit_minors` decides unit minors for d >= 4.  No floating point is
-consulted for any edge decision.  The independent `*_naive` oracles
-loop on python ints over the same stored integers, without the kernels
-or the common-denominator form.  The `Fraction` views (`points`,
-`spheres`) are built on first use, for text output and for the two
-oracle steps that divide: Gaussian elimination for unit minors at
-d >= 4 and the radical planes of three spheres.
+exact predicates: integer cofactor determinants of the stored columns,
+and, over the common-denominator form, the area band and polynomial sign
+tests in squared radii for spheres.  The sweeps in `kernels` decide
+every family, unit minors in every dimension d >= 2, and pick their own
+integer width.  No floating point is consulted for any edge decision.
+The independent `*_naive` oracles loop on python ints over the same
+stored integers, without the kernels or the common-denominator form.
+The `Fraction` views (`points`, `spheres`) are built on first use, for
+text output and for the two oracle steps that divide: Gaussian
+elimination for unit minors at d >= 4 and the radical planes of three
+spheres.
 
 Both file formats (`to_text`, `from_text`) are a first line `d n`, then
 n lines of rationals (`p/q` or integer): a point's (matrix column's) d
@@ -297,44 +297,6 @@ class DetTarget(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# exact determinants
-
-
-def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Gaussian elimination (Bareiss) over the integers."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def det_of_columns(config: PointConfig, idx: Sequence[int]) -> Fraction:
-    """Exact determinant of the chosen columns, in the given order."""
-    idx = list(idx)
-    cols = config.numerators[idx].tolist()
-    rows = [[col[r] for col in cols] for r in range(config.dim)]
-    scale = math.prod(config.denominators[idx].tolist())
-    return Fraction(det_bareiss(rows), scale)
-
-
-# ---------------------------------------------------------------------------
 # unit minors
 
 
@@ -345,10 +307,6 @@ def unit_minor_hypergraph(M: PointConfig,
     determinant of those columns in tuple order lies in the target set.
     """
     d = M.dim
-    if d < 2:
-        raise ValueError("need ambient dimension >= 2")
-    if M.has_repeats():
-        raise ValueError("repeated columns are not allowed")
     hits, signs = _unit_hits(M)
     perms = list(itertools.permutations(range(d)))
     orders = hits[:, perms]
@@ -360,34 +318,23 @@ def unit_minor_hypergraph(M: PointConfig,
 
 def _unit_hits(M: PointConfig) -> tuple[np.ndarray, np.ndarray]:
     """The increasing d-subsets of the columns with rational determinant
-    +-1, as an index array, and the sign of each: from the kernels' hit
-    sweep for d in {2, 3}, else from the Bareiss loop."""
-    d = M.dim
-    if d in (2, 3):
-        sweep = kernels.unit_pair_hits if d == 2 else kernels.unit_triple_hits
-        return sweep(*_columns(M))
-    found = list(_unit_minors(M.numerators.tolist(),
-                              M.denominators.tolist(), d))
-    hits = np.array([combo for combo, _ in found], dtype=np.int64).reshape(-1, d)
-    return hits, np.array([sign for _, sign in found], dtype=np.int64)
+    +-1, as an index array, and the sign of each, from the kernels' hit
+    sweep."""
+    rows, s = _columns(M)
+    if M.dim == 2:
+        return kernels.unit_pair_hits(*rows, s)
+    return kernels.unit_minor_hits(rows, s)
 
 
-def _columns(M: PointConfig) -> list[np.ndarray]:
-    """The coordinate rows of the stored numerators, then the denominators:
-    the arguments of the unit-minor kernels."""
-    return [M.numerators[:, r] for r in range(M.dim)] + [M.denominators]
-
-
-def _unit_minors(cols, scalars, d):
-    """Yield (combo, sign) for every increasing d-subset of the cleared
-    columns whose Bareiss determinant is sign * (product of its scalars),
-    i.e. whose rational determinant is sign = +-1."""
-    for combo in itertools.combinations(range(len(cols)), d):
-        rows = [[cols[i][r] for i in combo] for r in range(d)]
-        det = det_bareiss(rows)
-        scale = math.prod(scalars[i] for i in combo)
-        if abs(det) == scale:
-            yield combo, (1 if det == scale else -1)
+def _columns(M: PointConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """The coordinate rows of the stored numerators and the denominators:
+    the arguments of the unit-minor kernels.  The one check of every
+    unit-minor entry point: d >= 2 and no repeated column."""
+    if M.dim < 2:
+        raise ValueError("need ambient dimension >= 2")
+    if M.has_repeats():
+        raise ValueError("repeated columns are not allowed")
+    return [M.numerators[:, r] for r in range(M.dim)], M.denominators
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -412,16 +359,15 @@ def count_unit_minors(M: PointConfig) -> int:
 
     Both determinant targets count the same subsets for d >= 2: a single
     transposition flips the determinant's sign, so some ordering has
-    det exactly 1 whenever |det| = 1.
+    det exactly 1 whenever |det| = 1.  At d = 3 the count goes through
+    `kernels.count_unit_triples`, so that traces name it.
     """
-    d = M.dim
-    if M.has_repeats():
-        raise ValueError("repeated columns are not allowed")
-    if d in (2, 3):
-        count = kernels.count_unit_pairs if d == 2 else kernels.count_unit_triples
-        return count(*_columns(M))
-    return sum(1 for _ in _unit_minors(M.numerators.tolist(),
-                                       M.denominators.tolist(), d))
+    rows, s = _columns(M)
+    if M.dim == 2:
+        return kernels.count_unit_pairs(*rows, s)
+    if M.dim == 3:
+        return kernels.count_unit_triples(*rows, s)
+    return len(kernels.unit_minor_hits(rows, s)[0])
 
 
 def count_unit_minors_naive(M: PointConfig) -> int:

@@ -1,7 +1,7 @@
 """Hot kernels: exact integer sweeps over column tuples.
 
 Every kernel is numpy.  The unit-minor kernels take a configuration's
-stored columns: column i is (x_i, y_i[, z_i]) / s_i, the numerators over
+stored columns: column i is (x_i, y_i, ...) / s_i, the numerators over
 the column's denominator.  Each sweep bounds its largest product from
 its own inputs and runs on int64 when that bound is below 2^62, and
 otherwise on object arrays of python ints, with the same code (see
@@ -17,8 +17,8 @@ the tests' oracle.
 
 The hit sweeps return the hit index tuples, from which the caller takes
 both the count (their number) and the hypergraph (their orderings):
-`unit_pair_hits` and `unit_triple_hits` with the sign of each unit
-determinant, the area-band sweep, and the circle/sphere sweeps with a
+`unit_pair_hits` and, for every d >= 3, `unit_minor_hits` with the
+sign of each unit determinant, the area-band sweep, and the circle/sphere sweeps with a
 degenerate flag per tuple.
 
 All kernels are exact; dtype never changes results.
@@ -26,6 +26,7 @@ All kernels are exact; dtype never changes results.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -61,7 +62,7 @@ def _exact(bound: int, *arrays) -> list[np.ndarray]:
 def _unit_bound(cols, s) -> int:
     """Bound on the products of the unit-minor sweeps over k = len(cols)
     coordinate rows: a determinant's k! terms of k entries each (bounded
-    by the row maxima at k = 2 and by the largest entry at k = 3), and
+    by the row maxima at k = 2 and by the largest entry for k >= 3), and
     the product of k scales."""
     k = len(cols)
     if k == 2:
@@ -243,8 +244,8 @@ def count_unit_pairs(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> int:
 
 def count_unit_triples(x: np.ndarray, y: np.ndarray, z: np.ndarray,
                        s: np.ndarray) -> int:
-    """Number of triples that `unit_triple_hits` returns."""
-    return len(unit_triple_hits(x, y, z, s)[0])
+    """Number of triples that `unit_minor_hits` returns at d = 3."""
+    return len(unit_minor_hits((x, y, z), s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +286,78 @@ def unit_pair_hits(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     return _stack(blocks, 2), _flags(signs, np.int64)
 
 
-def unit_triple_hits(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                     s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triples i<j<l whose determinant det(col_i, col_j, col_l) is
-    +-s_i s_j s_l, as an (m, 3) index array in lexicographic order, and
-    the sign of each.  One step per i decides its tail's (j, l) block
-    from the 2x2 minors of columns i and j."""
-    x, y, z, s = _exact(_unit_bound((x, y, z), s), x, y, z, s)
+def _laplace_tables(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level t = 1 .. d-1, (d, C(d, t)) arrays (idx, sgn): the t-minors
+    of t-1 columns and a new last column c are c @ (minors[idx] * sgn),
+    the Laplace expansion along c, with minors indexed by the row subsets
+    in `itertools.combinations` order.  The last level's column r is the
+    minor without row r, times (-1)^(r+d-1), so that
+    det(columns, c, c') = sum_r (c @ W)_r c'_r."""
+    tables = []
+    for t in range(1, d):
+        below = {sub: k for k, sub in
+                 enumerate(itertools.combinations(range(d), t - 1))}
+        subsets = list(itertools.combinations(range(d), t))
+        idx = np.zeros((d, len(subsets)), dtype=np.intp)
+        sgn = np.zeros((d, len(subsets)), dtype=np.int64)
+        for col, sub in enumerate(subsets):
+            for pos, r in enumerate(sub):
+                idx[r, col] = below[sub[:pos] + sub[pos + 1:]]
+                sgn[r, col] = (-1) ** (pos + t - 1)
+        tables.append((idx, sgn))
+    # the (d-1)-subsets come in the order without row d-1, ..., without 0
+    idx, sgn = tables[-1]
+    tables[-1] = idx[:, ::-1], sgn[:, ::-1] * (-1) ** (np.arange(d) + d - 1)
+    return tables
+
+
+def unit_minor_hits(cols, s) -> tuple[np.ndarray, np.ndarray]:
+    """d-subsets i_1 < ... < i_d of the columns (d = len(cols) >= 3 rows)
+    whose determinant is +-s_i_1 ... s_i_d, as an (m, d) index array in
+    lexicographic order, and the sign of each.
+
+    A python loop runs over the increasing (d-2)-prefixes, each built
+    from its parent in one product with every later column
+    (`_laplace_tables`).  A prefix's last product gives its (d-1)-minors
+    with each later column j, and their contraction with the columns l
+    decides its whole (j, l) block.  Every minor and partial sum is at
+    most d! max|entry|^d, the bound `_unit_bound` takes."""
+    d = len(cols)
+    if d < 3:
+        raise ValueError("unit_minor_hits needs d >= 3")
+    *rows, s = _exact(_unit_bound(cols, s), *cols, s)
+    C = np.column_stack(rows)
+    CT = np.ascontiguousarray(C.T)
+    n = C.shape[0]
+    ss = np.multiply.outer(s, s)
+    tables = _laplace_tables(d)
     blocks, signs = [], []
-    for i in range(x.shape[0] - 2):
-        xt, yt, zt, st = x[i + 1:], y[i + 1:], z[i + 1:], s[i + 1:]
-        cxy = x[i] * yt - y[i] * xt
-        cxz = x[i] * zt - z[i] * xt
-        cyz = y[i] * zt - z[i] * yt
-        det = (np.multiply.outer(cxy, zt) - np.multiply.outer(cxz, yt)
-               + np.multiply.outer(cyz, xt))
-        ok = np.abs(det) == s[i] * np.multiply.outer(st, st)
-        jj, ll = np.nonzero(np.triu(ok, 1))
+
+    def walk(prefix, minors, scale, start):
+        idx, sgn = tables[len(prefix)]
+        if len(prefix) < d - 2:
+            stop = n - d + len(prefix) + 1
+            ext = C[start:stop] @ (minors[idx] * sgn)
+            for c in range(start, stop):
+                walk(prefix + (c,), ext[c - start], scale * s[c], c + 1)
+            return
+        E = C[start:] @ (minors[idx] * sgn)
+        # d outer products: the integer matmul E @ CT has no BLAS path
+        det = np.multiply.outer(E[:, 0], CT[0, start:])
+        for r in range(1, d):
+            det += np.multiply.outer(E[:, r], CT[r, start:])
+        # det is antisymmetric: each hit appears as (j, l) and as (l, j)
+        jj, ll = np.nonzero(np.abs(det) == scale * ss[start:, start:])
+        keep = jj < ll
+        jj, ll = jj[keep], ll[keep]
         if jj.size:
-            blocks.append(_row_hits(i, jj, ll))
+            blocks.append(np.column_stack(
+                [np.full(jj.size, i, dtype=np.int64) for i in prefix]
+                + [jj + start, ll + start]))
             signs.append(np.sign(det[jj, ll]).astype(np.int64))
-    return _stack(blocks, 3), _flags(signs, np.int64)
+
+    walk((), np.ones(1, dtype=C.dtype), 1, 0)
+    return _stack(blocks, d), _flags(signs, np.int64)
 
 
 def area_triple_hits(x: np.ndarray, y: np.ndarray, lo_a: int, lo_b: int,

@@ -13,8 +13,8 @@ from zarank.cli import main
 from zarank.geometry import (
     PointConfig,
     SphereConfig,
+    _det_fraction_gauss,
     circles_intersect,
-    det_of_columns,
     triangle_double_area,
 )
 from zarank.hypergraph import KPartiteHypergraph
@@ -159,7 +159,8 @@ class TestBuildText:
             if kind == "minors":
                 k = 2
                 edges = [e for e in itertools.permutations(range(n), 2)
-                         if det_of_columns(cfg, e) == 1]
+                         if _det_fraction_gauss([[P[i][r] for i in e]
+                                                 for r in range(2)]) == 1]
             else:
                 k = 3
                 edges = [e for e in itertools.permutations(range(n), 3)

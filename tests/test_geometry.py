@@ -23,6 +23,7 @@ from zarank.geometry import (
     DetTarget,
     PointConfig,
     SphereConfig,
+    _det_fraction_gauss,
     circles_intersect,
     count_almost_unit_area,
     count_almost_unit_area_naive,
@@ -30,8 +31,6 @@ from zarank.geometry import (
     count_sphere_intersections_naive,
     count_unit_minors,
     count_unit_minors_naive,
-    det_bareiss,
-    det_of_columns,
     halfplane_traces,
     k1uu_config,
     almost_unit_area_hypergraph,
@@ -57,26 +56,32 @@ def random_rational_config(rng, d, n, num=4, den=2):
     return PointConfig(d, tuple(sorted(pts)))
 
 
+def column_det(cfg, idx):
+    """The `Fraction` determinant of the chosen columns, in the given
+    order."""
+    return _det_fraction_gauss([[cfg.points[i][r] for i in idx]
+                                for r in range(cfg.dim)])
+
+
+def unit_orderings(cfg):
+    """Every ordering of every column subset with |det| = 1, mapped to
+    its determinant: the subset's `Fraction` determinant, negated once
+    per inversion of the ordering."""
+    out = {}
+    for combo in itertools.combinations(range(cfg.n), cfg.dim):
+        det = column_det(cfg, combo)
+        if abs(det) == 1:
+            for idx in itertools.permutations(combo):
+                flips = sum(a > b for a, b in itertools.combinations(idx, 2))
+                out[idx] = det * (-1) ** flips
+    return out
+
+
 class TestDeterminants:
-    def test_bareiss_known(self):
-        assert det_bareiss([[1, 0], [0, 1]]) == 1
-        assert det_bareiss([[0, 1], [1, 0]]) == -1
-        # cofactor expansion: 2*(2-0) - 3*(8-35) + 1*(0-7) = 78
-        assert det_bareiss([[2, 3, 1], [4, 1, 5], [7, 0, 2]]) == 78
-
-    def test_bareiss_vs_fraction_gauss(self):
-        rng = random.Random(10)
-        for _ in range(200):
-            d = rng.randint(2, 5)
-            rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
-            from zarank.geometry import _det_fraction_gauss
-            assert det_bareiss(rows) == _det_fraction_gauss(
-                [[Fraction(x) for x in r] for r in rows])
-
     def test_rational_column_determinant(self):
         cfg = PointConfig(2, frac_points([(Fraction(1, 2), 0), (0, Fraction(2, 3))]))
-        assert det_of_columns(cfg, (0, 1)) == Fraction(1, 3)
-        assert det_of_columns(cfg, (1, 0)) == Fraction(-1, 3)
+        assert column_det(cfg, (0, 1)) == Fraction(1, 3)
+        assert column_det(cfg, (1, 0)) == Fraction(-1, 3)
 
     def test_clear_columns(self):
         cfg = PointConfig(2, frac_points([(Fraction(1, 2), Fraction(3, 4))]))
@@ -177,9 +182,7 @@ class TestUnitMinorHits:
         _, dtypes = kernel_dtypes(lambda: count_unit_minors(cfg))
         assert dtypes and set(dtypes) == {np.dtype(object) if big
                                           else np.dtype(np.int64)}
-        from zarank.geometry import _det_fraction_gauss
-        dets = {idx: _det_fraction_gauss([[cfg.points[i][r] for i in idx]
-                                          for r in range(d)])
+        dets = {idx: column_det(cfg, idx)
                 for idx in itertools.permutations(range(cfg.n), d)}
         one = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
         both = unit_minor_hypergraph(cfg, DetTarget.PLUS_MINUS_ONE)
@@ -238,37 +241,68 @@ class TestCountUnitMinors:
         assert count_unit_minors(cfg) == count_unit_minors_naive(cfg) == 0
         assert unit_minor_hypergraph(cfg).num_edges == 0
 
-    def test_bareiss_loop_only_past_three_dimensions(self, monkeypatch):
-        """d = 2, 3 are decided by the kernels' sweeps even with entries
-        past 2^32, where they run on python ints; the Bareiss loop decides
-        d >= 4."""
+    def test_rejects_dimension_one(self):
+        """1x1 "minors" are no unit minors: both entry points reject
+        d < 2."""
+        cfg = PointConfig.from_integers(1, [(1,), (2,), (-1,)])
+        for call in (count_unit_minors, unit_minor_hypergraph):
+            with pytest.raises(ValueError, match="dimension >= 2"):
+                call(cfg)
+
+    def test_laplace_sweep_decides_every_dimension_past_two(self, monkeypatch):
+        """d = 3..5 are decided by `kernels.unit_minor_hits`, also with
+        entries past 2^32 on python ints, and d = 2 never reaches it; the
+        counts and both hypergraphs agree with the `Fraction` oracle."""
         calls = []
-        real = geometry._unit_minors
+        real = kernels.unit_minor_hits
 
-        def spy(cols, scalars, d):
-            calls.append(d)
-            return real(cols, scalars, d)
+        def spy(cols, s):
+            calls.append(len(cols))
+            return real(cols, s)
 
-        monkeypatch.setattr(geometry, "_unit_minors", spy)
-        big = 2**32 + 1
-        for cols in ([(big, big - 1), (big + 1, big), (1, 0), (0, 1)],
-                     [(1, 0, 0), (big, 1, 0), (big, big, 1), (0, 1, 0),
-                      (0, 0, 1)]):
-            d = len(cols[0])
-            cfg = PointConfig.from_integers(d, cols)
-            want = count_unit_minors_naive(cfg)
-            assert want > 0
-            count, dtypes = kernel_dtypes(lambda: count_unit_minors(cfg))
-            assert count == want and np.dtype(object) in dtypes
-            for target in DetTarget:
-                H = unit_minor_hypergraph(cfg, target)
-                assert H.num_edges == want * math.factorial(d) // (
-                    2 if target is DetTarget.EXACTLY_ONE else 1)
-        assert calls == []
-        cfg = k1uu_config(4, 2)
-        assert count_unit_minors(cfg) == count_unit_minors_naive(cfg)
+        monkeypatch.setattr(kernels, "unit_minor_hits", spy)
+        cfg = PointConfig.from_integers(2, [(1, 0), (0, 1), (1, 1)])
+        count_unit_minors(cfg)
         unit_minor_hypergraph(cfg)
-        assert calls == [4, 4]
+        assert calls == []
+        big = 2**32 + 1
+        for d in (3, 4, 5):
+            unit = [tuple(int(r == i) for r in range(d)) for i in range(d)]
+            for cfg in (k1uu_config(d, 2),
+                        PointConfig.from_integers(d, unit + [(big,) + (1,) * (d - 1)])):
+                want = count_unit_minors_naive(cfg)
+                assert want > 0
+                count, dtypes = kernel_dtypes(lambda: count_unit_minors(cfg))
+                assert count == want
+                assert (np.dtype(object) in dtypes) == (cfg.numerators.max() == big)
+                dets = unit_orderings(cfg)
+                one = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
+                both = unit_minor_hypergraph(cfg, DetTarget.PLUS_MINUS_ONE)
+                assert one.edges == frozenset(i for i, v in dets.items() if v == 1)
+                assert both.edges == frozenset(dets)
+                assert both.num_edges == want * math.factorial(d)
+        assert calls == [d for d in (3, 4, 5) for _ in range(6)]
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_d4_int64_guard(self, step):
+        """At d = 4 the kernel's bound is 24 max|entry|^4: the largest
+        entry m with 24 m^4 < 2^62 runs on int64, m + 1 on python ints,
+        with the counts and hypergraph of the oracles."""
+        m = math.isqrt(math.isqrt((2**62 - 1) // 24)) + step
+        cols = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                (m, 1, 0, 0), (m - 1, m, 1, 0), (1, m, m - 1, 1),
+                (m, m - 1, 1, 1), (2, 1, 1, 1)]
+        cfg = PointConfig.from_integers(4, cols, [1] * 8 + [3])
+        assert (kernels._unit_bound(list(cfg.numerators.T), cfg.denominators)
+                >= 2**62) == bool(step)
+        want = count_unit_minors_naive(cfg)
+        assert want > 4
+        count, dtypes = kernel_dtypes(lambda: count_unit_minors(cfg))
+        assert count == want
+        assert set(dtypes) == {np.dtype(object) if step else np.dtype(np.int64)}
+        H = unit_minor_hypergraph(cfg, DetTarget.EXACTLY_ONE)
+        assert H.edges == frozenset(
+            i for i, v in unit_orderings(cfg).items() if v == 1)
 
 
 class TestAlmostUnitArea:
@@ -699,7 +733,7 @@ class TestSTConfig:
             hits = 0
             for i in slopes:
                 for j in grids:
-                    if det_of_columns(cfg, (i, j)) == 1:
+                    if column_det(cfg, (i, j)) == 1:
                         hits += 1
             assert hits == st_incidence_count(s)
 

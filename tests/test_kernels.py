@@ -15,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from zarank import kernels
 from zarank.geometry import (
-    _unit_minors,
+    _det_fraction_gauss,
     circles_intersect,
-    det_bareiss,
     spheres_triple_intersect,
     st_lower_bound_minor_config,
 )
@@ -246,40 +245,42 @@ def test_unit_pair_count_sends_wide_short_lines_to_the_block_sweep():
 
 
 # ---------------------------------------------------------------------------
-# unit-minor hit sweeps against brute force and the Bareiss path
+# unit-minor hit sweeps against brute force
 
 
 def brute_unit_hits(cols, scalars, d):
+    """The increasing d-subsets whose rational determinant, by `Fraction`
+    elimination, is +-1, and its sign."""
     hits, signs = [], []
     for combo in itertools.combinations(range(len(cols)), d):
-        det = det_bareiss([[cols[i][r] for i in combo] for r in range(d)])
-        scale = math.prod(scalars[i] for i in combo)
-        if abs(det) == scale:
+        det = _det_fraction_gauss([[Fraction(cols[i][r], scalars[i])
+                                    for i in combo] for r in range(d)])
+        if abs(det) == 1:
             hits.append(combo)
-            signs.append(1 if det > 0 else -1)
+            signs.append(int(det))
     return hits, signs
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 3), st.lists(st.tuples(st.integers(-3, 3),
-                                             st.integers(-3, 3),
-                                             st.integers(-3, 3),
+@given(st.integers(2, 5), st.lists(st.tuples(*[st.integers(-3, 3)] * 5,
                                              st.integers(1, 3)),
                                    max_size=10))
-def test_unit_hits_match_brute_force_and_bareiss(d, raw):
+def test_unit_hits_match_fraction_determinants(d, raw):
     cols = [r[:d] for r in raw]
-    scalars = [r[3] for r in raw]
+    scalars = [r[5] for r in raw]
     want_hits, want_signs = brute_unit_hits(cols, scalars, d)
-    arrays = ([np.array([c[r] for c in cols], dtype=np.int64) for r in range(d)]
-              + [np.array(scalars, dtype=np.int64)])
-    sweep = kernels.unit_pair_hits if d == 2 else kernels.unit_triple_hits
-    hits, signs = sweep(*arrays)
+    rows = [np.array([c[r] for c in cols], dtype=np.int64) for r in range(d)]
+    s = np.array(scalars, dtype=np.int64)
+    if d == 2:
+        hits, signs = kernels.unit_pair_hits(*rows, s)
+    else:
+        hits, signs = kernels.unit_minor_hits(rows, s)
     assert hits.shape == (len(want_hits), d)
     assert [tuple(h) for h in hits.tolist()] == want_hits
     assert signs.tolist() == want_signs
-    assert list(_unit_minors(cols, scalars, d)) == list(zip(want_hits, want_signs))
-    count = kernels.count_unit_pairs if d == 2 else kernels.count_unit_triples
-    assert count(*arrays) == len(want_hits)
+    if d <= 3:
+        count = kernels.count_unit_pairs if d == 2 else kernels.count_unit_triples
+        assert count(*rows, s) == len(want_hits)
 
 
 # ---------------------------------------------------------------------------
