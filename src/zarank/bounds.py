@@ -337,24 +337,23 @@ def check_dominance(d: DimProfile, n: SizeProfile,
 
     n_i * F(d w/o i, n w/o i) is exactly the sum of the terms of F(d, n)
     that do not involve i, so every product is built once, from the
-    terms of F(d, n).  For k = 2 the trailing term n_i is what reduces
-    the hypothesis to the paper-side condition n_j >= n_i^{1/d_i}.
+    terms of F(d, n); the dominant product is F's term over all k
+    indices, the last subset term.  For k = 2 the trailing term n_i is
+    what reduces the hypothesis to the paper-side condition
+    n_j >= n_i^{1/d_i}.
     """
     if d.k != n.k:
         raise ValueError("profile lengths differ")
     k = d.k
     if k < 2:
         raise ValueError(f"dominance needs at least two dimensions, got {k}")
-    eps = Fraction(eps)
-    alphas = exponents(d).alphas
-    f_terms = _f_terms(d, n, eps)
+    f_terms = _f_terms(d, n, Fraction(eps))
     prods = products_from_terms(
         [term for _, term in f_terms]
         + [[(n.sizes[i], Fraction(-1, d.dims[i]))]
-           + [(size, 1) for size in n.sizes] for i in range(k)]
-        + [[(size, alpha + eps) for size, alpha in zip(n.sizes, alphas)]])
-    f_prods, lhs_prods, dominant = (prods[:len(f_terms)],
-                                    prods[len(f_terms):-1], prods[-1])
+           + [(size, 1) for size in n.sizes] for i in range(k)])
+    f_prods, lhs_prods = prods[:len(f_terms)], prods[len(f_terms):]
+    dominant = f_prods[-k - 1]
     failed = []
     for i in range(k):
         rhs = PowerSum.from_products(

@@ -5,23 +5,24 @@ stored columns: column i is (x_i, y_i, ...) / s_i, the numerators over
 the column's denominator.  Each sweep bounds its largest product from
 its own inputs and runs on int64 when that bound is below 2^62, and
 otherwise on object arrays of python ints, with the same code (see
-`_exact`); callers hand over exact integers of either dtype.
+`_exact`); callers hand over exact integers of either dtype, and dtype
+never changes results.
 
-`count_unit_pairs` counts the unit 2x2 minors by direction classes: a
-sorted join per heavy class and lattice-line enumeration for the light
-columns, sub-quadratic on incidence-like data such as the
-Szemeredi-Trotter configuration; the quadratic row sweep
-`unit_pair_hits` takes only the light columns whose partner lines hold
-too many lattice points, the whole count past the int64 guard, and is
-the tests' oracle.
+`count_unit_pairs` counts the unit 2x2 minors by direction classes,
+sub-quadratic on incidence-like data such as the Szemeredi-Trotter
+configuration; the quadratic row sweep `unit_pair_hits` takes only the
+light columns with too many lattice points on their partner lines, the
+whole count past the int64 guard, and is the tests' oracle.
 
-The hit sweeps return the hit index tuples, from which the caller takes
-both the count (their number) and the hypergraph (their orderings):
-`unit_pair_hits` and, for every d >= 3, `unit_minor_hits` with the
-sign of each unit determinant, the area-band sweep, and the circle/sphere sweeps with a
-degenerate flag per tuple.
-
-All kernels are exact; dtype never changes results.
+The hit sweeps return index tuples, all built by `_rows`, from which the
+caller takes the count and the hypergraph: `unit_pair_hits` and
+`circle_pair_hits` sweep pairs.  One Laplace walk, `_minor_blocks`,
+gives the determinant blocks in which `unit_minor_hits` finds the unit
+minors of every d >= 3 and `area_triple_hits` the area band: a doubled
+area is the determinant of the lifted columns (1, x, y).
+`sphere_triple_hits` tests only the triangles of the circle pair graph,
+as spheres that share a point meet pairwise.  Signs and degenerate
+flags come one per tuple.
 """
 
 from __future__ import annotations
@@ -253,27 +254,33 @@ def count_unit_triples(x: np.ndarray, y: np.ndarray, z: np.ndarray,
 
 
 def _stack(blocks: list[np.ndarray], k: int) -> np.ndarray:
-    if not blocks:
-        return np.zeros((0, k), dtype=np.int64)
-    return np.concatenate(blocks)
+    return np.concatenate(blocks) if blocks else np.zeros((0, k), dtype=np.int64)
 
 
 def _flags(flags: list[np.ndarray], dtype=bool) -> np.ndarray:
     return np.concatenate(flags) if flags else np.zeros(0, dtype=dtype)
 
 
-def _row_hits(i: int, *cols: np.ndarray) -> np.ndarray:
-    """Hit tuples (i, i+1+c_1, i+1+c_2, ...) from tail-relative indices."""
-    return np.column_stack((np.full(cols[0].size, i, dtype=np.int64),)
-                           + tuple(c + (i + 1) for c in cols))
+def _rows(prefix: tuple, start: int, *tails: np.ndarray) -> np.ndarray:
+    """Hit tuples (prefix..., start + t_1, ...) from tail index arrays t."""
+    out = np.empty((tails[0].size, len(prefix) + len(tails)), dtype=np.int64)
+    out[:, :len(prefix)] = prefix
+    for col, tail in enumerate(tails, len(prefix)):
+        out[:, col] = tail + start
+    return out
+
+
+def _upper(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (j, l), j < l, where a square mask holds, row-major."""
+    jj, ll = np.nonzero(mask)
+    return jj[jj < ll], ll[jj < ll]
 
 
 def unit_pair_hits(x: np.ndarray, y: np.ndarray, s: np.ndarray,
                    rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pairs i<j with i < rows (every pair by default) and
     |x_i y_j - y_i x_j| == s_i s_j as an (m, 2) index array in
-    lexicographic order, and the sign of each determinant
-    x_i y_j - y_i x_j."""
+    lexicographic order, and the sign of each of these determinants."""
     x, y, s = _exact(_unit_bound((x, y), s), x, y, s)
     last = x.shape[0] - 1
     blocks, signs = [], []
@@ -281,7 +288,7 @@ def unit_pair_hits(x: np.ndarray, y: np.ndarray, s: np.ndarray,
         d = x[i] * y[i + 1:] - y[i] * x[i + 1:]
         jj = np.nonzero(np.abs(d) == s[i] * s[i + 1:])[0]
         if jj.size:
-            blocks.append(_row_hits(i, jj))
+            blocks.append(_rows((i,), i + 1, jj))
             signs.append(np.sign(d[jj]).astype(np.int64))
     return _stack(blocks, 2), _flags(signs, np.int64)
 
@@ -311,52 +318,55 @@ def _laplace_tables(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return tables
 
 
-def unit_minor_hits(cols, s) -> tuple[np.ndarray, np.ndarray]:
-    """d-subsets i_1 < ... < i_d of the columns (d = len(cols) >= 3 rows)
-    whose determinant is +-s_i_1 ... s_i_d, as an (m, d) index array in
-    lexicographic order, and the sign of each.
-
-    A python loop runs over the increasing (d-2)-prefixes, each built
-    from its parent in one product with every later column
-    (`_laplace_tables`).  A prefix's last product gives its (d-1)-minors
-    with each later column j, and their contraction with the columns l
-    decides its whole (j, l) block.  Every minor and partial sum is at
-    most d! max|entry|^d, the bound `_unit_bound` takes."""
-    d = len(cols)
-    if d < 3:
-        raise ValueError("unit_minor_hits needs d >= 3")
-    *rows, s = _exact(_unit_bound(cols, s), *cols, s)
+def _minor_blocks(rows: list[np.ndarray]):
+    """(prefix, start, det) per increasing (d-2)-prefix of the columns
+    (rows[0][i], ..., rows[d-1][i]), d >= 3, in lexicographic order:
+    det[j, l] is the determinant of the prefix and the columns start + j,
+    start + l, start = prefix[-1] + 1.  Each prefix's minors come from its
+    parent's in one product with every later column (`_laplace_tables`);
+    its (d-1)-minors with each column j, contracted with the columns l,
+    give the whole antisymmetric block.  Every minor and partial sum is a
+    sub-sum of a determinant's d! terms, one entry from each row."""
+    d = len(rows)
     C = np.column_stack(rows)
     CT = np.ascontiguousarray(C.T)
-    n = C.shape[0]
-    ss = np.multiply.outer(s, s)
     tables = _laplace_tables(d)
-    blocks, signs = [], []
 
-    def walk(prefix, minors, scale, start):
+    def walk(prefix, minors, start):
         idx, sgn = tables[len(prefix)]
         if len(prefix) < d - 2:
-            stop = n - d + len(prefix) + 1
+            stop = len(C) - d + len(prefix) + 1
             ext = C[start:stop] @ (minors[idx] * sgn)
             for c in range(start, stop):
-                walk(prefix + (c,), ext[c - start], scale * s[c], c + 1)
+                yield from walk(prefix + (c,), ext[c - start], c + 1)
             return
         E = C[start:] @ (minors[idx] * sgn)
         # d outer products: the integer matmul E @ CT has no BLAS path
         det = np.multiply.outer(E[:, 0], CT[0, start:])
         for r in range(1, d):
             det += np.multiply.outer(E[:, r], CT[r, start:])
-        # det is antisymmetric: each hit appears as (j, l) and as (l, j)
-        jj, ll = np.nonzero(np.abs(det) == scale * ss[start:, start:])
-        keep = jj < ll
-        jj, ll = jj[keep], ll[keep]
-        if jj.size:
-            blocks.append(np.column_stack(
-                [np.full(jj.size, i, dtype=np.int64) for i in prefix]
-                + [jj + start, ll + start]))
-            signs.append(np.sign(det[jj, ll]).astype(np.int64))
+        yield prefix, start, det
 
-    walk((), np.ones(1, dtype=C.dtype), 1, 0)
+    return walk((), np.ones(1, dtype=C.dtype), 0)
+
+
+def unit_minor_hits(cols, s) -> tuple[np.ndarray, np.ndarray]:
+    """d-subsets i_1 < ... < i_d of the columns (d = len(cols) >= 3 rows)
+    whose determinant is +-s_i_1 ... s_i_d, as an (m, d) index array in
+    lexicographic order, and the sign of each, from the blocks of
+    `_minor_blocks`, guarded by `_unit_bound`."""
+    d = len(cols)
+    if d < 3:
+        raise ValueError("unit_minor_hits needs d >= 3")
+    *rows, s = _exact(_unit_bound(cols, s), *cols, s)
+    ss = np.multiply.outer(s, s)
+    blocks, signs = [], []
+    for prefix, start, det in _minor_blocks(rows):
+        scale = math.prod(s[c] for c in prefix)
+        jj, ll = _upper(np.abs(det) == scale * ss[start:, start:])
+        if jj.size:
+            blocks.append(_rows(prefix, start, jj, ll))
+            signs.append(np.sign(det[jj, ll]).astype(np.int64))
     return _stack(blocks, d), _flags(signs, np.int64)
 
 
@@ -366,25 +376,21 @@ def area_triple_hits(x: np.ndarray, y: np.ndarray, lo_a: int, lo_b: int,
     in the band [2*scale2*lo, 2*scale2*hi] with lo = lo_a/lo_b and
     hi = hi_a/hi_b, as an (m, 3) index array in lexicographic order.
 
-    One step per i decides the whole (j, l) block of its tail.  Each
-    |cross| is at most 8 c^2, c the largest |coordinate|, and is
-    multiplied by a band denominator.
-    """
+    The cross product is the determinant of the lifted columns
+    (1, x_i, y_i) from `_minor_blocks`.  Each of its six terms has one
+    entry 1, so every minor and partial sum is at most 6 c^2, c the
+    largest |coordinate|, before |det| meets a band denominator."""
     c = max(1, _maxabs(x), _maxabs(y))
-    bound = max(8 * c * c * max(lo_b, hi_b),
+    bound = max(6 * c * c * max(lo_b, hi_b),
                 2 * scale2 * max(abs(lo_a), abs(hi_a)))
     x, y = _exact(bound, x, y)
-    lo_t = 2 * scale2 * lo_a
-    hi_t = 2 * scale2 * hi_a
+    lo_t, hi_t = 2 * scale2 * lo_a, 2 * scale2 * hi_a
     blocks = []
-    for i in range(x.shape[0] - 2):
-        ax = x[i + 1:] - x[i]
-        ay = y[i + 1:] - y[i]
-        cross = np.abs(np.multiply.outer(ax, ay) - np.multiply.outer(ay, ax))
-        ok = (cross * lo_b >= lo_t) & (cross * hi_b <= hi_t)
-        jj, ll = np.nonzero(np.triu(ok, 1))
+    for prefix, start, det in _minor_blocks([np.ones_like(x), x, y]):
+        cross = np.abs(det)
+        jj, ll = _upper((cross * lo_b >= lo_t) & (cross * hi_b <= hi_t))
         if jj.size:
-            blocks.append(_row_hits(i, jj, ll))
+            blocks.append(_rows(prefix, start, jj, ll))
     return _stack(blocks, 3)
 
 
@@ -396,29 +402,30 @@ def count_area_triples(x: np.ndarray, y: np.ndarray, lo_a: int, lo_b: int,
 
 def _sphere_bound(c, r2) -> int:
     """Bound on the products of the circle and sphere sweeps: g bounds
-    every |u|^2, |u.w| and |rho| of the sweep, and their products stay
-    below 16 g^3."""
+    every |u|^2, |u.w| and |rho|, and their products stay below 16 g^3."""
     span = 2 * _maxabs(c)
     g = np.shape(c)[1] * span * span + _maxabs(r2)
     return 16 * g**3
 
 
 def circle_pair_hits(c: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs i<j of circles (integer centres c, shape (n, 2), integer
-    squared radii r2) that meet, with a flag per pair for identical
-    circles.  With D the squared centre distance, the circles meet iff
+    """Pairs i<j of circles, or spheres in any dimension (integer centres
+    c, shape (n, k), integer squared radii r2) that meet, with a flag per
+    identical pair.  With D the squared centre distance, they meet iff
     (D - a - b)^2 <= 4ab, which is |r_i - r_j| <= dist <= r_i + r_j in
     squared quantities only.  Guarded as `sphere_triple_hits`."""
     c, r2 = _exact(_sphere_bound(c, r2), c, r2)
+    # a row per coordinate: numpy sums a short last axis slowly
+    cT = np.ascontiguousarray(c.T)
     blocks, flags = [], []
     for i in range(c.shape[0] - 1):
-        u = c[i + 1:] - c[i]
-        D = (u * u).sum(axis=1)
+        u = cT[:, i + 1:] - cT[:, i, None]
+        D = (u * u).sum(axis=0)
         a, b = r2[i], r2[i + 1:]
         t = D - a - b
         jj = np.nonzero(t * t <= 4 * a * b)[0]
         if jj.size:
-            blocks.append(_row_hits(i, jj))
+            blocks.append(_rows((i,), i + 1, jj))
             flags.append((D[jj] == 0) & (b[jj] == a))
     return _stack(blocks, 2), _flags(flags)
 
@@ -428,45 +435,35 @@ def sphere_triple_hits(c: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.nd
     integer squared radii r2) that share a point, with a flag per triple
     that contains an identical pair.
 
-    In coordinates centred at c_i and doubled, sphere i is |y|^2 = 4 r2_i
+    Spheres that share a point meet pairwise, so only the triangles of
+    the `circle_pair_hits` graph are tested: pairs (i, j) and (i, l),
+    j < l, whose (j, l) is a pair too (Chiba and Nishizeki 1985).  In
+    coordinates centred at c_i and doubled, sphere i is |y|^2 = 4 r2_i
     and sphere j cuts it along the radical plane u.y = rho_u, where
-    u = c_j - c_i and rho_u = |u|^2 + r2_i - r2_j.  u = 0 means sphere j
-    is concentric with sphere i: identical if rho_u = 0, which leaves no
-    constraint, and disjoint otherwise.  One plane meets the sphere iff
-    rho_u^2 <= 4 r2_i |u|^2.  Two planes u, w with A = |u x w|^2 > 0 meet
-    in a line whose squared distance from the centre is Q / A, with
-    Q = |w|^2 rho_u^2 - 2 (u.w) rho_u rho_w + |u|^2 rho_w^2 (the Gram
-    form), so the triple meets iff Q <= 4 r2_i A.  Parallel planes
-    (A = 0) coincide iff rho_w |u|^2 = (u.w) rho_u, and then one plane
-    decides.  All of these are polynomial sign tests in the data, whose
-    products `_sphere_bound` bounds.
-    """
+    u = c_j - c_i and rho_u = |u|^2 + r2_i - r2_j.  The plane meets the
+    sphere iff rho_u^2 <= 4 r2_i |u|^2, which expands to the pair test;
+    so on a triangle every plane meets sphere i, and u = 0 only for an
+    identical sphere (rho_u = 0), which leaves no constraint.  With
+    A = |u x w|^2 and the Gram form
+    Q = |w|^2 rho_u^2 - 2 (u.w) rho_u rho_w + |u|^2 rho_w^2, the triple
+    meets iff Q <= 4 r2_i A.  For A > 0 the planes meet in a line at
+    squared distance Q / A from the centre.  A = 0 when u = 0, where
+    rho_u = 0 makes Q = 0, and when w = t u, where
+    Q = |u|^2 (t rho_u - rho_w)^2 is 0 iff the planes coincide and one
+    plane decides.  Two equal centres on a triangle make an identical
+    pair.  `_sphere_bound` bounds every product of these tests."""
     c, r2 = _exact(_sphere_bound(c, r2), c, r2)
-    blocks, flags = [], []
-    for i in range(c.shape[0] - 2):
-        U = c[i + 1:] - c[i]
-        R = r2[i]
-        uu = (U * U).sum(axis=1)
-        rho = uu + R - r2[i + 1:]
-        G = U @ U.T
-        concentric = uu == 0
-        ident = concentric & (rho == 0)
-        one_plane = rho * rho <= 4 * R * uu
-        # row j gives the plane u, column l the plane w
-        uu_r, uu_c = uu[:, None], uu[None, :]
-        rho_r, rho_c = rho[:, None], rho[None, :]
-        A = uu_r * uu_c - G * G
-        Q = uu_c * rho_r * rho_r - 2 * G * rho_r * rho_c + uu_r * rho_c * rho_c
-        two = ~concentric[:, None] & ~concentric[None, :]
-        meets = two & np.where(A > 0, Q <= 4 * R * A,
-                               (rho_c * uu_r == G * rho_r) & one_plane[:, None])
-        meets |= ident[:, None] & (ident[None, :]
-                                   | (~concentric & one_plane)[None, :])
-        meets |= ident[None, :] & (~concentric & one_plane)[:, None]
-        jj, ll = np.nonzero(np.triu(meets, 1))
-        if jj.size:
-            blocks.append(_row_hits(i, jj, ll))
-            same_jl = (uu[jj] + uu[ll] - 2 * G[jj, ll] == 0) & (rho[jj] == rho[ll])
-            flags.append(ident[jj] | ident[ll] | same_jl)
-    return _stack(blocks, 3), _flags(flags)
-
+    first, second = circle_pair_hits(c, r2)[0].T
+    # wedges: each pair p = (i, j) with each later pair q = (i, l)
+    later = np.searchsorted(first, first, side="right") - np.arange(first.size) - 1
+    p = np.repeat(np.arange(first.size), later)
+    q = p + 1 + np.arange(p.size) - np.repeat(np.cumsum(later) - later, later)
+    tri = np.isin(second[p] * len(c) + second[q], first * len(c) + second)
+    i, j, l = first[p[tri]], second[p[tri]], second[q[tri]]
+    U, W, R = c[j] - c[i], c[l] - c[i], r2[i]
+    uu, ww, G = (U * U).sum(axis=1), (W * W).sum(axis=1), (U * W).sum(axis=1)
+    rho_u, rho_w = uu + R - r2[j], ww + R - r2[l]
+    Q = ww * rho_u * rho_u - 2 * G * rho_u * rho_w + uu * rho_w * rho_w
+    meets = Q <= 4 * R * (uu * ww - G * G)
+    flags = (uu == 0) | (ww == 0) | (uu + ww == 2 * G)
+    return _rows((), 0, i[meets], j[meets], l[meets]), flags[meets]

@@ -1,8 +1,11 @@
 """Kernels against brute force: the direction-class unit-pair count
 against the quadratic row sweep, and the hit sweeps on int64 and on
-python-int object data."""
+python-int object data; and the hits of seeded sweep configurations
+against pinned digests."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import runpy
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zarank import kernels
+from zarank import geometry, kernels
+from zarank.experiments import ExperimentSpec, _config
 from zarank.geometry import (
     _det_fraction_gauss,
     circles_intersect,
@@ -329,6 +333,33 @@ def test_area_hits_match_brute_force(pts, lo_n, width, den, s2, shift):
                                       lo_b, hi_a, hi_b, s2) == len(want)
 
 
+@pytest.mark.parametrize("step", [0, 1])
+def test_area_int64_guard(step, monkeypatch):
+    """The area band's bound is 6 c^2 max(lo_b, hi_b), c the largest
+    |coordinate|: the largest c with that bound below 2^62 runs on int64,
+    c + 1 on python ints, and both give the brute-force hits."""
+    # |cross| in [4/5, 8/7]: the unit cross products, and max(5, 7) = 7
+    lo_a, lo_b, hi_a, hi_b, s2 = 2, 5, 4, 7, 1
+    c = math.isqrt((2**62 - 1) // (6 * 7)) + step
+    assert (6 * c * c * 7 >= 2**62) == bool(step)
+    pts = [(c, c), (c - 1, c), (c, c - 1), (c - 1, c - 1), (-c, c), (c, -c),
+           (-c, -c), (c - 2, c - 1), (0, 0), (1, 0), (0, 1), (1 - c, -c)]
+    x, y = (np.array(v, dtype=np.int64) for v in zip(*pts))
+    want = brute_area_hits(x, y, lo_a, lo_b, hi_a, hi_b, s2)
+    assert len(want) > 4
+    seen, real = [], kernels._exact
+
+    def spy(bound, *arrays):
+        out = real(bound, *arrays)
+        seen.extend(a.dtype for a in out)
+        return out
+
+    monkeypatch.setattr(kernels, "_exact", spy)
+    got = kernels.area_triple_hits(x, y, lo_a, lo_b, hi_a, hi_b, s2)
+    assert set(seen) == {np.dtype(object) if step else np.dtype(np.int64)}
+    assert [tuple(h) for h in got.tolist()] == want
+
+
 def brute_sphere_hits(c, r2):
     """Hits and degenerate flags from the rational predicates."""
     k = len(c[0])
@@ -383,6 +414,56 @@ def test_sphere_hits_match_rational_predicate(data):
     check_sphere_sweep(*data, kernels.sphere_triple_hits)
 
 
+@st.composite
+def small_spheres(draw):
+    """Up to 7 spheres with centres in [-2, 2]^3 and squared radii 1..9,
+    some copies of an earlier sphere or concentric with one, so identical
+    and concentric pairs come up, and triples that meet pairwise but
+    share no point."""
+    spheres = []
+    for kind in draw(st.lists(st.sampled_from(["new", "new", "copy",
+                                               "concentric"]), max_size=7)):
+        if kind == "new" or not spheres:
+            spheres.append((draw(st.tuples(*[st.integers(-2, 2)] * 3)),
+                            draw(st.integers(1, 9))))
+        else:
+            centre, r2 = draw(st.sampled_from(spheres))
+            spheres.append((centre, r2 if kind == "copy"
+                            else draw(st.integers(1, 9))))
+    return [c for c, _ in spheres], [r for _, r in spheres]
+
+
+# (centres, squared radii, meeting pairs, meeting triples)
+PAIR_GRAPHS = [
+    ([], [], 0, 0),
+    ([(0, 0, 0), (2, 2, 2), (-2, -2, -2)], [1, 1, 1], 0, 0),
+    ([(0, 0, 0), (1, 0, 0), (-2, 2, 2)], [1, 1, 1], 1, 0),
+    # sphere 0 has the single later neighbour 1, which meets 2 and 3
+    ([(-2, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0)], [1, 1, 1, 1], 4, 1),
+    # every pair meets, the triple does not: circumradius 5/2 > 2
+    ([(-2, 0, 0), (2, 0, 0), (0, 1, 0)], [4, 4, 4], 3, 0),
+    # 0 and 1 identical, 2 concentric with both, 3 meets all three
+    ([(0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0)], [2, 2, 5, 2], 4, 1),
+]
+
+
+@pytest.mark.parametrize("c, r2, pairs, triples", PAIR_GRAPHS)
+def test_sphere_triangles_of_small_pair_graphs(c, r2, pairs, triples):
+    """The sphere sweep tests the triangles of the pair graph; these pair
+    graphs are empty, a single edge, a vertex with one later neighbour,
+    a triangle with no common point and identical or concentric pairs."""
+    data = np.array(c, dtype=np.int64).reshape(len(c), 3), np.array(r2)
+    assert len(kernels.circle_pair_hits(*data)[0]) == pairs
+    assert len(kernels.sphere_triple_hits(*data)[0]) == triples
+    check_sphere_sweep(c, r2, kernels.sphere_triple_hits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_spheres())
+def test_sphere_triangles_match_rational_predicate(data):
+    check_sphere_sweep(*data, kernels.sphere_triple_hits)
+
+
 @pytest.mark.parametrize("c, r2, meets", [
     # tangent at (1, 0, 0): the two radical planes meet in a line that
     # touches the first sphere (discriminant 0)
@@ -407,8 +488,50 @@ def test_sphere_hits_special_cases(c, r2, meets):
 def test_bench_kernels_smoke(capsys):
     # the script asserts that both pair counts (and the area rows) agree
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-    runpy.run_path(str(script))["main"](["--scale", "4", "--points", "30"])
+    runpy.run_path(str(script))["main"](["--scale", "4", "--points", "30",
+                                         "--columns", "20", "--spheres", "60"])
     out = capsys.readouterr().out
     assert "direction classes" in out and "row sweep" in out
     assert "block" not in out
     assert "area-band hit sweep over 30 points" in out
+    assert "d=3 unit-minor hit sweep over 20 columns" in out
+    assert "sphere triple hit sweep over 60 spheres" in out
+
+
+# ---------------------------------------------------------------------------
+# hits of seeded sweep configurations, pinned
+
+
+def sweep_hits(kind, variant, n):
+    """The hit arrays (hits, and signs or flags) of the seed-0
+    configuration of size n that a sweep of this kind builds."""
+    d = 2 if kind == "triangles" else 3
+    cfg, _ = _config(ExperimentSpec(kind, d, (8, 16, 32), variant=variant), n)
+    if kind == "spheres":
+        return geometry._sphere_hits(cfg)
+    if kind == "minors":
+        return geometry._unit_hits(cfg)
+    band = geometry._area_band_args(cfg, Fraction(9, 10), Fraction(11, 10))
+    return (kernels.area_triple_hits(*band),)
+
+
+@pytest.mark.parametrize("kind, variant, n, count, digest", [
+    ("spheres", "random", 80, 59,
+     "f394a54853ad70cd64ebce54fb4e303f8acbe542e0e5053017eb4a27db689273"),
+    ("spheres", "random", 320, 472,
+     "2020013ec2e61c63d45409df6e7cc011e86673676cc7237d076240ca8e3c0508"),
+    ("triangles", "random", 160, 2285,
+     "90d646c9baaa51c151ead535b8df2874e2c9b16576102fbd9c6ddfb98e796c39"),
+    ("triangles", "clusters", 160, 151686,
+     "baac325463048343a01bf0c3a5d216c37eab7dad9dc121b57827b8d6783e73bb"),
+    ("minors", "random", 40, 78,
+     "ffe0033f0851c4e8d6974fb8f99ea2498b2d91feda47d9fb47f1864f4da8b3a9"),
+])
+def test_sweep_hits_match_pinned_digests(kind, variant, n, count, digest):
+    """sha256 of the JSON of the hit arrays' `tolist()`: the same hits,
+    in the same order, with the same signs and degenerate flags as the
+    per-anchor cubic sweeps that recorded them."""
+    arrays = sweep_hits(kind, variant, n)
+    assert len(arrays[0]) == count
+    text = json.dumps([a.tolist() for a in arrays])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
