@@ -151,7 +151,8 @@ def eval_E(d: DimProfile, n: SizeProfile) -> BoundValue:
     return BoundValue.build([term])
 
 
-def _f_terms(d: DimProfile, n: SizeProfile, eps: Fraction
+def _f_terms(d: DimProfile, n: SizeProfile, eps: Fraction,
+             alphas: Optional[dict] = None
              ) -> list[tuple[frozenset[int], list[tuple[int, Rational]]]]:
     """All terms of the full bound as (index set, (base, exponent) list)
     pairs, k >= 1.
@@ -159,13 +160,22 @@ def _f_terms(d: DimProfile, n: SizeProfile, eps: Fraction
     Subset terms for |I| >= 2, with index set I, then the k trailing terms
     prod_{j != l} n_j (the expansion of (sum 1/n_l) prod n_l), with index
     set {l}.  A term does not involve i when i is not in its set.
+
+    `alphas` maps a dims tuple to its `_alphas`, filled on first use: a
+    check hands one dict to all its calls, so each subset's exponents
+    are built once per check.
     """
     k = d.k
     dims, sizes = d.dims, n.sizes
+    if alphas is None:
+        alphas = {}
     terms = []
     for r in range(2, k + 1):
         for idx in itertools.combinations(range(k), r):
-            sub_alphas = _alphas(tuple(dims[i] for i in idx))
+            sub = tuple(dims[i] for i in idx)
+            if sub not in alphas:
+                alphas[sub] = _alphas(sub)
+            sub_alphas = alphas[sub]
             inside = frozenset(idx)
             term = [(sizes[i], alpha + eps if eps else alpha)
                     for i, alpha in zip(idx, sub_alphas)]
@@ -305,8 +315,9 @@ def check_monotonicity(d: DimProfile, n: SizeProfile, i: int,
     if failed:
         return MonotonicityReport(i, False, failed, None)
 
-    lo_terms = [term for _, term in _f_terms(d.decrement(i), n, eps)]
-    hi_terms = [term for _, term in _f_terms(d, n, eps)]
+    alphas: dict = {}
+    lo_terms = [term for _, term in _f_terms(d.decrement(i), n, eps, alphas)]
+    hi_terms = [term for _, term in _f_terms(d, n, eps, alphas)]
     prods = products_from_terms(lo_terms + hi_terms)
     lo_prods, hi_prods = prods[:len(lo_terms)], prods[len(lo_terms):]
     holds = (all(lo.compare(hi) <= 0 for lo, hi in zip(lo_prods, hi_prods))

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import stat
 import sys
 from fractions import Fraction
 
@@ -197,13 +199,21 @@ def cmd_bounds(args) -> int:
 
 def _write_out(text: str, path) -> None:
     """Write `text` to `path` (stdout if none); an unwritable path is an
-    InputError."""
+    InputError.
+
+    A regular file is overwritten in place and then cut at the end of
+    `text`, never truncated to zero first: on ext4 (`auto_da_alloc`),
+    closing a file that was truncated to zero while it held unwritten
+    data waits for its writeback.  Pipes and devices are not cut."""
     if not path:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as err:
         raise InputError(f"{path}: {err}") from None
 

@@ -16,9 +16,8 @@ integer width.  No floating point is consulted for any edge decision.
 The independent `*_naive` oracles loop on python ints over the same
 stored integers, without the kernels or the common-denominator form.
 The `Fraction` views (`points`, `spheres`) are built on first use, for
-text output and for the two oracle steps that divide: Gaussian
-elimination for unit minors at d >= 4 and the radical planes of three
-spheres.
+text output and for the one oracle step that divides: the radical planes
+of three spheres.
 
 Both file formats (`to_text`, `from_text`) are a first line `d n`, then
 n lines of rationals (`p/q` or integer): a point's (matrix column's) d
@@ -235,7 +234,7 @@ class PointConfig(_RationalRows):
     Point i is numerators[i] / denominators[i], the column cleared of its
     denominators, which is what the exact predicates and the
     independent oracles read.  `points` is the `Fraction` view, for text
-    output and the d >= 4 unit-minor oracle.
+    output.
     """
 
     __slots__ = ()
@@ -373,19 +372,19 @@ def count_unit_minors(M: PointConfig) -> int:
 def count_unit_minors_naive(M: PointConfig) -> int:
     """Independent oracle: the determinant of every d-subset of columns.
 
-    For d in {2, 3} column i is numerators[i] / denominators[i], so a
-    subset's rational determinant is +-1 exactly when the integer
-    determinant of its numerators is +-(the product of its
-    denominators); that determinant is taken by cofactors on python ints,
-    each pair's cross product once for all its third columns at d = 3.
-    For d >= 4 it is the `Fraction` determinant by Gaussian elimination.
+    Column i is numerators[i] / denominators[i], so a subset's rational
+    determinant is +-1 exactly when the integer determinant of its
+    numerators is +-(the product of its denominators).  That determinant
+    is taken on python ints: by cofactors for d in {2, 3}, each pair's
+    cross product once for all its third columns at d = 3, and by
+    fraction-free elimination (`_det_bareiss`) for d >= 4.
     """
     d = M.dim
-    if d not in (2, 3):
-        return sum(1 for combo in itertools.combinations(M.points, d)
-                   if abs(_det_fraction_gauss(
-                       [[c[r] for c in combo] for r in range(d)])) == 1)
     cols = list(zip(M.numerators.tolist(), M.denominators.tolist()))
+    if d >= 4:
+        return sum(1 for combo in itertools.combinations(cols, d)
+                   if abs(_det_bareiss([u for u, _ in combo]))
+                   == math.prod(s for _, s in combo))
     if d == 2:
         return sum(1 for ((a, b), s), ((c, e), t)
                    in itertools.combinations(cols, 2)
@@ -401,28 +400,27 @@ def count_unit_minors_naive(M: PointConfig) -> int:
     return count
 
 
-def _det_fraction_gauss(m: list[list[Fraction]]) -> Fraction:
+def _det_bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination on python ints: every division is exact, and a zero pivot
+    swaps in the first later row with a nonzero entry in its column."""
+    m = [list(row) for row in m]
     n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return det
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        p, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+    return sign * m[-1][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,11 @@ gives the determinant blocks in which `unit_minor_hits` finds the unit
 minors of every d >= 3 and `area_triple_hits` the area band: a doubled
 area is the determinant of the lifted columns (1, x, y).
 `sphere_triple_hits` tests only the triangles of the circle pair graph,
-as spheres that share a point meet pairwise.  Signs and degenerate
-flags come one per tuple.
+as spheres that share a point meet pairwise.  The two sphere stages are
+guarded apart: the quadratic pair sweep by its degree-2 products and
+only the triangle test by its degree-3 ones, so that large inputs leave
+int64 for the triangles alone.  Signs and degenerate flags come one per
+tuple.
 """
 
 from __future__ import annotations
@@ -400,12 +403,13 @@ def count_area_triples(x: np.ndarray, y: np.ndarray, lo_a: int, lo_b: int,
     return len(area_triple_hits(x, y, lo_a, lo_b, hi_a, hi_b, scale2))
 
 
-def _sphere_bound(c, r2) -> int:
-    """Bound on the products of the circle and sphere sweeps: g bounds
-    every |u|^2, |u.w| and |rho|, and their products stay below 16 g^3."""
+def _sphere_scale(c, r2) -> int:
+    """g, a bound on every |u|^2, |u.w|, |rho| and squared radius that the
+    circle and sphere sweeps form.  The pair test's products stay below
+    16 g^2 (t^2 <= 9 g^2, 4ab <= 4 g^2) and the triangle test's below
+    16 g^3, so each stage is guarded by its own degree."""
     span = 2 * _maxabs(c)
-    g = np.shape(c)[1] * span * span + _maxabs(r2)
-    return 16 * g**3
+    return np.shape(c)[1] * span * span + _maxabs(r2)
 
 
 def circle_pair_hits(c: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,8 +417,9 @@ def circle_pair_hits(c: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndar
     c, shape (n, k), integer squared radii r2) that meet, with a flag per
     identical pair.  With D the squared centre distance, they meet iff
     (D - a - b)^2 <= 4ab, which is |r_i - r_j| <= dist <= r_i + r_j in
-    squared quantities only.  Guarded as `sphere_triple_hits`."""
-    c, r2 = _exact(_sphere_bound(c, r2), c, r2)
+    squared quantities only.  Its products have degree 2, so it runs on
+    int64 while 16 g^2 < 2^62 (`_sphere_scale`)."""
+    c, r2 = _exact(16 * _sphere_scale(c, r2)**2, c, r2)
     # a row per coordinate: numpy sums a short last axis slowly
     cT = np.ascontiguousarray(c.T)
     blocks, flags = [], []
@@ -451,9 +456,11 @@ def sphere_triple_hits(c: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.nd
     rho_u = 0 makes Q = 0, and when w = t u, where
     Q = |u|^2 (t rho_u - rho_w)^2 is 0 iff the planes coincide and one
     plane decides.  Two equal centres on a triangle make an identical
-    pair.  `_sphere_bound` bounds every product of these tests."""
-    c, r2 = _exact(_sphere_bound(c, r2), c, r2)
+    pair.  The pair sweep picks its dtype from its own degree-2 bound;
+    only the triangle stage, whose products have degree 3, is guarded by
+    16 g^3 (`_sphere_scale`)."""
     first, second = circle_pair_hits(c, r2)[0].T
+    c, r2 = _exact(16 * _sphere_scale(c, r2)**3, c, r2)
     # wedges: each pair p = (i, j) with each later pair q = (i, l)
     later = np.searchsorted(first, first, side="right") - np.arange(first.size) - 1
     p = np.repeat(np.arange(first.size), later)

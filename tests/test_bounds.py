@@ -426,6 +426,30 @@ class TestFactorizeOnce:
         assert calls == Counter({360: 1, 100: 1})
 
 
+class TestExponentsOnce:
+    """Each check builds the exponents of each dims tuple of its subsets
+    once, also across the two profiles of a monotonicity check."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        alphas = bounds._alphas
+        monkeypatch.setattr(bounds, "_alphas",
+                            lambda dims: calls.update([dims]) or alphas(dims))
+        return calls
+
+    def test_dominance(self, calls):
+        check_dominance(DimProfile((2, 2, 3)),
+                        SizeProfile((10**6, 720720, 10**6)), Fraction(1, 1000))
+        assert calls == Counter({(2, 2): 1, (2, 3): 1, (2, 2, 3): 1})
+
+    def test_monotonicity(self, calls):
+        check_monotonicity(DimProfile((3, 2, 4)),
+                           SizeProfile((360, 100, 360)), 0, Fraction(1, 100))
+        assert calls == Counter({(2, 2): 1, (2, 4): 1, (2, 2, 4): 1,
+                                 (3, 2): 1, (3, 4): 1, (3, 2, 4): 1})
+
+
 class TestSumFallbacks:
     """The branches behind the termwise comparison: the sums, and an
     undecided sum comparison counting as not holding."""

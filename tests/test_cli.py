@@ -3,8 +3,12 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +17,11 @@ from zarank.cli import main
 from zarank.geometry import (
     PointConfig,
     SphereConfig,
-    _det_fraction_gauss,
     circles_intersect,
     triangle_double_area,
 )
 from zarank.hypergraph import KPartiteHypergraph
+from fraction_det import det_fraction_gauss
 
 
 def run(capsys, *argv):
@@ -159,7 +163,7 @@ class TestBuildText:
             if kind == "minors":
                 k = 2
                 edges = [e for e in itertools.permutations(range(n), 2)
-                         if _det_fraction_gauss([[P[i][r] for i in e]
+                         if det_fraction_gauss([[P[i][r] for i in e]
                                                  for r in range(2)]) == 1]
             else:
                 k = 3
@@ -251,6 +255,82 @@ class TestExperimentCmd:
             (True, "", False),
             (False, "pattern check budget exhausted", False),
             (False, "pattern check budget exhausted", False)]
+
+
+class TestOutputInPlace:
+    """An output file is overwritten in place and cut at the end of the
+    new text, never truncated to zero first; pipes and devices are
+    written as before."""
+
+    SPEC = {"kind": "st-config", "d": 2, "sizes": [2, 3, 4], "seed": 1}
+
+    def report(self, tmp_path, capsys, out) -> bytes:
+        """The report written to `out`, and then read back from it."""
+        sf = tmp_path / "spec.json"
+        sf.write_text(json.dumps(self.SPEC))
+        code, _, _ = run(capsys, "experiment", "--spec", str(sf),
+                         "--out", str(out))
+        assert code == 0
+        return Path(out).read_bytes()
+
+    def old_file(self, path, size=100_000) -> Path:
+        path.write_bytes(bytes(range(256)) * (size // 256) + b"!" * (size % 256))
+        return path
+
+    def test_longer_file_is_cut_to_the_report(self, tmp_path, capsys):
+        fresh = self.report(tmp_path, capsys, tmp_path / "fresh.json")
+        assert 0 < len(fresh) < 100_000
+        big = self.old_file(tmp_path / "big.json")
+        assert self.report(tmp_path, capsys, big) == fresh
+
+    def test_hard_link_sees_the_report_on_the_same_inode(self, tmp_path,
+                                                         capsys):
+        fresh = self.report(tmp_path, capsys, tmp_path / "fresh.json")
+        out = self.old_file(tmp_path / "out.json")
+        link = tmp_path / "link.json"
+        os.link(out, link)
+        inode = out.stat().st_ino
+        self.report(tmp_path, capsys, out)
+        assert out.stat().st_ino == inode
+        assert link.read_bytes() == fresh
+
+    def test_symlink_is_written_through(self, tmp_path, capsys):
+        fresh = self.report(tmp_path, capsys, tmp_path / "fresh.json")
+        target = self.old_file(tmp_path / "target.json")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert self.report(tmp_path, capsys, link) == fresh
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh
+
+    def test_no_truncating_open(self, tmp_path, capsys, monkeypatch):
+        opened, real = [], os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        out = self.old_file(tmp_path / "out.json")
+        self.report(tmp_path, capsys, out)
+        flags = [f for p, f in opened if p == str(out)]
+        assert len(flags) == 1
+        assert not flags[0] & os.O_TRUNC
+
+    @pytest.mark.parametrize("device", ["/dev/null", "/dev/stdout"])
+    def test_device_into_a_pipe(self, tmp_path, capsys, device):
+        """A device is not a regular file, so it is not cut: /dev/null
+        swallows the report, /dev/stdout hands it to the pipe whole."""
+        fresh = self.report(tmp_path, capsys, tmp_path / "fresh.json")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "zarank.cli", "experiment", "--spec",
+             str(tmp_path / "spec.json"), "--out", device],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert done.returncode == 0
+        assert done.stdout == (b"" if device == "/dev/null" else fresh)
 
 
 class TestVerifyCmd:

@@ -23,7 +23,6 @@ from zarank.geometry import (
     DetTarget,
     PointConfig,
     SphereConfig,
-    _det_fraction_gauss,
     circles_intersect,
     count_almost_unit_area,
     count_almost_unit_area_naive,
@@ -42,6 +41,7 @@ from zarank.geometry import (
     unit_minor_hypergraph,
 )
 from zarank.hypergraph import ForbiddenPattern, contains_complete
+from fraction_det import det_fraction_gauss
 
 
 def frac_points(raw):
@@ -59,7 +59,7 @@ def random_rational_config(rng, d, n, num=4, den=2):
 def column_det(cfg, idx):
     """The `Fraction` determinant of the chosen columns, in the given
     order."""
-    return _det_fraction_gauss([[cfg.points[i][r] for i in idx]
+    return det_fraction_gauss([[cfg.points[i][r] for i in idx]
                                 for r in range(cfg.dim)])
 
 
@@ -562,7 +562,7 @@ def unit_minors_loop(M):
     """Gaussian elimination on every d-subset of columns."""
     d = M.dim
     return sum(1 for cols in itertools.combinations(M.points, d)
-               if abs(geometry._det_fraction_gauss(
+               if abs(det_fraction_gauss(
                    [[c[r] for c in cols] for r in range(d)])) == 1)
 
 
@@ -589,12 +589,13 @@ small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 class TestOraclesMatchTheirLoops:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=160, deadline=None)
     @given(st.data())
     def test_unit_minors(self, data):
         """Columns with denominators, d = 2 and 3 by cofactors, d = 4
-        through `_det_fraction_gauss`; repeated columns allowed."""
-        d = data.draw(st.sampled_from([2, 3, 4]))
+        and 5 by Bareiss elimination; repeated and zero columns make
+        singular subsets."""
+        d = data.draw(st.sampled_from([2, 3, 4, 5]))
         unit = [tuple(Fraction(int(r == i)) for r in range(d))
                 for i in range(d)]
         cols = data.draw(st.lists(st.one_of(
@@ -602,6 +603,41 @@ class TestOraclesMatchTheirLoops:
             max_size=9 if d < 4 else 7))
         M = PointConfig(d, cols)
         assert count_unit_minors_naive(M) == unit_minors_loop(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([4, 5]), st.data())
+    def test_bareiss_matches_fraction_gauss(self, d, data):
+        """Entries in [-2, 2] make zero pivots, and so row swaps, common;
+        a copied row makes the matrix singular."""
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d,
+                                           max_size=d),
+                                  min_size=d, max_size=d))
+        if data.draw(st.booleans()):
+            rows[-1] = list(rows[data.draw(st.integers(0, d - 2))])
+        want = det_fraction_gauss([[Fraction(v) for v in r] for r in rows])
+        assert geometry._det_bareiss(rows) == want
+
+    @pytest.mark.parametrize("rows, det", [
+        # every leading pivot zero: two swaps
+        ([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], 1),
+        # a zero pivot after one elimination step
+        ([[1, 2, 0, 0], [2, 4, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]], -1),
+        # a zero column: no row to swap in
+        ([[1, 0, 2, 3], [4, 0, 5, 6], [7, 0, 8, 9], [1, 0, 1, 1]], 0),
+        ([[3, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 1, 0, 0],
+          [0, 0, 0, -1, 0], [0, 0, 0, 0, 5]], -30),
+    ])
+    def test_bareiss_cases(self, rows, det):
+        assert geometry._det_bareiss(rows) == det == det_fraction_gauss(
+            [[Fraction(v) for v in r] for r in rows])
+
+    def test_d4_oracle_on_the_readme_spec(self, monkeypatch):
+        """Seed 0's n = 32 matrix of the README's d = 4 spec: 35,960
+        subsets, 145 unit, on python ints without a `Fraction`."""
+        M = _random_matrix(ExperimentSpec("minors", 4, (32, 64, 128)), 32)
+        made = fractions_made(monkeypatch)
+        assert count_unit_minors_naive(M) == count_unit_minors(M) == 145
+        assert made == []
 
     def test_unit_minors_d4_case(self):
         cols = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),

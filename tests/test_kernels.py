@@ -19,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 from zarank import geometry, kernels
 from zarank.experiments import ExperimentSpec, _config
 from zarank.geometry import (
-    _det_fraction_gauss,
     circles_intersect,
     spheres_triple_intersect,
     st_lower_bound_minor_config,
 )
+from fraction_det import det_fraction_gauss
 
 
 def random_int_data(rng, n, top=50):
@@ -257,7 +257,7 @@ def brute_unit_hits(cols, scalars, d):
     elimination, is +-1, and its sign."""
     hits, signs = [], []
     for combo in itertools.combinations(range(len(cols)), d):
-        det = _det_fraction_gauss([[Fraction(cols[i][r], scalars[i])
+        det = det_fraction_gauss([[Fraction(cols[i][r], scalars[i])
                                     for i in combo] for r in range(d)])
         if abs(det) == 1:
             hits.append(combo)
@@ -483,6 +483,33 @@ def test_sphere_hits_special_cases(c, r2, meets):
     hits, _ = kernels.sphere_triple_hits(np.array(c), np.array(r2))
     assert (len(hits) == 1) is meets
     check_sphere_sweep(c, r2, kernels.sphere_triple_hits)
+
+
+def test_sphere_guards_split_by_degree(monkeypatch):
+    """Small spheres scaled by 2^10 put g, `_sphere_scale`, between
+    2^(58/3) and 2^29: the degree-2 pair stage stays on int64 and only
+    the degree-3 triangle stage moves to python ints."""
+    rng = random.Random(0)
+    f = 2**10
+    c = [[f * rng.randint(-3, 3) for _ in range(3)] for _ in range(12)]
+    r2 = [f * f * rng.randint(1, 9) for _ in range(12)]
+    g = kernels._sphere_scale(np.array(c), np.array(r2))
+    assert 16 * g**2 < 2**62 <= 16 * g**3
+    want, want_flags = brute_sphere_hits(c, r2)
+    assert len(want) > 10
+    seen, real = [], kernels._exact
+
+    def spy(bound, *arrays):
+        out = real(bound, *arrays)
+        seen.append({a.dtype for a in out})
+        return out
+
+    monkeypatch.setattr(kernels, "_exact", spy)
+    hits, flags = kernels.sphere_triple_hits(np.array(c, dtype=np.int64),
+                                             np.array(r2, dtype=np.int64))
+    assert seen == [{np.dtype(np.int64)}, {np.dtype(object)}]
+    assert [tuple(h) for h in hits.tolist()] == want
+    assert flags.tolist() == want_flags
 
 
 def test_bench_kernels_smoke(capsys):
