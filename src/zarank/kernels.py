@@ -10,9 +10,12 @@ never changes results.
 
 `count_unit_pairs` counts the unit 2x2 minors by direction classes,
 sub-quadratic on incidence-like data such as the Szemeredi-Trotter
-configuration; the quadratic row sweep `unit_pair_hits` takes only the
-light columns with too many lattice points on their partner lines, the
-whole count past the int64 guard, and is the tests' oracle.
+configuration: each heavy class is joined against every column on one
+int64 key, and the light columns enumerate their partner lattice lines,
+which `_lattice_lines` guards by their own product bound; the quadratic
+row sweep `unit_pair_hits` takes only the light columns with too many
+lattice points on those lines, the whole count past the int64 guard,
+and is the tests' oracle.
 
 The hit sweeps return index tuples, all built by `_rows`, from which the
 caller takes the count and the hypergraph: `unit_pair_hits` and
@@ -35,7 +38,8 @@ import math
 
 import numpy as np
 
-# Most candidate lattice points matched against the light columns at once.
+# Most candidate lattice points matched against the light columns at once;
+# a sphere wedge forms some 30 int64 temporaries, so wedges go by _CHUNK // 16.
 _CHUNK = 1 << 20
 
 
@@ -76,10 +80,11 @@ def _unit_bound(cols, s) -> int:
     return max(det, _maxabs(s) ** k)
 
 
-def _labels(cols: list[np.ndarray]) -> np.ndarray:
-    """A label per tuple, equal for equal tuples; cols holds one int64
-    array per component, and tuples are sorted and compared component by
-    component."""
+def _match_counts(keys: tuple, queries: tuple) -> np.ndarray:
+    """For each query tuple, the number of key tuples equal to it; keys and
+    queries hold one int64 array per component, and tuples are sorted and
+    compared component by component."""
+    cols = [np.concatenate((k, q)) for k, q in zip(keys, queries)]
     order = np.lexsort(cols[::-1])
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
@@ -88,14 +93,23 @@ def _labels(cols: list[np.ndarray]) -> np.ndarray:
         new[1:] |= c[1:] != c[:-1]
     label = np.empty(order.size, dtype=np.int64)
     label[order] = np.cumsum(new) - 1
-    return label
-
-
-def _match_counts(keys: tuple, queries: tuple) -> np.ndarray:
-    """For each query tuple, the number of key tuples equal to it."""
-    label = _labels([np.concatenate((k, q)) for k, q in zip(keys, queries)])
     nk = keys[0].size
     return np.bincount(label[:nk], minlength=label.size)[label[nk:]]
+
+
+def _runs(m: np.ndarray, size: int):
+    """The items of runs of m[r] items, r = 0, 1, ..., walked in blocks of
+    at most `size` items (a longer run makes a block of its own): per
+    block, each item's run r and its place 0 .. m[r]-1 in that run."""
+    ends = np.cumsum(m)
+    starts = ends - m
+    lo = 0
+    while lo < m.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + size,
+                                             side="right")))
+        rep = np.repeat(np.arange(lo, hi), m[lo:hi])
+        yield rep, np.arange(rep.size) - (starts[rep] - starts[lo])
+        lo = hi
 
 
 def _bezout(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,11 +145,17 @@ def _lattice_lines(px, py, u, v, t, box):
     p is primitive and sign-normalised, so px >= 0 and p = (0, 1) when
     px = 0; u, v are its Bezout coefficients (px*u + py*v = 1), so
     (-t*v, t*u) is on the line and the points are (-t*v, t*u) + k*p.
-    Products with t are taken on python ints, since t*v can pass 2^63
-    when the line misses the box."""
+    With T = max|t|, V = max(|u|, |v|) and R the box's reach, every
+    intermediate stays below 2 T V + 2 R + 2 max(|px|, |py|): each k is at
+    most T V + R in absolute value, and on a line that meets the box the
+    first point lies in it.  t*v can pass 2^63 on lines that miss the box,
+    so the lines run on python ints past that `_exact` guard."""
     xlo, xhi, ylo, yhi = (int(b) for b in box)
-    px, py, t = (a.astype(object) for a in (px, py, t))
-    bx, by = -t * v.astype(object), t * u.astype(object)
+    reach = max(-xlo, xhi, -ylo, yhi)
+    bound = (2 * _maxabs(t) * max(_maxabs(u), _maxabs(v)) + 2 * reach
+             + 2 * max(_maxabs(px), _maxabs(py)))
+    px, py, t, u, v = _exact(bound, px, py, t, u, v)
+    bx, by = -t * v, t * u
     kx_lo, kx_hi = _k_range(bx, px, xlo, xhi)
     ky_lo, ky_hi = _k_range(by, py, ylo, yhi)
     k_lo = np.where(px == 0, ky_lo, np.where(py == 0, kx_lo, np.maximum(kx_lo, ky_lo)))
@@ -186,18 +206,10 @@ def _light_pairs(x, y, s, g, px, py, n: int) -> int:
         keep = enum[src]
         src, fx, fy, m, sig = src[keep], fx[keep], fy[keep], m[keep], sig[keep]
         keys = (x[enum], y[enum], s[enum])
-        ends = np.cumsum(m)
-        starts = ends - m
-        lo = 0
-        while lo < src.size:
-            hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _CHUNK,
-                                                 side="right")))
-            rep = np.repeat(np.arange(lo, hi), m[lo:hi])
-            step = np.arange(rep.size) - (starts[rep] - starts[lo])
+        for rep, step in _runs(m, _CHUNK):
             qx = fx[rep] + step * px[src[rep]]
             qy = fy[rep] + step * py[src[rep]]
             total += int(_match_counts(keys, (qx, qy, sig[rep])).sum())
-            lo = hi
     rest = ~enum
     order = np.concatenate((np.nonzero(rest)[0], np.nonzero(enum)[0]))
     return total // 2 + len(unit_pair_hits(x[order], y[order], s[order],
@@ -212,9 +224,13 @@ def count_unit_pairs(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> int:
     one direction class never hit.  A class with at least ceil(sqrt(n))
     members is heavy; there are at most sqrt(n) of them.  Each heavy
     class takes one int64 pass over every column j, joining
-    |det(p, w_j)| / s_j against its members' s_i / g_i as reduced
-    fractions: this finds every pair with a heavy end, those with two
-    heavy ends twice, so that part is halved.  Pairs of light columns go
+    |det(p, w_j)| / s_j = qa / qb against its members' s_i / g_i = a / b
+    as reduced fractions: this finds every pair with a heavy end, those
+    with two heavy ends twice, so that part is halved.  The join runs on
+    one int64 key: only queries with qa <= max(a) and qb <= max(b) can
+    match, qb is replaced by its rank among the members' distinct b, and
+    qa * |distinct b| + rank stays below 2^31 (n + 1), as the guard keeps
+    every scale, hence every a, below 2^31.  Pairs of light columns go
     to `_light_pairs`.  Past the int64 guard the row sweep
     `unit_pair_hits` counts them all, on python ints.
     """
@@ -228,21 +244,32 @@ def count_unit_pairs(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> int:
     flip = (x < 0) | ((x == 0) & (y < 0))
     px = np.where(flip, -x, x) // g
     py = np.where(flip, -y, y) // g
-    cls = _labels([px, py])
-    size = np.bincount(cls)
+    # one key per direction; with X, Y the largest |px|, |py|, the guard
+    # keeps 2XY < 2^62, so |key| <= 2XY + X + Y < 2^63
+    key = px * (2 * _maxabs(py) + 1) + py
+    _, cls, size = np.unique(key, return_inverse=True, return_counts=True)
     heavy = size[cls] >= math.isqrt(max(n - 1, 0)) + 1
-    one_heavy = two_heavy = 0
+    # a pair with two heavy ends is found from both of its classes
+    weight = np.where(heavy, 1, 2)
+    twice = 0
     for c in np.unique(cls[heavy]):
         mem = np.nonzero(cls == c)[0]
         e = np.gcd(s[mem], g[mem])
         a, b = s[mem] // e, g[mem] // e
         d = np.abs(px[mem[0]] * y - py[mem[0]] * x)
         h = np.gcd(d, s)
-        got = _match_counts((a, b), (d // h, s // h))
-        two_heavy += int(got[heavy].sum())
-        one_heavy += int(got[~heavy].sum())
+        qa, qb = d // h, s // h
+        j = np.nonzero((qa <= a.max()) & (qb <= b.max()))[0]
+        ub = np.unique(b)
+        rank = np.searchsorted(ub, qb[j])
+        hit = ub[rank] == qb[j]
+        j, rank = j[hit], rank[hit]
+        keys, cnt = np.unique(a * ub.size + np.searchsorted(ub, b), return_counts=True)
+        q = qa[j] * ub.size + rank
+        at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+        twice += int(np.where(keys[at] == q, cnt[at], 0) @ weight[j])
     light = ~heavy
-    return one_heavy + two_heavy // 2 + _light_pairs(
+    return twice // 2 + _light_pairs(
         x[light], y[light], s[light], g[light], px[light], py[light], n)
 
 
@@ -458,19 +485,23 @@ def sphere_triple_hits(c: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.nd
     plane decides.  Two equal centres on a triangle make an identical
     pair.  The pair sweep picks its dtype from its own degree-2 bound;
     only the triangle stage, whose products have degree 3, is guarded by
-    16 g^3 (`_sphere_scale`)."""
+    16 g^3 (`_sphere_scale`).  The wedges go in blocks (`_runs`), so
+    dense inputs hold one block's Gram terms at a time."""
     first, second = circle_pair_hits(c, r2)[0].T
     c, r2 = _exact(16 * _sphere_scale(c, r2)**3, c, r2)
+    pairs = first * len(c) + second
     # wedges: each pair p = (i, j) with each later pair q = (i, l)
     later = np.searchsorted(first, first, side="right") - np.arange(first.size) - 1
-    p = np.repeat(np.arange(first.size), later)
-    q = p + 1 + np.arange(p.size) - np.repeat(np.cumsum(later) - later, later)
-    tri = np.isin(second[p] * len(c) + second[q], first * len(c) + second)
-    i, j, l = first[p[tri]], second[p[tri]], second[q[tri]]
-    U, W, R = c[j] - c[i], c[l] - c[i], r2[i]
-    uu, ww, G = (U * U).sum(axis=1), (W * W).sum(axis=1), (U * W).sum(axis=1)
-    rho_u, rho_w = uu + R - r2[j], ww + R - r2[l]
-    Q = ww * rho_u * rho_u - 2 * G * rho_u * rho_w + uu * rho_w * rho_w
-    meets = Q <= 4 * R * (uu * ww - G * G)
-    flags = (uu == 0) | (ww == 0) | (uu + ww == 2 * G)
-    return _rows((), 0, i[meets], j[meets], l[meets]), flags[meets]
+    blocks, flags = [], []
+    for p, step in _runs(later, _CHUNK // 16):
+        q = p + 1 + step
+        tri = np.isin(second[p] * len(c) + second[q], pairs)
+        i, j, l = first[p[tri]], second[p[tri]], second[q[tri]]
+        U, W, R = c[j] - c[i], c[l] - c[i], r2[i]
+        uu, ww, G = (U * U).sum(axis=1), (W * W).sum(axis=1), (U * W).sum(axis=1)
+        rho_u, rho_w = uu + R - r2[j], ww + R - r2[l]
+        Q = ww * rho_u * rho_u - 2 * G * rho_u * rho_w + uu * rho_w * rho_w
+        meets = Q <= 4 * R * (uu * ww - G * G)
+        blocks.append(_rows((), 0, i[meets], j[meets], l[meets]))
+        flags.append(((uu == 0) | (ww == 0) | (uu + ww == 2 * G))[meets])
+    return _stack(blocks, 3), _flags(flags)

@@ -214,7 +214,7 @@ def test_criterion_6_zarankiewicz_oracle():
 def test_criterion_7_st_lower_bound_exponent():
     t0 = time.time()
     pairs = []
-    for s in (4, 6, 8, 12, 16, 24, 32):
+    for s in (4, 6, 8, 12, 16, 24, 32, 48, 64):
         cfg = st_lower_bound_minor_config(2, s)
         pairs.append((cfg.n, count_unit_minors(cfg)))
     slope, _ = fit_exponent(pairs)

@@ -9,6 +9,7 @@ import json
 import math
 import random
 import runpy
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,6 +249,81 @@ def test_unit_pair_count_sends_wide_short_lines_to_the_block_sweep():
     assert kernels.count_unit_pairs(x, y, s) == brute_pairs(x, y, s)
 
 
+def test_unit_pair_count_joins_a_heavy_class_of_huge_gcds():
+    """A heavy class along (1, 0) whose members (g, 0) have g near 2^60
+    and scales near 2^30, with partners (k, +-t) of t = s s' / g <= 2:
+    the members' reduced s / g have denominators b near 2^60, so a key
+    a * (max b + 1) + b would pass int64, while the rank key does not.
+    Odd k flips the partner to (k, -t)."""
+    gs = [1 << 59, 3 << 58, 5 << 57, 7 << 56]
+    scales = [1 << 30, 3 << 29, 5 << 28, 7 << 27, (1 << 30) + 1, (3 << 29) + 1]
+    cols = [(g, 0, s) for g in gs for s in scales]
+    members = len(cols)
+    for g, s in itertools.product(gs, scales):
+        for s_new, k in itertools.product(scales, (-2, 0, 3)):
+            w = partner((g, 0), s, s_new, k)
+            if w is not None and abs(w[1]) <= 2:
+                cols.append((w[0], w[1] * (-1) ** (k % 2), s_new))
+    x, y, s = as_arrays(cols)
+    assert kernels._unit_bound((x, y), s) < 2**62
+    assert members >= math.isqrt(len(cols) - 1) + 1
+    a = [s // math.gcd(s, g) for g, _, s in cols[:members]]
+    b = [g // math.gcd(s, g) for g, _, s in cols[:members]]
+    assert max(a) * (max(b) + 1) >= 2**63
+    want = brute_pairs(x, y, s)
+    assert want > 50
+    assert kernels.count_unit_pairs(x, y, s) == want
+
+
+def line_dtypes(monkeypatch):
+    """The dtypes that `_exact` hands to `_lattice_lines`, one set per
+    call."""
+    seen, real = [], kernels._exact
+
+    def spy(bound, *arrays):
+        out = real(bound, *arrays)
+        if sys._getframe(1).f_code.co_name == "_lattice_lines":
+            seen.append({a.dtype for a in out})
+        return out
+
+    monkeypatch.setattr(kernels, "_exact", spy)
+    return seen
+
+
+def test_lattice_lines_run_on_int64_for_st_config(monkeypatch):
+    cfg = st_lower_bound_minor_config(2, 8)
+    (x, y), s = cfg.numerators.T, cfg.denominators
+    seen = line_dtypes(monkeypatch)
+    assert kernels.count_unit_pairs(x, y, s) == row_sweep_count(x, y, s)
+    assert seen and all(d == {np.dtype(np.int64)} for d in seen)
+
+
+def test_lattice_lines_leave_int64_past_their_own_bound(monkeypatch):
+    """(5, 7) and its partner (x, 1) at scales near 2^30 keep the pair
+    guard (2 * 7 |x| < 2^62), but the lines' t = s s' near 2^60 times
+    (5, 7)'s Bezout coefficients (3, -2) put the lines' own bound
+    between 2^62 and 2^63, so they run on python ints."""
+    s1, s2 = 1 << 30, (1 << 30) + 1
+    # det((5, 7), (x2, 1)) = 5 - 7 x2 = -s1 s2
+    x2 = (5 + s1 * s2) // 7
+    x, y, s = as_arrays([(5, 7, s1), (x2, 1, s2)])
+    assert 5 - 7 * x2 == -s1 * s2
+    assert kernels._unit_bound((x, y), s) < 2**62
+    seen = line_dtypes(monkeypatch)
+    assert kernels.count_unit_pairs(x, y, s) == brute_pairs(x, y, s) == 1
+    assert seen and all(d == {np.dtype(object)} for d in seen)
+
+
+def test_unit_pair_count_in_small_line_blocks(monkeypatch):
+    """Matching the light columns' lattice points a few at a time gives
+    the same count."""
+    cfg = st_lower_bound_minor_config(2, 6)
+    (x, y), s = cfg.numerators.T, cfg.denominators
+    want = kernels.count_unit_pairs(x, y, s)
+    monkeypatch.setattr(kernels, "_CHUNK", 7)
+    assert kernels.count_unit_pairs(x, y, s) == want == row_sweep_count(x, y, s)
+
+
 # ---------------------------------------------------------------------------
 # unit-minor hit sweeps against brute force
 
@@ -483,6 +559,21 @@ def test_sphere_hits_special_cases(c, r2, meets):
     hits, _ = kernels.sphere_triple_hits(np.array(c), np.array(r2))
     assert (len(hits) == 1) is meets
     check_sphere_sweep(c, r2, kernels.sphere_triple_hits)
+
+
+def test_sphere_wedges_in_small_blocks(monkeypatch):
+    """Spheres with centres in [0, 3]^3 and squared radii 30..39 nearly
+    all meet pairwise (9,195 of the 9,880 triples share a point, 114 of
+    them with an identical pair); walking the wedges a few at a time
+    gives the same hits and flags as one block."""
+    rng = np.random.default_rng(0)
+    c = rng.integers(0, 4, size=(40, 3))
+    r2 = rng.integers(30, 40, size=40)
+    hits, flags = kernels.sphere_triple_hits(c, r2)
+    assert len(hits) > 5000 and flags.any() and not flags.all()
+    monkeypatch.setattr(kernels, "_CHUNK", 16 * 7)
+    got, got_flags = kernels.sphere_triple_hits(c, r2)
+    assert np.array_equal(got, hits) and np.array_equal(got_flags, flags)
 
 
 def test_sphere_guards_split_by_degree(monkeypatch):
