@@ -16,8 +16,8 @@ integer width.  No floating point is consulted for any edge decision.
 The independent `*_naive` oracles loop on python ints over the same
 stored integers, without the kernels or the common-denominator form.
 The `Fraction` views (`points`, `spheres`) are built on first use, for
-text output and for the one oracle step that divides: the radical planes
-of three spheres.
+text output and for the one oracle step that divides: `spheres_meet`,
+the Gram-Schmidt elimination of the spheres' radical planes.
 
 Both file formats (`to_text`, `from_text`) are a first line `d n`, then
 n lines of rationals (`p/q` or integer): a point's (matrix column's) d
@@ -30,7 +30,7 @@ import enum
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -400,6 +400,12 @@ def count_unit_minors_naive(M: PointConfig) -> int:
     return count
 
 
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def _det_bareiss(m: list[list[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss's fraction-free
     elimination on python ints: every division is exact, and a zero pivot
@@ -496,107 +502,41 @@ def count_almost_unit_area_naive(P: PointConfig, lo=Fraction(9, 10),
 # spheres
 
 
-def circles_intersect(c1, r2_1, c2, r2_2) -> tuple[bool, bool]:
-    """(intersects, degenerate): circles meet iff (D - a - b)^2 <= 4ab
-    where D is the squared center distance; this is the polynomial form
-    of |r1 - r2| <= dist <= r1 + r2 in squared quantities only.
-    Degenerate means identical circle (infinite intersection)."""
-    D = sum((x - y) ** 2 for x, y in zip(c1, c2))
-    a, b = Fraction(r2_1), Fraction(r2_2)
-    t = D - a - b
-    meets = t * t <= 4 * a * b
-    degenerate = D == 0 and a == b
-    return meets, degenerate
+def spheres_meet(spheres) -> tuple[bool, bool]:
+    """(meets, degenerate) for 2 <= k <= d spheres (centre, r2) in R^d,
+    given as `Fraction`s: do they share a point?  Exact.
 
-
-def spheres_triple_intersect(s1, s2, s3) -> tuple[bool, bool]:
-    """Do three spheres in R^3 share a point?  Exact, via radical planes.
-
-    Subtracting sphere equations pairwise gives two planes; the system is
-    sphere_1 AND both planes.  Parallel distinct planes mean empty; a
-    single effective plane reduces to a circle-nonempty test; otherwise
-    the planes meet in a line and the sphere restricts to a quadratic
-    whose discriminant decides.  Degenerate flags an identical pair.
-    """
-    spheres = [s1, s2, s3]
-    c1, a1 = spheres[0]
-    planes = []
-    degenerate = s2 == s3
-    for idx in (1, 2):
-        cj, aj = spheres[idx]
-        normal = tuple(2 * (cj[t] - c1[t]) for t in range(3))
-        rhs = sum(cj[t] ** 2 - c1[t] ** 2 for t in range(3)) - (aj - a1)
-        if all(x == 0 for x in normal):
-            if rhs != 0:
-                return False, False  # concentric, different radii
-            degenerate = True  # identical sphere; constraint vacuous
-        else:
-            planes.append((normal, rhs))
-    if not planes:
-        return True, True  # three identical spheres
-    if len(planes) == 2:
-        n1, r1 = planes[0]
-        n2, r2 = planes[1]
-        cx = _cross3(n1, n2)
-        if all(x == 0 for x in cx):
-            # parallel radical planes: coincident or disjoint
-            lam = _parallel_ratio(n1, n2)
-            if lam is not None and r2 == lam * r1:
-                planes = [planes[0]]
-            else:
+    In y = x - c_0, sphere j >= 1 cuts sphere 0 along its radical plane
+    2u.y = rho, for u = c_j - c_0 and rho = |u|^2 + a_0 - a_j, where a_j
+    is sphere j's squared radius.  Gram-Schmidt on the augmented rows
+    (u | rho) keeps the solution set: a row that reduces to 0 = 0 is
+    dependent and dropped, one that reduces to 0 = rho != 0 leaves no
+    common point.  The remaining rows are orthogonal, so the planes'
+    nearest point to c_0 lies at squared distance sum rho^2 / (4 |u|^2);
+    they meet in at least a line, since k <= d, so the spheres meet iff
+    that distance is at most a_0.  Degenerate means the tuple holds an
+    identical pair."""
+    (c0, a0), rest = spheres[0], spheres[1:]
+    if not 1 <= len(rest) < len(c0):
+        raise ValueError(f"need 2 <= k <= d spheres, got {len(spheres)} "
+                         f"in R^{len(c0)}")
+    degenerate = any(s == t for s, t in itertools.combinations(spheres, 2))
+    rows, four_dist2 = [], 0
+    for c, a in rest:
+        u = [x - x0 for x, x0 in zip(c, c0)]
+        rho = sum(x * x for x in u) + a0 - a
+        for v, sigma, vv in rows:
+            t = sum(x * y for x, y in zip(u, v)) / vv
+            u = [x - t * y for x, y in zip(u, v)]
+            rho -= t * sigma
+        uu = sum(x * x for x in u)
+        if uu == 0:
+            if rho != 0:
                 return False, degenerate
-    if len(planes) == 1:
-        n, r = planes[0]
-        nn = sum(x * x for x in n)
-        pc = sum(nx * cx for nx, cx in zip(n, c1))
-        # distance^2 from c1 to the plane <= a1
-        return (pc - r) ** 2 <= a1 * nn, degenerate
-    n1, r1 = planes[0]
-    n2, r2 = planes[1]
-    v = _cross3(n1, n2)
-    p = _particular_solution(n1, r1, n2, r2)
-    w = tuple(p[t] - c1[t] for t in range(3))
-    A = sum(x * x for x in v)
-    B = sum(vx * wx for vx, wx in zip(v, w))
-    C = sum(x * x for x in w) - a1
-    disc = B * B - A * C
-    return disc >= 0, degenerate
-
-
-def _cross3(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
-def _parallel_ratio(n1, n2) -> Optional[Fraction]:
-    lam = None
-    for a, b in zip(n1, n2):
-        if a == 0 and b == 0:
             continue
-        if a == 0 or b == 0:
-            return None
-        q = b / a
-        if lam is None:
-            lam = q
-        elif lam != q:
-            return None
-    return lam
-
-
-def _particular_solution(n1, r1, n2, r2):
-    """One exact point on the line n1.x = r1, n2.x = r2."""
-    for drop in (2, 1, 0):
-        keep = [t for t in range(3) if t != drop]
-        det = n1[keep[0]] * n2[keep[1]] - n1[keep[1]] * n2[keep[0]]
-        if det != 0:
-            x = (r1 * n2[keep[1]] - r2 * n1[keep[1]]) / det
-            y = (n1[keep[0]] * r2 - n2[keep[0]] * r1) / det
-            p = [Fraction(0)] * 3
-            p[keep[0]] = x
-            p[keep[1]] = y
-            return tuple(p)
-    raise ValueError("planes are parallel; no line")
+        rows.append((u, rho, uu))
+        four_dist2 += rho * rho / uu
+    return four_dist2 <= 4 * a0, degenerate
 
 
 def _sphere_hits(S: SphereConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -630,12 +570,12 @@ def count_sphere_intersections(S: SphereConfig) -> int:
 
 def count_sphere_intersections_naive(S: SphereConfig) -> int:
     """Independent oracle: the pair test on every pair (d=2), or (d=3)
-    the rational predicate `spheres_triple_intersect` on every triple
-    whose three pairs meet, since spheres that share a point meet
-    pairwise.  The pair test is the squared-distance form of
-    `circles_intersect`, which holds in any dimension, on python ints:
-    sphere i is numerators[i] / q_i, and multiplying D, a and b by
-    (q_i q_j)^2 clears both denominators."""
+    the rational predicate `spheres_meet` on every triangle of the pair
+    graph, since spheres that share a point meet pairwise.  The pair
+    test is (D - a - b)^2 <= 4ab, for D the squared centre distance and
+    a, b the squared radii: the squared form of |r_i - r_j| <= dist <=
+    r_i + r_j, on python ints.  Sphere i is numerators[i] / q_i, and
+    multiplying D, a and b by (q_i q_j)^2 clears both denominators."""
     d = S.dim
     rows = [(row[:d], row[d], q)
             for row, q in zip(S.numerators.tolist(), S.denominators.tolist())]
@@ -654,8 +594,7 @@ def count_sphere_intersections_naive(S: SphereConfig) -> int:
     spheres = S.spheres
     return sum(1 for i, nbrs in enumerate(later)
                for j in sorted(nbrs) for l in sorted(nbrs & later[j])
-               if spheres_triple_intersect(spheres[i], spheres[j],
-                                           spheres[l])[0])
+               if spheres_meet((spheres[i], spheres[j], spheres[l]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from zarank.cli import main
 from zarank.geometry import (
     PointConfig,
     SphereConfig,
-    circles_intersect,
+    spheres_meet,
     triangle_double_area,
 )
 from zarank.hypergraph import KPartiteHypergraph
@@ -151,7 +151,7 @@ class TestBuildText:
             cfg = SphereConfig.from_integers(2, sorted(rows))
             S = cfg.spheres
             edges = [(i, j) for i, j in itertools.permutations(range(n), 2)
-                     if circles_intersect(*S[i], *S[j])[0]]
+                     if spheres_meet((S[i], S[j]))[0]]
             k, flag = 2, "--spheres"
         else:
             top = 3 if kind == "minors" else 4

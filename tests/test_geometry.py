@@ -23,7 +23,6 @@ from zarank.geometry import (
     DetTarget,
     PointConfig,
     SphereConfig,
-    circles_intersect,
     count_almost_unit_area,
     count_almost_unit_area_naive,
     count_sphere_intersections,
@@ -34,7 +33,7 @@ from zarank.geometry import (
     k1uu_config,
     almost_unit_area_hypergraph,
     sphere_intersection_hypergraph,
-    spheres_triple_intersect,
+    spheres_meet,
     st_incidence_count,
     st_lower_bound_minor_config,
     triangle_double_area,
@@ -394,22 +393,23 @@ class TestAlmostUnitArea:
 
 class TestSpheres:
     def test_tangent_circles_meet(self):
-        assert circles_intersect((Fraction(0), Fraction(0)), Fraction(1),
-                                 (Fraction(2), Fraction(0)), Fraction(1)) == (True, False)
+        assert spheres_meet([((Fraction(0), Fraction(0)), Fraction(1)),
+                             ((Fraction(2), Fraction(0)), Fraction(1))]
+                            ) == (True, False)
 
     def test_far_circles_do_not(self):
-        meets, _ = circles_intersect((Fraction(0), Fraction(0)), Fraction(1),
-                                     (Fraction(3), Fraction(0)), Fraction(1))
+        meets, _ = spheres_meet([((Fraction(0), Fraction(0)), Fraction(1)),
+                                 ((Fraction(3), Fraction(0)), Fraction(1))])
         assert not meets
 
     def test_nested_circles_do_not(self):
-        meets, _ = circles_intersect((Fraction(0), Fraction(0)), Fraction(100),
-                                     (Fraction(1), Fraction(0)), Fraction(1))
+        meets, _ = spheres_meet([((Fraction(0), Fraction(0)), Fraction(100)),
+                                 ((Fraction(1), Fraction(0)), Fraction(1))])
         assert not meets
 
     def test_identical_circles_degenerate(self):
-        meets, degen = circles_intersect((Fraction(1), Fraction(2)), Fraction(5),
-                                         (Fraction(1), Fraction(2)), Fraction(5))
+        circle = ((Fraction(1), Fraction(2)), Fraction(5))
+        meets, degen = spheres_meet([circle, circle])
         assert meets and degen
 
     def test_three_unit_spheres_share_point(self):
@@ -417,7 +417,7 @@ class TestSpheres:
         s1 = ((Fraction(0), Fraction(0), Fraction(0)), one)
         s2 = ((Fraction(1), Fraction(0), Fraction(0)), one)
         s3 = ((Fraction(0), Fraction(1), Fraction(0)), one)
-        meets, degen = spheres_triple_intersect(s1, s2, s3)
+        meets, degen = spheres_meet([s1, s2, s3])
         assert meets and not degen
 
     def test_distant_spheres_do_not(self):
@@ -425,18 +425,18 @@ class TestSpheres:
         s1 = ((Fraction(0), Fraction(0), Fraction(0)), one)
         s2 = ((Fraction(10), Fraction(0), Fraction(0)), one)
         s3 = ((Fraction(0), Fraction(10), Fraction(0)), one)
-        assert not spheres_triple_intersect(s1, s2, s3)[0]
+        assert not spheres_meet([s1, s2, s3])[0]
 
     def test_concentric_different_radii(self):
         s1 = ((Fraction(0),) * 3, Fraction(1))
         s2 = ((Fraction(0),) * 3, Fraction(2))
         s3 = ((Fraction(5), Fraction(0), Fraction(0)), Fraction(1))
-        assert not spheres_triple_intersect(s1, s2, s3)[0]
+        assert not spheres_meet([s1, s2, s3])[0]
 
     def test_identical_pair_flagged(self):
         s1 = ((Fraction(0),) * 3, Fraction(4))
         s3 = ((Fraction(1), Fraction(0), Fraction(0)), Fraction(4))
-        meets, degen = spheres_triple_intersect(s1, s1, s3)
+        meets, degen = spheres_meet([s1, s1, s3])
         assert meets and degen
 
     def test_predicate_matches_float_solver(self):
@@ -447,7 +447,7 @@ class TestSpheres:
             c2 = (Fraction(rng.randint(-40, 40), 4), Fraction(rng.randint(-40, 40), 4))
             r1 = Fraction(rng.randint(1, 40), 8)
             r2 = Fraction(rng.randint(1, 40), 8)
-            got, _ = circles_intersect(c1, r1, c2, r2)
+            got, _ = spheres_meet([(c1, r1), (c2, r2)])
             dist = math.hypot(float(c1[0] - c2[0]), float(c1[1] - c2[1]))
             lo, hi = abs(math.sqrt(r1) - math.sqrt(r2)), math.sqrt(r1) + math.sqrt(r2)
             if abs(dist - lo) < 1e-9 or abs(dist - hi) < 1e-9:
@@ -465,7 +465,7 @@ class TestSpheres:
             for _ in range(3):
                 c = tuple(Fraction(rng.randint(-8, 8), 2) for _ in range(3))
                 spheres.append((c, Fraction(rng.randint(1, 24), 4)))
-            got, _ = spheres_triple_intersect(*spheres)
+            got, _ = spheres_meet(spheres)
             c1, a1 = spheres[0]
             rows, rhs = [], []
             for cj, aj in spheres[1:]:
@@ -488,17 +488,50 @@ class TestSpheres:
             checked += 1
         assert checked > 300
 
+    def test_predicate_matches_min_norm_solution_up_to_d4(self):
+        """2 <= k <= d spheres in R^3 and R^4, k < d included: the
+        radical planes' min-norm point against sphere 0's squared radius.
+        Rank-deficient draws and near ties are skipped."""
+        rng = random.Random(72)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            d = rng.choice([3, 4])
+            k = rng.randint(2, d)
+            spheres = [(tuple(Fraction(rng.randint(-6, 6), 2)
+                              for _ in range(d)),
+                        Fraction(rng.randint(1, 64), 4)) for _ in range(k)]
+            got, _ = spheres_meet(spheres)
+            c0 = np.array([float(x) for x in spheres[0][0]])
+            a0 = float(spheres[0][1])
+            A = np.array([[2 * float(x) for x in c] for c, _ in spheres[1:]])
+            A -= 2 * c0
+            rhs = np.array([float(a0 - a) for _, a in spheres[1:]]) \
+                + (A * A).sum(axis=1) / 4
+            if np.linalg.matrix_rank(A, tol=1e-8) < k - 1:
+                continue
+            y, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+            if abs(y @ y - a0) < 1e-6:
+                continue
+            assert got == (y @ y < a0), spheres
+            seen[got] += 1
+        assert min(seen.values()) > 100 and sum(seen.values()) > 300
+
+    def test_predicate_takes_two_to_d_spheres(self):
+        """Past k = d the planes can meet in one point inside sphere 0,
+        which the distance test would accept."""
+        unit = [((Fraction(0), Fraction(0)), Fraction(1)),
+                ((Fraction(1), Fraction(0)), Fraction(1)),
+                ((Fraction(0), Fraction(1)), Fraction(1))]
+        for spheres in (unit[:1], unit):
+            with pytest.raises(ValueError, match="need 2 <= k <= d"):
+                spheres_meet(spheres)
+
     @staticmethod
     def fraction_sweep(cfg):
         """Edges and degenerate edges from the rational predicates."""
         edges, degenerate = set(), set()
         for combo in itertools.combinations(range(cfg.n), cfg.dim):
-            s = [cfg.spheres[i] for i in combo]
-            if cfg.dim == 2:
-                meets, degen = circles_intersect(s[0][0], s[0][1],
-                                                 s[1][0], s[1][1])
-            else:
-                meets, degen = spheres_triple_intersect(*s)
+            meets, degen = spheres_meet([cfg.spheres[i] for i in combo])
             if meets:
                 orders = set(itertools.permutations(combo))
                 edges |= orders
@@ -536,7 +569,7 @@ class TestSpheres:
     def test_identical_pair_in_last_two_places_flagged(self):
         s1 = ((Fraction(1), Fraction(0), Fraction(0)), Fraction(4))
         s2 = ((Fraction(0),) * 3, Fraction(4))
-        assert spheres_triple_intersect(s1, s2, s2) == (True, True)
+        assert spheres_meet([s1, s2, s2]) == (True, True)
         H, degen = sphere_intersection_hypergraph(SphereConfig(3, (s1, s2, s2)))
         assert H.num_edges == 6 and degen == H.edges
 
@@ -573,14 +606,9 @@ def area_loop(P, lo, hi):
 
 
 def sphere_loop(S):
-    """The pair predicate on every pair (d=2), the triple predicate on
-    every triple (d=3)."""
-    if S.dim == 2:
-        return sum(1 for (c1, a), (c2, b)
-                   in itertools.combinations(S.spheres, 2)
-                   if circles_intersect(c1, a, c2, b)[0])
-    return sum(1 for triple in itertools.combinations(S.spheres, 3)
-               if spheres_triple_intersect(*triple)[0])
+    """The rational predicate on every d-subset."""
+    return sum(1 for combo in itertools.combinations(S.spheres, S.dim)
+               if spheres_meet(combo)[0])
 
 
 # small values, so that unit determinants, exact band ends, tangencies
@@ -713,17 +741,17 @@ class TestOraclesMatchTheirLoops:
         S = _random_spheres(ExperimentSpec("spheres", 3, (10, 20, 40)), 40)
         spheres = S.spheres
         meets = {(i, j) for i, j in itertools.combinations(range(S.n), 2)
-                 if circles_intersect(*spheres[i], *spheres[j])[0]}
+                 if spheres_meet((spheres[i], spheres[j]))[0]}
         triangles = [t for t in itertools.combinations(range(S.n), 3)
                      if all(p in meets for p in itertools.combinations(t, 2))]
         calls = []
-        original = geometry.spheres_triple_intersect
+        original = geometry.spheres_meet
 
-        def spy(*triple):
+        def spy(triple):
             calls.append(tuple(spheres.index(s) for s in triple))
-            return original(*triple)
+            return original(triple)
 
-        monkeypatch.setattr(geometry, "spheres_triple_intersect", spy)
+        monkeypatch.setattr(geometry, "spheres_meet", spy)
         assert count_sphere_intersections_naive(S) > 0
         assert sorted(calls) == triangles
         assert len(triangles) < math.comb(S.n, 3) // 100

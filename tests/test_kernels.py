@@ -19,11 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from zarank import geometry, kernels
 from zarank.experiments import ExperimentSpec, _config
-from zarank.geometry import (
-    circles_intersect,
-    spheres_triple_intersect,
-    st_lower_bound_minor_config,
-)
+from zarank.geometry import spheres_meet, st_lower_bound_minor_config
 from fraction_det import det_fraction_gauss
 
 
@@ -62,28 +58,21 @@ def test_active_backend_env():
     assert kernels.active_backend() == "numpy"
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_pair_kernel_matches_brute_force(backend, monkeypatch):
-    """ZARANK_BACKEND is ignored: either value gives the exact count."""
-    monkeypatch.setenv("ZARANK_BACKEND", backend)
+def test_pair_kernel_matches_brute_force():
     rng = random.Random(1)
     for n in (2, 7, 40):
         x, y, _, s = random_int_data(rng, n)
         assert kernels.count_unit_pairs(x, y, s) == brute_pairs(x, y, s)
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_triple_kernel_matches_brute_force(backend, monkeypatch):
-    monkeypatch.setenv("ZARANK_BACKEND", backend)
+def test_triple_kernel_matches_brute_force():
     rng = random.Random(2)
     for n in (3, 8, 20):
         x, y, z, s = random_int_data(rng, n, top=6)
         assert kernels.count_unit_triples(x, y, z, s) == brute_triples(x, y, z, s)
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_area_kernel_matches_brute_force(backend, monkeypatch):
-    monkeypatch.setenv("ZARANK_BACKEND", backend)
+def test_area_kernel_matches_brute_force():
     rng = random.Random(3)
     x = np.array([rng.randint(0, 20) for _ in range(25)], dtype=np.int64)
     y = np.array([rng.randint(0, 20) for _ in range(25)], dtype=np.int64)
@@ -443,11 +432,7 @@ def brute_sphere_hits(c, r2):
                for ci, ri in zip(c, r2)]
     hits, flags = [], []
     for combo in itertools.combinations(range(len(c)), k):
-        s = [spheres[i] for i in combo]
-        if k == 2:
-            meets, degen = circles_intersect(s[0][0], s[0][1], s[1][0], s[1][1])
-        else:
-            meets, degen = spheres_triple_intersect(*s)
+        meets, degen = spheres_meet([spheres[i] for i in combo])
         if meets:
             hits.append(combo)
             flags.append(degen)
