@@ -58,21 +58,28 @@ def test_active_backend_env():
     assert kernels.active_backend() == "numpy"
 
 
-def test_pair_kernel_matches_brute_force():
+@pytest.mark.parametrize("backend", ["numba", "numpy"])
+def test_pair_kernel_matches_brute_force(backend, monkeypatch):
+    """ZARANK_BACKEND is ignored: either value gives the exact count."""
+    monkeypatch.setenv("ZARANK_BACKEND", backend)
     rng = random.Random(1)
     for n in (2, 7, 40):
         x, y, _, s = random_int_data(rng, n)
         assert kernels.count_unit_pairs(x, y, s) == brute_pairs(x, y, s)
 
 
-def test_triple_kernel_matches_brute_force():
+@pytest.mark.parametrize("backend", ["numba", "numpy"])
+def test_triple_kernel_matches_brute_force(backend, monkeypatch):
+    monkeypatch.setenv("ZARANK_BACKEND", backend)
     rng = random.Random(2)
     for n in (3, 8, 20):
         x, y, z, s = random_int_data(rng, n, top=6)
         assert kernels.count_unit_triples(x, y, z, s) == brute_triples(x, y, z, s)
 
 
-def test_area_kernel_matches_brute_force():
+@pytest.mark.parametrize("backend", ["numba", "numpy"])
+def test_area_kernel_matches_brute_force(backend, monkeypatch):
+    monkeypatch.setenv("ZARANK_BACKEND", backend)
     rng = random.Random(3)
     x = np.array([rng.randint(0, 20) for _ in range(25)], dtype=np.int64)
     y = np.array([rng.randint(0, 20) for _ in range(25)], dtype=np.int64)
